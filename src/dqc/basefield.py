@@ -1,9 +1,9 @@
 """Base field F_p for primes p with p % 4 == 3.
 
 Field elements are plain Python integers in canonical form 0..p-1.  The
-modulus and its precomputed square/root tables travel in a
-ComplexifiablePrime instance rather than with each element, which keeps
-the enumeration loops free of per-element object overhead.
+modulus travels in a ComplexifiablePrime instance rather than with each
+element, which keeps the enumeration loops free of per-element object
+overhead.
 
 Only p % 4 == 3 is accepted: for those primes -1 is a quadratic
 non-residue, so x**2 + 1 is irreducible and the degree-2 extension
@@ -14,18 +14,9 @@ consequence used throughout: square roots of a residue c are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DivisionByZero, NotComplexifiable, NotPrime
-
-# Residue and root tables are materialized up to this modulus; above it
-# every query falls back to modular exponentiation.
-TABLE_LIMIT = 1 << 16
-
-# Legendre classes as stored in qr_table.
-QR_ZERO = 0
-QR_RESIDUE = 1
-QR_NONRESIDUE = -1
 
 # Witnesses making Miller-Rabin deterministic for all 64-bit integers.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -58,18 +49,9 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class ComplexifiablePrime:
-    """A validated prime modulus p with p % 4 == 3 plus lookup tables.
-
-    qr_table[c] holds the Legendre class of c (QR_ZERO / QR_RESIDUE /
-    QR_NONRESIDUE) and sqrt_table[c] the ordered pair of square roots of
-    a residue c.  Both are None for p > TABLE_LIMIT, in which case the
-    Euler criterion and the exponent (p+1)/4 are evaluated per query.
-    """
+    """A validated prime modulus p with p % 4 == 3."""
 
     p: int
-    residue_class: int
-    qr_table: list | None = field(default=None, repr=False, compare=False)
-    sqrt_table: dict | None = field(default=None, repr=False, compare=False)
 
     # -- base arithmetic, canonical representatives in 0..p-1 --
 
@@ -102,15 +84,6 @@ class ComplexifiablePrime:
 
     # -- squares and square roots --
 
-    def legendre_class(self, c: int) -> int:
-        """QR_ZERO, QR_RESIDUE or QR_NONRESIDUE for c mod p."""
-        c %= self.p
-        if self.qr_table is not None:
-            return self.qr_table[c]
-        if c == 0:
-            return QR_ZERO
-        return QR_RESIDUE if pow(c, (self.p - 1) // 2, self.p) == 1 else QR_NONRESIDUE
-
     def sqrt(self, c: int) -> tuple[int, ...]:
         """All square roots of c in F_p, in increasing order.
 
@@ -118,10 +91,6 @@ class ComplexifiablePrime:
         and () when c is a non-residue.
         """
         c %= self.p
-        if self.sqrt_table is not None:
-            if c == 0:
-                return (0,)
-            return self.sqrt_table.get(c, ())
         if c == 0:
             return (0,)
         # p % 4 == 3 makes (p+1)/4 an integer exponent; the candidate
@@ -130,14 +99,6 @@ class ComplexifiablePrime:
         if r * r % self.p != c:
             return ()
         return (r, self.p - r) if r <= self.p - r else (self.p - r, r)
-
-    def elements(self) -> range:
-        return range(self.p)
-
-    # Workers in other processes rebuild the tables from p alone, which
-    # is cheaper than pickling them.
-    def __reduce__(self):
-        return (validate_prime, (self.p,))
 
 
 def validate_prime(candidate: int) -> ComplexifiablePrime:
@@ -155,19 +116,4 @@ def validate_prime(candidate: int) -> ComplexifiablePrime:
             f"{candidate} % 4 == {candidate % 4}, need 3; "
             "x**2 + 1 is reducible so F_p[i] is not a field"
         )
-    qr_table = None
-    sqrt_table = None
-    if candidate <= TABLE_LIMIT:
-        qr_table = [QR_NONRESIDUE] * candidate
-        qr_table[0] = QR_ZERO
-        sqrt_table = {}
-        for r in range(1, (candidate + 1) // 2):
-            c = r * r % candidate
-            qr_table[c] = QR_RESIDUE
-            sqrt_table[c] = (r, candidate - r) if r <= candidate - r else (candidate - r, r)
-    return ComplexifiablePrime(
-        p=candidate,
-        residue_class=candidate % 4,
-        qr_table=qr_table,
-        sqrt_table=sqrt_table,
-    )
+    return ComplexifiablePrime(p=candidate)

@@ -14,13 +14,23 @@ and each nonzero norm value is taken equally often, giving
 unit-norm vectors.  Phase classes partition the unit sphere into
 omega / (p + 1) irreducible states.  All of this is big-int exact.
 
+Counting
+--------
+The zero-norm, unit-norm and irreducible counts depend only on how
+many elements each norm fiber holds, so they are read from norm
+histograms: the D-fold cyclic convolution of the fiber sizes
+[1, p+1, ..., p+1], built from the enumeration tables in O(D * p**2)
+steps.  They take no budget.  The naive full scan, which walks every
+vector, is the independent oracle for the histograms.
+
 Enumeration
 -----------
-The sphere is walked by fiber completion: fix the first D-1 amplitudes
-(a "prefix"), compute the residual norm the last amplitude must carry,
-and append each member of that norm fiber.  Every vector is produced
-exactly once, in lexicographic amplitude order.  Work is therefore
-p**(2(D-1)) prefixes, which is the quantity the budget limits.
+States themselves are walked by fiber completion: fix the first D-1
+amplitudes (a "prefix"), compute the residual norm the last amplitude
+must carry, and append each member of that norm fiber.  Every vector is
+produced exactly once, in lexicographic amplitude order.  Work is
+therefore p**(2(D-1)) prefixes, which is the quantity the budget
+limits.  One prefix walker serves every state stream and the census.
 
 Canonical filtering uses a fact about the phase action: the orbit of a
 nonzero amplitude under the norm-1 group is the entire norm fiber it
@@ -29,8 +39,9 @@ exactly when its first nonzero amplitude is the smallest element of its
 fiber.  The literal lex-min-of-class definition lives in hopf and the
 test suite cross-asserts the two on full spheres.
 
-Parallelism splits the prefix integer range into contiguous blocks;
-block results merge by addition, so counts are identical for any split.
+Parallelism is the census tally's alone: it splits the prefix range
+into contiguous blocks, one pool per tally, and block results merge by
+addition, so counts are identical for any split.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from multiprocessing import Pool
 
 from .basefield import ComplexifiablePrime, validate_prime
@@ -260,14 +271,6 @@ def enum_tables(p: int):
     return tables
 
 
-def _decode_prefix(prefix: int, d: int, q: int) -> list:
-    """Digits of prefix in base q, most significant first, d-1 of them."""
-    digits = [0] * (d - 1)
-    for k in range(d - 2, -1, -1):
-        prefix, digits[k] = divmod(prefix, q)
-    return digits
-
-
 def prefix_blocks(total: int, workers: int) -> list:
     """Static contiguous split of range(total) into at most 4*workers blocks."""
     chunks = min(total, max(1, workers * 4))
@@ -287,47 +290,44 @@ def run_blocks(worker, args_list: list, threads: int) -> list:
         return pool.map(worker, args_list)
 
 
-# -- counting workers (top-level for pickling) -------------------------------
+# -- counting by convolution ----------------------------------------------------
 
-def _count_norm_block(args) -> int:
-    p, d, target, start, stop = args
-    fn, _, fiber_sizes, _ = enum_tables(p)
-    q = p * p
-    count = 0
-    for prefix in range(start, stop):
-        s = 0
-        x = prefix
-        for _ in range(d - 1):
-            x, e = divmod(x, q)
-            s += fn[e]
-        count += fiber_sizes[(target - s) % p]
-    return count
+def norm_histograms(p: int, d: int) -> list:
+    """hists[m][c] is the number of m-vectors of norm c, for m = 0..d.
 
-
-def _count_irreducible_block(args) -> int:
-    p, d, start, stop = args
-    fn, _, fiber_sizes, fiber_min = enum_tables(p)
-    q = p * p
-    count = 0
-    for prefix in range(start, stop):
-        if prefix == 0:
-            # all-zero prefix: the completion leads and the residual is 1,
-            # whose fiber holds exactly one canonical choice
-            count += 1
-            continue
-        digits = _decode_prefix(prefix, d, q)
-        s = 0
-        first = 0
-        for e in digits:
-            s += fn[e]
-            if not first and e:
-                first = e
-        if fiber_min[first]:
-            count += fiber_sizes[(1 - s) % p]
-    return count
+    A vector's norm is the sum of its amplitudes' norms, so each
+    histogram is the previous one cyclically convolved with the fiber
+    sizes [1, p+1, ..., p+1].  Cost is O(d * p**2) at any size.
+    """
+    _, _, fiber_sizes, _ = enum_tables(p)
+    hists = [[1] + [0] * (p - 1)]
+    for _ in range(d):
+        prev = hists[-1]
+        hists.append([
+            sum(prev[(c - t) % p] * size for t, size in enumerate(fiber_sizes))
+            for c in range(p)
+        ])
+    return hists
 
 
-# -- public enumeration -------------------------------------------------------
+def count_norm_class(prime: ComplexifiablePrime, d: int, target: int) -> int:
+    """Count vectors of the given norm from the norm histogram."""
+    return norm_histograms(prime.p, d)[d][target % prime.p]
+
+
+def count_irreducible(prime: ComplexifiablePrime, n: int) -> int:
+    """Count canonical unit-norm states by the fiber-min filter.
+
+    A canonical state is k leading zeros, the fiber minimum of some
+    nonzero norm t, then a tail of norm 1 - t; the tail is any vector of
+    dimension D - 1 - k, for k = 0..D-1.
+    """
+    p = prime.p
+    tails = norm_histograms(p, (1 << n) - 1)
+    return sum(tail[(1 - t) % p] for tail in tails for t in range(1, p))
+
+
+# -- enumeration ---------------------------------------------------------------
 
 def check_budget(p: int, d: int, budget: int, closed_form: int | None = None):
     prefixes = p ** (2 * (d - 1))
@@ -336,36 +336,37 @@ def check_budget(p: int, d: int, budget: int, closed_form: int | None = None):
     return prefixes
 
 
-def count_norm_class(
-    prime: ComplexifiablePrime,
+def walk_prefixes(
+    p: int,
     d: int,
     target: int,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
-) -> int:
-    """Count vectors of the given norm by fiber-completion enumeration."""
-    p = prime.p
-    target %= p
-    expected = zero_norm_count(p, d) if target == 0 else unit_norm_count(p, d)
-    prefixes = check_budget(p, d, budget, expected)
-    blocks = prefix_blocks(prefixes, threads)
-    args = [(p, d, target, start, stop) for start, stop in blocks]
-    return sum(run_blocks(_count_norm_block, args, threads))
+    canonical_only: bool,
+    start: int = 0,
+    stop: int | None = None,
+):
+    """Yield (head, completions) for prefixes start..stop-1 of dimension d.
 
-
-def count_irreducible(
-    prime: ComplexifiablePrime,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
-) -> int:
-    """Count canonical unit-norm states by the fiber-min filter."""
-    p = prime.p
-    d = 1 << n
-    prefixes = check_budget(p, d, budget, irreducible_count(p, d))
-    blocks = prefix_blocks(prefixes, threads)
-    args = [(p, d, start, stop) for start, stop in blocks]
-    return sum(run_blocks(_count_irreducible_block, args, threads))
+    Prefixes are the first d - 1 amplitudes in lexicographic order; head
+    is their tuple of (re, im) pairs and completions the sorted last
+    amplitudes that bring the norm to target.  canonical_only drops a
+    prefix whose first nonzero amplitude is not its fiber minimum before
+    its head is built, and keeps only the fiber minimum when the
+    completion leads.
+    """
+    fn, fibers, _, fiber_min = enum_tables(p)
+    pairs = [divmod(e, p) for e in range(p * p)]
+    fiber_pairs = [tuple(pairs[e] for e in f) for f in fibers]
+    for digits in islice(product(range(p * p), repeat=d - 1), start, stop):
+        if canonical_only:
+            first = next(filter(None, digits), 0)
+            if first and not fiber_min[first]:
+                continue
+        c = (target - sum(map(fn.__getitem__, digits))) % p
+        completions = fiber_pairs[c]
+        if canonical_only and not first:
+            # the completion leads; a zero one would leave the zero vector
+            completions = completions[:1] if c else ()
+        yield tuple(map(pairs.__getitem__, digits)), completions
 
 
 def iter_norm_class(
@@ -385,27 +386,9 @@ def iter_norm_class(
     if canonical_only and target:
         expected //= p + 1
     check_budget(p, d, budget, expected)
-    fn, fibers, _, fiber_min = enum_tables(p)
-    q = p * p
-    pairs = [divmod(e, p) for e in range(q)]
-    for digits in product(range(q), repeat=d - 1):
-        s = 0
-        first = 0
-        for e in digits:
-            s += fn[e]
-            if not first and e:
-                first = e
-        c = (target - s) % p
-        head = tuple(pairs[e] for e in digits)
-        if canonical_only and first and not fiber_min[first]:
-            continue
-        if canonical_only and not first:
-            # completion leads; only the fiber minimum is canonical
-            if c:
-                yield head + (pairs[fibers[c][0]],)
-            continue
-        for e in fibers[c]:
-            yield head + (pairs[e],)
+    for head, completions in walk_prefixes(p, d, target, canonical_only):
+        for last in completions:
+            yield head + (last,)
 
 
 def iter_irreducible(
@@ -502,14 +485,15 @@ def verify(
     scan_limit: int = DEFAULT_SCAN_LIMIT,
     seed: int = 0,
 ) -> CountReport:
-    """Cross-check closed forms against exhaustive enumeration for n qubits.
+    """Cross-check closed forms against independent counts for n qubits.
 
     Always runs the closed-form identities, the zero-norm recurrence and
-    the sampled invariants.  Budget permitting, enumerates the unit and
-    zero spheres, the canonical states and the entanglement census, and
-    compares every count.  The naive full scan joins in below
-    scan_limit.  Any mismatch raises VerificationFailed; a budget skip
-    is recorded as a note instead.
+    the sampled invariants.  When the census's p**(2(D-1)) prefixes fit
+    the budget, it also counts the unit and zero spheres and the
+    canonical states by convolution, enumerates the entanglement census
+    (the only step that uses threads), and compares every count.  The
+    naive full scan joins in below scan_limit.  Any mismatch raises
+    VerificationFailed; a budget skip is recorded as a note instead.
     """
     from .entangle import census_tally  # deferred: entangle imports this module
 
@@ -526,15 +510,9 @@ def verify(
             f"enumeration skipped: {prefixes} prefixes exceed budget {budget}"
         )
     else:
-        rep.enumerated["unit_norm"] = count_norm_class(
-            prime, d, 1, budget=budget, threads=threads
-        )
-        rep.enumerated["zero_norm"] = count_norm_class(
-            prime, d, 0, budget=budget, threads=threads
-        )
-        rep.enumerated["irreducible"] = count_irreducible(
-            prime, n, budget=budget, threads=threads
-        )
+        rep.enumerated["unit_norm"] = count_norm_class(prime, d, 1)
+        rep.enumerated["zero_norm"] = count_norm_class(prime, d, 0)
+        rep.enumerated["irreducible"] = count_irreducible(prime, n)
         rep.match_flags["unit_norm_enumerated"] = (
             rep.enumerated["unit_norm"] == rep.unit_norm
         )

@@ -92,8 +92,8 @@ def norm_fiber(prime: ComplexifiablePrime, c: int) -> list:
     """All elements of F_p**2 with field norm c, sorted as (re, im) pairs.
 
     The fiber over 0 is {(0, 0)}; every nonzero c has exactly p + 1
-    preimages.  Cost is O(p) square-root lookups, so this is practical
-    for table-sized p and degrades to O(p log p) above TABLE_LIMIT.
+    preimages.  Cost is O(p) square roots, each one modular
+    exponentiation, so O(p log p) in all.
     """
     p = prime.p
     c %= p

@@ -37,10 +37,10 @@ from .basefield import ComplexifiablePrime
 from .census import (
     DEFAULT_BUDGET,
     check_budget,
-    enum_tables,
     irreducible_count,
     prefix_blocks,
     run_blocks,
+    walk_prefixes,
 )
 from .complexfield import cadd, cmul, cneg, conj
 from .errors import NonRealExpectation, NotUnitNorm, ZeroVector
@@ -268,39 +268,13 @@ class CensusTally:
 
 def _tally_block(args) -> tuple:
     p, n, start, stop = args
-    d = 1 << n
-    fn, fibers, _, fiber_min = enum_tables(p)
-    q = p * p
-    pairs = [divmod(e, p) for e in range(q)]
     classes: dict = {}
     purities: dict = {}
     p1np = 0
     n_res = n % p
-    for prefix in range(start, stop):
-        digits = []
-        x = prefix
-        for _ in range(d - 1):
-            x, e = divmod(x, q)
-            digits.append(e)
-        digits.reverse()
-        s = 0
-        first = 0
-        for e in digits:
-            s += fn[e]
-            if not first and e:
-                first = e
-        c = (1 - s) % p
-        if first:
-            if not fiber_min[first]:
-                continue
-            completions = fibers[c]
-        else:
-            # all-zero prefix: c == 1; only the fiber minimum is canonical
-            completions = fibers[c][:1]
-        head = tuple(pairs[e] for e in digits)
-        for e in completions:
-            amps = head + (pairs[e],)
-            kind, sum_sq, _ = classify_raw(p, n, amps)
+    for head, completions in walk_prefixes(p, 1 << n, 1, True, start, stop):
+        for last in completions:
+            kind, sum_sq, _ = classify_raw(p, n, head + (last,))
             key = kind.value
             classes[key] = classes.get(key, 0) + 1
             purities[sum_sq] = purities.get(sum_sq, 0) + 1

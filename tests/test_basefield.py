@@ -1,7 +1,7 @@
 import pytest
 
 from dqc import NotComplexifiable, NotPrime, validate_prime
-from dqc.basefield import QR_NONRESIDUE, QR_RESIDUE, QR_ZERO, TABLE_LIMIT, is_prime
+from dqc.basefield import is_prime
 from dqc.errors import DivisionByZero
 
 
@@ -9,7 +9,6 @@ def test_accepts_complexifiable_primes():
     for p in (3, 7, 11, 19, 23, 31, 43, 2**31 - 1):
         fld = validate_prime(p)
         assert fld.p == p
-        assert fld.residue_class == 3
 
 
 def test_rejects_composites():
@@ -63,18 +62,6 @@ def test_frozen_small_inverses(f3, f7):
     assert f7.inv(3) == 5
 
 
-def test_legendre_matches_brute_force():
-    for p in (3, 7, 11, 19):
-        fld = validate_prime(p)
-        squares = {x * x % p for x in range(1, p)}
-        assert fld.legendre_class(0) == QR_ZERO
-        for c in range(1, p):
-            expected = QR_RESIDUE if c in squares else QR_NONRESIDUE
-            assert fld.legendre_class(c) == expected
-        # exactly (p-1)/2 nonzero residues
-        assert len(squares) == (p - 1) // 2
-
-
 def test_sqrt_matches_brute_force():
     for p in (3, 7, 11, 19):
         fld = validate_prime(p)
@@ -90,14 +77,6 @@ def test_sqrt_known_values(f7):
     assert f7.sqrt(3) == ()  # non-residue mod 7
 
 
-def test_tables_built_only_below_limit():
-    small = validate_prime(3)
-    assert small.qr_table is not None and small.sqrt_table is not None
-    big = validate_prime(65539)  # smallest table-free modulus
-    assert big.p > TABLE_LIMIT
-    assert big.qr_table is None and big.sqrt_table is None
-
-
 def test_table_free_path_agrees_with_brute_force():
     p = 65539
     fld = validate_prime(p)
@@ -105,8 +84,6 @@ def test_table_free_path_agrees_with_brute_force():
     for r in range(1, (p + 1) // 2):
         squares.add(r * r % p)
     for c in (1, 2, 3, 12345, 65538, 40000):
-        expected = QR_RESIDUE if c in squares else QR_NONRESIDUE
-        assert fld.legendre_class(c) == expected
         roots = fld.sqrt(c)
         if c in squares:
             assert len(roots) == 2 and all(r * r % p == c for r in roots)

@@ -107,6 +107,26 @@ def test_count_irreducible_matches_closed_forms(f3, f7):
     assert count_irreducible(f7, 1) == 42
 
 
+def test_norm_histogram_matches_full_scan():
+    for p in (3, 7, 11):
+        d = 1
+        while total_count(p, d) <= census.DEFAULT_SCAN_LIMIT:
+            scan = full_scan_norm_counts(validate_prime(p), d)
+            assert census.norm_histograms(p, d)[d] == [scan[c] for c in range(p)]
+            d += 1
+
+
+def test_counters_match_closed_forms_on_grid():
+    for p in (3, 7, 11, 19, 23, 31):
+        prime = validate_prime(p)
+        for n in (1, 2, 3, 4):
+            d = 1 << n
+            assert count_norm_class(prime, d, 0) == zero_norm_count(p, d)
+            for target in range(1, p):
+                assert count_norm_class(prime, d, target) == unit_norm_count(p, d)
+            assert count_irreducible(prime, n) == irreducible_count(p, d)
+
+
 def test_full_scan_oracle(f3, f7):
     assert full_scan_norm_counts(f3, 2) == {0: 33, 1: 24, 2: 24}
     scan = full_scan_norm_counts(f7, 2)
@@ -136,7 +156,7 @@ def test_iter_counts_agree_with_counters(f3):
 
 def test_budget_exceeded_attributes(f7):
     with pytest.raises(BudgetExceeded) as exc:
-        count_norm_class(f7, 4, 1, budget=10)
+        next(iter_norm_class(f7, 4, 1, budget=10))
     err = exc.value
     assert err.required == 7**6
     assert err.budget == 10
@@ -145,12 +165,6 @@ def test_budget_exceeded_attributes(f7):
         list(iter_irreducible(f7, 2, budget=10))
     with pytest.raises(BudgetExceeded):
         full_scan_norm_counts(f7, 4, limit=10)
-
-
-def test_parallel_counts_match_serial(f3):
-    for threads in (2, 3, 8):
-        assert count_norm_class(f3, 4, 1, threads=threads) == 2160
-        assert count_irreducible(f3, 2, threads=threads) == 540
 
 
 def test_prefix_blocks_partition():
@@ -190,6 +204,19 @@ def test_verify_full_enumeration(f3):
     assert rep.enumerated["maxent_irreducible"] == 216
     assert rep.enumerated["full_scan_unit_norm"] == 2160
     assert rep.notes == []
+
+
+def test_verify_starts_one_pool(f3, monkeypatch):
+    starts = []
+    pool = census.Pool
+
+    def counted_pool(*args, **kwargs):
+        starts.append(kwargs)
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(census, "Pool", counted_pool)
+    assert verify(f3, 2, threads=2).verified
+    assert len(starts) == 1
 
 
 def test_verify_budget_skip_keeps_closed_forms(f19):
