@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import census
 from .basefield import ComplexifiablePrime, validate_prime
-from .entangle import census_tally, classify_raw
+from .entangle import census_tally, iter_classified
 from .errors import (
     BudgetExceeded,
     DqcError,
@@ -192,8 +192,6 @@ def cmd_classify(cfg: RunConfig) -> int:
     summaries = []
 
     def rows():
-        from .entangle import iter_classified
-
         for p in cfg.primes:
             prime = validate_prime(p)
             for n in cfg.n_values:

@@ -21,6 +21,25 @@ Unentangled and Maximal cannot overlap: a tensor factor of a unit-norm
 state has nonzero field norm t, and its qubit's squared length works
 out to t**2 times the cofactor norm squared, which is nonzero.
 
+The census kernel classify_raw never forms the expectations.  Split
+the amplitudes along qubit j into the halves a (bit j clear) and b
+(bit j set).  Then x = 2 Re<a|b>, y = -2 Im<a|b> and z = N_a - N_b, so
+the qubit's squared length is
+
+    x**2 + y**2 + z**2 = (N_a + N_b)**2 - 4 det G_j,
+    det G_j = N_a N_b - |<a|b>|**2,
+
+which is 1 - 4 det G_j on a unit state.  Qubit j factors out exactly
+when a and b are linearly dependent over F_p[i].  The kernel tests
+this against a pivot, the first nonzero column (a_k, b_k): every later
+column must give a_k b_i - a_i b_k == 0.  Testing det G_j == 0 instead
+would be wrong.  det G_j is the sum of the field norms of all 2x2
+minors (Lagrange identity), and over F_p a sum of nonzero norms can
+vanish.  At n = 2 there is one minor and the tests agree; from n = 3
+on they part, and the tests pin an entangled state with det G_j == 0.
+pauli_expectations is the independent path the kernel is checked
+against.
+
 Purity is the averaged sum of squared expectations sum_sq / n, an
 element of F_p defined whenever p does not divide n.  Product states
 have purity 1.  The census also counts non-product states whose
@@ -38,6 +57,7 @@ from .census import (
     DEFAULT_BUDGET,
     check_budget,
     irreducible_count,
+    iter_irreducible,
     prefix_blocks,
     run_blocks,
     walk_prefixes,
@@ -92,83 +112,52 @@ class Classification:
             raise ValueError("Maximal states admit no separable qubit")
 
 
-# -- raw kernels over amplitude tuples (census hot path) ---------------------
-
-def expectations_raw(p: int, n: int, amps: tuple) -> list:
-    """Flat [x0, y0, z0, x1, ...] expectations via the real-part formulas."""
-    d = 1 << n
-    norms = [(a * a + b * b) % p for a, b in amps]
-    out = []
-    for j in range(n):
-        m = 1 << (n - 1 - j)
-        ex = ey = ez = 0
-        for i in range(d):
-            if i & m:
-                ez -= norms[i]
-            else:
-                ez += norms[i]
-                a, b = amps[i]
-                c, e = amps[i ^ m]
-                ex += a * c + b * e
-                ey += b * c - a * e
-        out.extend((2 * ex % p, 2 * ey % p, ez % p))
-    return out
-
-
-def separable_mask_raw(p: int, n: int, amps: tuple) -> int:
-    """Bit j set when qubit j factors out: reshaping the amplitudes to a
-    2 x 2**(n-1) grid along bit j leaves every 2x2 minor zero."""
-    d = 1 << n
-    mask = 0
-    for j in range(n):
-        m = 1 << (n - 1 - j)
-        cols = [i for i in range(d) if not (i & m)]
-        sep = True
-        for ci in range(len(cols)):
-            if not sep:
-                break
-            i1 = cols[ci]
-            a0, a1 = amps[i1]
-            c0, c1 = amps[i1 | m]
-            for cj in range(ci + 1, len(cols)):
-                i2 = cols[cj]
-                b0, b1 = amps[i2]
-                e0, e1 = amps[i2 | m]
-                re = a0 * e0 - a1 * e1 - (b0 * c0 - b1 * c1)
-                im = a0 * e1 + a1 * e0 - (b0 * c1 + b1 * c0)
-                if re % p or im % p:
-                    sep = False
-                    break
-        if sep:
-            mask |= 1 << j
-    return mask
-
-
-def qubit_norm_squares(p: int, exps: list) -> list:
-    """Squared length of each qubit's expectation triple, in F_p."""
-    return [
-        (exps[k] ** 2 + exps[k + 1] ** 2 + exps[k + 2] ** 2) % p
-        for k in range(0, len(exps), 3)
-    ]
-
+# -- census kernel over amplitude tuples --------------------------------------
 
 def classify_raw(p: int, n: int, amps: tuple) -> tuple:
     """(kind, sum_sq, mask) for a unit-norm amplitude tuple.
 
-    sum_sq is the total of all 3n squared expectations mod p, the
-    numerator of the purity.
+    One pass per qubit j over the index pairs (i, i | m) accumulates
+    N_a, N_b and <a|b>, giving the squared length 1 - 4 det G_j, and
+    tests a and b for linear dependence against a pivot column.  sum_sq
+    is the total of the n squared lengths mod p, the numerator of the
+    purity.  Bit j of mask is set when qubit j factors out; the mask
+    does not depend on the norm, so any nonzero vector may be passed.
     """
-    exps = expectations_raw(p, n, amps)
-    lengths = qubit_norm_squares(p, exps)
-    sum_sq = sum(lengths) % p
-    mask = separable_mask_raw(p, n, amps)
+    d = 1 << n
+    lengths = []
+    mask = 0
+    for j in range(n):
+        m = 1 << (n - 1 - j)
+        na = nb = re = im = 0
+        pivoted = False
+        dependent = True
+        for i in range(d):
+            if i & m:
+                continue
+            a0, a1 = amps[i]
+            b0, b1 = amps[i | m]
+            na += a0 * a0 + a1 * a1
+            nb += b0 * b0 + b1 * b1
+            re += a0 * b0 + a1 * b1
+            im += a0 * b1 - a1 * b0
+            if not pivoted:
+                c0, c1, e0, e1 = a0, a1, b0, b1
+                pivoted = bool(a0 or a1 or b0 or b1)
+            elif dependent and (
+                (c0 * b0 - c1 * b1 - a0 * e0 + a1 * e1) % p
+                or (c0 * b1 + c1 * b0 - a0 * e1 - a1 * e0) % p
+            ):
+                dependent = False
+        lengths.append((1 - 4 * (na * nb - re * re - im * im)) % p)
+        mask |= dependent << j
     if mask == (1 << n) - 1:
         kind = EntanglementClass.UNENTANGLED
     elif not any(lengths):
         kind = EntanglementClass.MAXIMAL
     else:
         kind = EntanglementClass.PARTIAL
-    return kind, sum_sq, mask
+    return kind, sum(lengths) % p, mask
 
 
 # -- public operations on StateVector ----------------------------------------
@@ -179,7 +168,8 @@ def pauli_expectations(psi: StateVector) -> PauliExpectations:
     Keeps the full complexified sums and checks that each imaginary
     part is zero, raising NonRealExpectation otherwise (which would
     signal an internal inconsistency, not a property of the input).
-    An independent path from expectations_raw; the tests equate them.
+    An independent path from the Gram-determinant kernel classify_raw;
+    the tests check one against the other.
     """
     if not psi.is_unit():
         raise NotUnitNorm(f"state has norm {psi.vnorm()}, need 1")
@@ -223,7 +213,7 @@ def separable_qubits(psi: StateVector) -> frozenset:
     """Indices of qubits that split off as tensor factors."""
     if all(x == (0, 0) for x in psi.amps):
         raise ZeroVector("separability is undefined for the zero vector")
-    mask = separable_mask_raw(psi.field.p, psi.n, psi.amps)
+    mask = classify_raw(psi.field.p, psi.n, psi.amps)[2]
     return frozenset(j for j in range(psi.n) if mask >> j & 1)
 
 
@@ -322,8 +312,6 @@ def iter_classified(
 ):
     """Yield (amps, kind, sum_sq, reduced, mask) for every irreducible
     state, in lexicographic amplitude order."""
-    from .census import iter_irreducible
-
     p = prime.p
     n_res = n % p
     inv_n = pow(n_res, p - 2, p) if n_res else None

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -205,6 +206,18 @@ def test_classify_rows_to_file(tmp_path, capsys):
     # product rows carry reduced purity 1 and a full mask
     unent = [row for row in rows[1:] if row[3] == "Unentangled"]
     assert all(row[5] == "1" and row[6] == "11" for row in unent)
+
+
+def test_classify_rows_p7_pinned_bytes(tmp_path, capsys):
+    # all 102900 rows at p=7 n=2, pinned byte for byte
+    target = tmp_path / "c.csv"
+    code, _, _ = run(
+        capsys, "classify", "--p", "7", "--n", "2", "--out", str(target)
+    )
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "7f68c75e6dca53146bd40c16364ac6f84113f8997f719f6f98b49597428d84a6"
+    )
 
 
 def test_outputs_byte_deterministic(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,9 +20,15 @@ from dqc import (
     validate_prime,
 )
 from dqc.census import sample_unit_amps
-from dqc.entangle import classify_raw, expectations_raw, iter_classified
+from dqc.entangle import classify_raw, iter_classified
 
-from _oracles import brute_canonical, brute_separable, cnorm, matrix_expectation_grid
+from _oracles import (
+    brute_canonical,
+    brute_separable,
+    brute_vectors,
+    matrix_expectation_grid,
+    minors_separable_mask,
+)
 
 
 def vec(fld, *amps):
@@ -29,16 +36,18 @@ def vec(fld, *amps):
 
 
 def unit_vectors(p, n):
-    from _oracles import brute_vectors
-
     fld = validate_prime(p)
     for amps in brute_vectors(p, 1 << n, norm=1):
         yield StateVector(fld, n, amps)
 
 
 def bell(fld):
-    # (1+i)(|00> + |11>) has field norm 2 + 2 == 1 mod 3
-    return vec(fld, (1, 1), (0, 0), (0, 0), (1, 1))
+    # c(|00> + |11>) with 2 N(c) == 1 mod p; c = 1+i at p=3
+    p = fld.p
+    c = next(
+        (a, b) for a in range(p) for b in range(p) if 2 * (a * a + b * b) % p == 1
+    )
+    return vec(fld, c, (0, 0), (0, 0), c)
 
 
 def test_expectations_frozen_basis_states(f3):
@@ -69,11 +78,52 @@ def test_expectations_match_matrix_oracle_sampled(f7):
         assert pauli_expectations(psi).grid == matrix_expectation_grid(7, 2, amps)
 
 
-def test_raw_kernel_agrees_with_public_path(f3, f7):
+def kernel_cases(f3, f7):
+    """Exhaustive at p=3 n=2 and p=7 n=1, seeded samples at p=7 n=2 and
+    p=3 n=3, and constructed n=3 product and product (x) Bell states,
+    which random samples almost never hit."""
     for fld, n in ((f3, 2), (f7, 1)):
-        for psi in unit_vectors(fld.p, n):
-            flat = tuple(expectations_raw(fld.p, n, psi.amps))
-            assert flat == pauli_expectations(psi).flat()
+        yield from unit_vectors(fld.p, n)
+    rng = random.Random(11)
+    for fld, n in ((f7, 2), (f3, 3)):
+        for _ in range(400):
+            yield StateVector(fld, n, sample_unit_amps(fld, 1 << n, rng))
+    for fld in (f3, f7):
+        singles = list(itertools.islice(unit_vectors(fld.p, 1), 6))
+        for a, b, c in itertools.product(singles, repeat=3):
+            yield a.tensor(b).tensor(c)
+        for a in singles:
+            yield a.tensor(bell(fld))
+            yield bell(fld).tensor(a)
+
+
+def test_kernel_agrees_with_independent_paths(f3, f7):
+    masks_n3 = set()
+    for psi in kernel_cases(f3, f7):
+        p, n = psi.field.p, psi.n
+        kind, sum_sq, mask = classify_raw(p, n, psi.amps)
+        lengths = [sum(v * v for v in t) % p for t in pauli_expectations(psi).grid]
+        assert sum_sq == sum(lengths) % p
+        assert (kind is EntanglementClass.MAXIMAL) == (not any(lengths))
+        assert mask == minors_separable_mask(p, n, psi.amps)
+        if n == 3:
+            masks_n3.add(mask)
+    assert {0b000, 0b001, 0b100, 0b111} <= masks_n3
+
+
+def test_isotropic_gram_determinant_is_entangled(f3):
+    # det G_j == 0 (squared length 1) on an entangled qubit: a sum of
+    # nonzero minor norms vanishes mod 3, so det G_j == 0 must not be
+    # read as separability
+    psi = StateVector.from_text(
+        f3, 3, "0+0i;0+0i;0+0i;0+1i;0+0i;0+1i;1+1i;0+0i"
+    )
+    assert psi.is_unit()
+    lengths = [sum(v * v for v in t) % 3 for t in pauli_expectations(psi).grid]
+    assert 1 in lengths
+    assert minors_separable_mask(3, 3, psi.amps) == 0
+    assert classify_raw(3, 3, psi.amps) == (EntanglementClass.PARTIAL, 2, 0)
+    assert separable_qubits(psi) == frozenset()
 
 
 def test_expectations_require_unit_norm(f3):
@@ -136,10 +186,25 @@ def test_partial_state_mask_n3(f3):
 
 
 def test_separable_qubits_matches_brute_force(f3):
-    for psi in unit_vectors(3, 2):
+    # separable_qubits takes its mask from classify_raw, which must hold
+    # for any nonzero vector: unit ones, seeded zero-norm and non-unit
+    # ones, and zero-norm products, against the tensor-split search;
+    # every nonzero vector against the all-minors oracle
+    rng = random.Random(5)
+    nonzero = [StateVector(f3, 2, amps) for amps in brute_vectors(3, 4)[1:]]
+    singles = [StateVector(f3, 1, amps) for amps in brute_vectors(3, 2)[1:]]
+    zero_singles = [a for a in singles if a.vnorm() == 0]
+    cases = list(unit_vectors(3, 2))
+    cases += rng.sample([psi for psi in nonzero if psi.vnorm() == 0], 8)
+    cases += rng.sample([psi for psi in nonzero if psi.vnorm() == 2], 8)
+    cases += [rng.choice(zero_singles).tensor(rng.choice(singles)) for _ in range(8)]
+    for psi in cases:
         mask = separable_qubits(psi)
         for j in (0, 1):
             assert (j in mask) == brute_separable(3, 2, psi.amps, j)
+    for psi in nonzero:
+        mask = sum(1 << j for j in separable_qubits(psi))
+        assert mask == minors_separable_mask(3, 2, psi.amps)
 
 
 def test_separable_qubits_zero_vector(f3):
