@@ -37,11 +37,19 @@ nonzero amplitude under the norm-1 group is the entire norm fiber it
 lies in (both have p + 1 elements), so a unit state is canonical
 exactly when its first nonzero amplitude is the smallest element of its
 fiber.  The literal lex-min-of-class definition lives in hopf and the
-test suite cross-asserts the two on full spheres.
+test suite cross-asserts the two on full spheres.  A canonical walk
+therefore builds only canonical prefixes, in lexicographic order as
+segments: the zero prefix (whose completion leads and is kept as its
+fiber minimum alone), then, for k = D-2 down to 0, k leading zeros, a
+fiber-minimum lead and a free tail of D-2-k amplitudes.  That is
+1 + (p-1) * sum_{t<D-1} p**(2t) prefixes instead of p**(2(D-1)), about
+one in p + 1; the budget still counts p**(2(D-1)).
 
-Parallelism is the census tally's alone: it splits the prefix range
-into contiguous blocks, one pool per tally, and block results merge by
-addition, so counts are identical for any split.
+Parallelism is the census tally's alone: it splits the canonical
+prefixes into contiguous blocks, one pool per tally, and block results
+merge by addition, so counts are identical for any split.  Every
+canonical prefix but the zero one has p + 1 or 1 completions, so
+blocks of equal prefix count carry about equal work.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import islice, product
+from math import prod
 from multiprocessing import Pool
 
 from .basefield import ComplexifiablePrime, validate_prime
@@ -336,6 +345,12 @@ def check_budget(p: int, d: int, budget: int, closed_form: int | None = None):
     return prefixes
 
 
+def canonical_prefix_count(p: int, d: int) -> int:
+    """Prefixes the canonical walk visits in dimension d: the zero prefix
+    and, for each tail length t < d - 1, p - 1 leads times p**(2t) tails."""
+    return 1 + (p - 1) * sum(p ** (2 * t) for t in range(d - 1))
+
+
 def walk_prefixes(
     p: int,
     d: int,
@@ -344,29 +359,43 @@ def walk_prefixes(
     start: int = 0,
     stop: int | None = None,
 ):
-    """Yield (head, completions) for prefixes start..stop-1 of dimension d.
+    """Yield (head, c, completions) for prefixes start..stop-1 of dimension d.
 
     Prefixes are the first d - 1 amplitudes in lexicographic order; head
-    is their tuple of (re, im) pairs and completions the sorted last
-    amplitudes that bring the norm to target.  canonical_only drops a
-    prefix whose first nonzero amplitude is not its fiber minimum before
-    its head is built, and keeps only the fiber minimum when the
+    is their tuple of (re, im) pairs, c the norm the last amplitude must
+    carry to bring the total to target, and completions the sorted
+    members of that norm fiber.  canonical_only walks only the canonical
+    prefixes, segment by segment (see the module docstring), and
+    start/stop count those; it keeps only the fiber minimum when the
     completion leads.
     """
     fn, fibers, _, fiber_min = enum_tables(p)
     pairs = [divmod(e, p) for e in range(p * p)]
     fiber_pairs = [tuple(pairs[e] for e in f) for f in fibers]
-    for digits in islice(product(range(p * p), repeat=d - 1), start, stop):
-        if canonical_only:
-            first = next(filter(None, digits), 0)
-            if first and not fiber_min[first]:
-                continue
-        c = (target - sum(map(fn.__getitem__, digits))) % p
-        completions = fiber_pairs[c]
-        if canonical_only and not first:
-            # the completion leads; a zero one would leave the zero vector
-            completions = completions[:1] if c else ()
-        yield tuple(map(pairs.__getitem__, digits)), completions
+    free = range(p * p)
+    if canonical_only:
+        leads = [e for e in free if fiber_min[e]]
+        segments = [[(0,)] * (d - 1)] + [
+            [(0,)] * k + [leads] + [free] * (d - 2 - k) for k in range(d - 2, -1, -1)
+        ]
+    else:
+        segments = [[free] * (d - 1)]
+    if stop is None:
+        stop = p ** (2 * (d - 1))  # no walk is longer
+    for choices in segments:
+        if stop <= 0:
+            return
+        size = prod(map(len, choices))
+        if start < size:
+            for digits in islice(product(*choices), start, stop):
+                c = (target - sum(map(fn.__getitem__, digits))) % p
+                completions = fiber_pairs[c]
+                if canonical_only and not any(digits):
+                    # a zero completion would leave the zero vector
+                    completions = completions[:1] if c else ()
+                yield tuple(map(pairs.__getitem__, digits)), c, completions
+        start = max(start - size, 0)
+        stop -= size
 
 
 def iter_norm_class(
@@ -386,7 +415,7 @@ def iter_norm_class(
     if canonical_only and target:
         expected //= p + 1
     check_budget(p, d, budget, expected)
-    for head, completions in walk_prefixes(p, d, target, canonical_only):
+    for head, _, completions in walk_prefixes(p, d, target, canonical_only):
         for last in completions:
             yield head + (last,)
 

@@ -21,7 +21,7 @@ Unentangled and Maximal cannot overlap: a tensor factor of a unit-norm
 state has nonzero field norm t, and its qubit's squared length works
 out to t**2 times the cofactor norm squared, which is nonzero.
 
-The census kernel classify_raw never forms the expectations.  Split
+The census kernel never forms the expectations.  Split
 the amplitudes along qubit j into the halves a (bit j clear) and b
 (bit j set).  Then x = 2 Re<a|b>, y = -2 Im<a|b> and z = N_a - N_b, so
 the qubit's squared length is
@@ -40,6 +40,27 @@ on they part, and the tests pin an entangled state with det G_j == 0.
 pauli_expectations is the independent path the kernel is checked
 against.
 
+The census walks each prefix (the first D - 1 amplitudes) with all of
+its roughly p + 1 completions x, and the kernel is split to match.  The
+last index D - 1 has every bit set, so for each qubit x is the b-entry
+of one pair only, (D - 1 - m, D - 1) with m the qubit's bit.  Given the
+head and c = N(x), N_a, N_b = N_b' + c and the head part h of <a|b>
+are constants, and <a|b> = h + conj(a) x with a = amps[D - 1 - m].
+Since
+
+    |h + conj(a) x|**2 = N(h) + N(a) c + 2 Re(conj(h a) x),
+
+the squared length is Q + U x0 + V x1 mod p, with
+
+    Q = 1 - 4 (N_a (N_b' + c) - N(h) - N(a) c),   U + i V = 8 h a.
+
+The dependence test of the head columns runs once per prefix.  If they
+hold a pivot (c_k, e_k) and pass, the last column passes exactly when
+c_k x == a e_k, again affine in x; if none is nonzero the last column
+is the pivot or zero and the qubit factors out whatever x is.
+gram_forms builds these forms once per prefix and classify_last
+completes them in O(n) per state; classify_raw is their composition.
+
 Purity is the averaged sum of squared expectations sum_sq / n, an
 element of F_p defined whenever p does not divide n.  Product states
 have purity 1.  The census also counts non-product states whose
@@ -55,6 +76,7 @@ from enum import Enum
 from .basefield import ComplexifiablePrime
 from .census import (
     DEFAULT_BUDGET,
+    canonical_prefix_count,
     check_budget,
     irreducible_count,
     iter_irreducible,
@@ -114,29 +136,32 @@ class Classification:
 
 # -- census kernel over amplitude tuples --------------------------------------
 
-def classify_raw(p: int, n: int, amps: tuple) -> tuple:
-    """(kind, sum_sq, mask) for a unit-norm amplitude tuple.
+def gram_forms(p: int, n: int, head: tuple, c: int) -> tuple:
+    """Per-prefix forms of the kernel, which classify_last completes.
 
-    One pass per qubit j over the index pairs (i, i | m) accumulates
-    N_a, N_b and <a|b>, giving the squared length 1 - 4 det G_j, and
-    tests a and b for linear dependence against a pivot column.  sum_sq
-    is the total of the n squared lengths mod p, the numerator of the
-    purity.  Bit j of mask is set when qubit j factors out; the mask
-    does not depend on the norm, so any nonzero vector may be passed.
+    head is the first 2**n - 1 amplitudes and c the field norm of the
+    last one, x (the module docstring derives the forms).  Returns
+    (qs, us, vs, lengths, tests, fixed): lengths holds each qubit's
+    squared length as (q, u, v), read as q + u x0 + v x1 mod p, and
+    (qs, us, vs) their sums; tests holds (bit, c0, c1, k0, k1) for a
+    qubit that factors out exactly when (c0 + i c1) x == k0 + i k1;
+    fixed has the bits of the qubits that factor out whatever x is.
     """
     d = 1 << n
     lengths = []
-    mask = 0
+    tests = []
+    fixed = qs = us = vs = 0
     for j in range(n):
         m = 1 << (n - 1 - j)
+        last = d - 1 - m
         na = nb = re = im = 0
         pivoted = False
         dependent = True
-        for i in range(d):
+        for i in range(last):
             if i & m:
                 continue
-            a0, a1 = amps[i]
-            b0, b1 = amps[i | m]
+            a0, a1 = head[i]
+            b0, b1 = head[i | m]
             na += a0 * a0 + a1 * a1
             nb += b0 * b0 + b1 * b1
             re += a0 * b0 + a1 * b1
@@ -149,15 +174,63 @@ def classify_raw(p: int, n: int, amps: tuple) -> tuple:
                 or (c0 * b1 + c1 * b0 - a0 * e1 - a1 * e0) % p
             ):
                 dependent = False
-        lengths.append((1 - 4 * (na * nb - re * re - im * im)) % p)
-        mask |= dependent << j
+        a0, a1 = head[last]
+        nl = a0 * a0 + a1 * a1
+        na += nl
+        # |h + conj(a) x|**2 = N(h) + N(a) c + 2 Re(conj(h a) x)
+        q = (1 - 4 * (na * (nb + c) - re * re - im * im - nl * c)) % p
+        u = 8 * (re * a0 - im * a1) % p
+        v = 8 * (re * a1 + im * a0) % p
+        lengths.append((q, u, v))
+        qs += q
+        us += u
+        vs += v
+        if not dependent:
+            continue
+        if pivoted:
+            tests.append(
+                (1 << j, c0, c1, (a0 * e0 - a1 * e1) % p, (a0 * e1 + a1 * e0) % p)
+            )
+        else:
+            # the last column is the first nonzero one, if any, and is
+            # tested against nothing
+            fixed |= 1 << j
+    return qs % p, us % p, vs % p, lengths, tests, fixed
+
+
+def classify_last(p: int, n: int, forms: tuple, x: tuple) -> tuple:
+    """(kind, sum_sq, mask) of the state gram_forms' head followed by x.
+
+    O(n): each qubit's squared length and last-column dependence test is
+    read from its affine form.  sum_sq is the total of the n squared
+    lengths mod p, the numerator of the purity.  Bit j of mask is set
+    when qubit j factors out.
+    """
+    qs, us, vs, lengths, tests, mask = forms
+    x0, x1 = x
+    for bit, c0, c1, k0, k1 in tests:
+        if not ((c0 * x0 - c1 * x1 - k0) % p or (c1 * x0 + c0 * x1 - k1) % p):
+            mask |= bit
+    sum_sq = (qs + us * x0 + vs * x1) % p
     if mask == (1 << n) - 1:
         kind = EntanglementClass.UNENTANGLED
-    elif not any(lengths):
-        kind = EntanglementClass.MAXIMAL
-    else:
+    elif sum_sq or any((q + u * x0 + v * x1) % p for q, u, v in lengths):
         kind = EntanglementClass.PARTIAL
-    return kind, sum(lengths) % p, mask
+    else:
+        kind = EntanglementClass.MAXIMAL
+    return kind, sum_sq, mask
+
+
+def classify_raw(p: int, n: int, amps: tuple) -> tuple:
+    """(kind, sum_sq, mask) for a unit-norm amplitude tuple.
+
+    gram_forms of the first 2**n - 1 amplitudes, completed by
+    classify_last with the last one.  The mask does not depend on the
+    norm, so any nonzero vector may be passed.
+    """
+    x0, x1 = amps[-1]
+    forms = gram_forms(p, n, amps[:-1], (x0 * x0 + x1 * x1) % p)
+    return classify_last(p, n, forms, amps[-1])
 
 
 # -- public operations on StateVector ----------------------------------------
@@ -256,21 +329,16 @@ class CensusTally:
         return {k: (self.p + 1) * v for k, v in self.class_counts.items()}
 
 
-def _tally_block(args) -> tuple:
+def _tally_block(args) -> dict:
+    """Count the states of one block of canonical prefixes by (kind, sum_sq)."""
     p, n, start, stop = args
-    classes: dict = {}
-    purities: dict = {}
-    p1np = 0
-    n_res = n % p
-    for head, completions in walk_prefixes(p, 1 << n, 1, True, start, stop):
-        for last in completions:
-            kind, sum_sq, _ = classify_raw(p, n, head + (last,))
-            key = kind.value
-            classes[key] = classes.get(key, 0) + 1
-            purities[sum_sq] = purities.get(sum_sq, 0) + 1
-            if sum_sq == n_res and kind != EntanglementClass.UNENTANGLED:
-                p1np += 1
-    return classes, purities, p1np
+    counts: dict = {}
+    for head, c, completions in walk_prefixes(p, 1 << n, 1, True, start, stop):
+        forms = gram_forms(p, n, head, c)
+        for x in completions:
+            key = classify_last(p, n, forms, x)[:2]
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def census_tally(
@@ -286,18 +354,18 @@ def census_tally(
     """
     p = prime.p
     d = 1 << n
-    prefixes = check_budget(p, d, budget, irreducible_count(p, d))
-    blocks = prefix_blocks(prefixes, threads)
+    check_budget(p, d, budget, irreducible_count(p, d))
+    blocks = prefix_blocks(canonical_prefix_count(p, d), threads)
     args = [(p, n, start, stop) for start, stop in blocks]
     classes: dict = {k.value: 0 for k in EntanglementClass}
     purities: dict = {}
     p1np = 0
-    for cls, pur, extra in run_blocks(_tally_block, args, threads):
-        for k, v in cls.items():
-            classes[k] = classes.get(k, 0) + v
-        for k, v in pur.items():
-            purities[k] = purities.get(k, 0) + v
-        p1np += extra
+    for counts in run_blocks(_tally_block, args, threads):
+        for (kind, sum_sq), k in counts.items():
+            classes[kind.value] += k
+            purities[sum_sq] = purities.get(sum_sq, 0) + k
+            if sum_sq == n % p and kind is not EntanglementClass.UNENTANGLED:
+                p1np += k
     return CensusTally(
         p=p,
         n=n,
@@ -315,7 +383,13 @@ def iter_classified(
     p = prime.p
     n_res = n % p
     inv_n = pow(n_res, p - 2, p) if n_res else None
+    head = None
     for amps in iter_irreducible(prime, n, budget=budget):
-        kind, sum_sq, mask = classify_raw(p, n, amps)
+        # the completions of one prefix arrive together and share its forms
+        x = amps[-1]
+        if amps[:-1] != head:
+            head = amps[:-1]
+            forms = gram_forms(p, n, head, (x[0] * x[0] + x[1] * x[1]) % p)
+        kind, sum_sq, mask = classify_last(p, n, forms, x)
         reduced = sum_sq * inv_n % p if inv_n is not None else None
         yield amps, kind, sum_sq, reduced, mask

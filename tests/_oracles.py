@@ -59,6 +59,21 @@ def brute_canonical(p, d, norm=1):
     return [s for s in brute_vectors(p, d, norm) if orbit_min(p, s, phases) == s]
 
 
+def canonical_prefix_digits(p, d):
+    """Every (d-1)-digit prefix over element indices re*p + im whose first
+    nonzero digit is the smallest index of its norm fiber, in
+    lexicographic order: all prefixes, filtered."""
+    def fiber_min(e):
+        return brute_fiber(p, cnorm(p, divmod(e, p)))[0] == divmod(e, p)
+
+    first_allowed = {0} | {e for e in range(1, p * p) if fiber_min(e)}
+    return [
+        digits
+        for digits in product(range(p * p), repeat=d - 1)
+        if next((e for e in digits if e), 0) in first_allowed
+    ]
+
+
 # -- explicit Pauli matrices ---------------------------------------------------
 
 def _kron(p, A, B):
@@ -115,23 +130,24 @@ def matrix_expectation_grid(p, n, amps):
 
 def brute_separable(p, n, amps, j):
     """Does qubit j factor out?  Literal search over all tensor splits
-    v (x) w with v on qubit j.  Exponential; use only at p=3, n=2."""
+    v (x) w with v on qubit j.  For a fixed v, each column's condition
+    involves only its own entry of w, so w is searched one column at a
+    time.  Exponential; use only at p=3, n=2."""
     d = 1 << n
     m = 1 << (n - 1 - j)
     cols = [i for i in range(d) if not (i & m)]
-    for v in product(celems(p), repeat=2):
+    elems = celems(p)
+    for v in product(elems, repeat=2):
         if v == ((0, 0), (0, 0)):
             continue
-        for w in product(celems(p), repeat=d // 2):
-            ok = True
-            for ci, col in enumerate(cols):
-                if amps[col] != cmul(p, v[0], w[ci]) or amps[col | m] != cmul(
-                    p, v[1], w[ci]
-                ):
-                    ok = False
-                    break
-            if ok:
-                return True
+        if all(
+            any(
+                amps[col] == cmul(p, v[0], w) and amps[col | m] == cmul(p, v[1], w)
+                for w in elems
+            )
+            for col in cols
+        ):
+            return True
     return False
 
 

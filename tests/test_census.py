@@ -26,7 +26,13 @@ from dqc import (
     zero_norm_count,
 )
 
-from _oracles import brute_canonical, brute_vectors, cnorm
+from _oracles import (
+    brute_canonical,
+    brute_fiber,
+    brute_vectors,
+    canonical_prefix_digits,
+    cnorm,
+)
 
 
 FROZEN_COUNTS = {
@@ -147,6 +153,22 @@ def test_iter_canonical_matches_literal_filter(f3, f7):
         got = list(iter_irreducible(fld, n))
         want = brute_canonical(fld.p, 1 << n)
         assert got == want
+
+
+def test_canonical_walk_matches_literal_filter():
+    # the walk builds only canonical prefixes, segment by segment; the
+    # oracle filters all p**(2(d-1)) of them
+    for p, d_max in ((3, 5), (7, 4), (11, 3)):
+        fibers = {c: tuple(brute_fiber(p, c)) for c in range(p)}
+        for d in range(1, d_max + 1):
+            want = []
+            for digits in canonical_prefix_digits(p, d):
+                head = tuple(divmod(e, p) for e in digits)
+                c = (1 - sum(cnorm(p, x) for x in head)) % p
+                # the zero prefix keeps only the leading fiber minimum
+                want.append((head, c, fibers[c] if any(digits) else fibers[c][:1]))
+            assert list(census.walk_prefixes(p, d, 1, True)) == want
+            assert census.canonical_prefix_count(p, d) == len(want)
 
 
 def test_iter_counts_agree_with_counters(f3):

@@ -19,13 +19,16 @@ from dqc import (
     separable_qubits,
     validate_prime,
 )
-from dqc.census import sample_unit_amps
-from dqc.entangle import classify_raw, iter_classified
+import dqc.entangle as entangle
+from dqc.census import iter_irreducible, sample_unit_amps, walk_prefixes
+from dqc.entangle import classify_last, classify_raw, gram_forms, iter_classified
 
 from _oracles import (
     brute_canonical,
+    brute_fiber,
     brute_separable,
     brute_vectors,
+    cnorm,
     matrix_expectation_grid,
     minors_separable_mask,
 )
@@ -97,18 +100,70 @@ def kernel_cases(f3, f7):
             yield bell(fld).tensor(a)
 
 
+def check_against_independent_paths(fld, n, amps, kind, sum_sq, mask):
+    p = fld.p
+    psi = StateVector(fld, n, amps)
+    lengths = [sum(v * v for v in t) % p for t in pauli_expectations(psi).grid]
+    assert sum_sq == sum(lengths) % p
+    assert mask == minors_separable_mask(p, n, amps)
+    assert (kind is EntanglementClass.UNENTANGLED) == (mask == (1 << n) - 1)
+    assert (kind is EntanglementClass.MAXIMAL) == (not any(lengths))
+
+
 def test_kernel_agrees_with_independent_paths(f3, f7):
     masks_n3 = set()
     for psi in kernel_cases(f3, f7):
-        p, n = psi.field.p, psi.n
-        kind, sum_sq, mask = classify_raw(p, n, psi.amps)
-        lengths = [sum(v * v for v in t) % p for t in pauli_expectations(psi).grid]
-        assert sum_sq == sum(lengths) % p
-        assert (kind is EntanglementClass.MAXIMAL) == (not any(lengths))
-        assert mask == minors_separable_mask(p, n, psi.amps)
-        if n == 3:
+        kind, sum_sq, mask = classify_raw(psi.field.p, psi.n, psi.amps)
+        check_against_independent_paths(psi.field, psi.n, psi.amps, kind, sum_sq, mask)
+        if psi.n == 3:
             masks_n3.add(mask)
     assert {0b000, 0b001, 0b100, 0b111} <= masks_n3
+
+
+def test_hoisted_forms_agree_with_independent_paths(f3):
+    # iter_classified and the census build one prefix's forms and complete
+    # them per state: exhaustively at p=3 n=2; at p=3 n=3 on the first
+    # 20000 states, whose leading zeros leave qubits with no nonzero head
+    # column, and on 2000 states completing seeded prefixes
+    stream = list(iter_classified(f3, 2))
+    assert [s[0] for s in stream] == list(iter_irreducible(f3, 2))
+    stream += itertools.islice(iter_classified(f3, 3), 20000)
+    for amps, kind, sum_sq, _, mask in stream:
+        check_against_independent_paths(f3, (len(amps) - 1).bit_length(),
+                                        amps, kind, sum_sq, mask)
+    rng = random.Random(13)
+    checked = 0
+    while checked < 2000:
+        head = tuple((rng.randrange(3), rng.randrange(3)) for _ in range(7))
+        c = (1 - sum(cnorm(3, x) for x in head)) % 3
+        forms = gram_forms(3, 3, head, c)
+        for x in brute_fiber(3, c):
+            check_against_independent_paths(
+                f3, 3, head + (x,), *classify_last(3, 3, forms, x)
+            )
+            checked += 1
+
+
+def test_census_blocks_cover_canonical_prefixes(monkeypatch, f3, f7):
+    # concatenated, census_tally's blocks walk every canonical prefix
+    # once, in order, for any thread count
+    calls = []
+
+    def capture(worker, args_list, threads):
+        calls.append(args_list)
+        return [{}] * len(args_list)
+
+    monkeypatch.setattr(entangle, "run_blocks", capture)
+    for fld in (f3, f7):
+        whole = list(walk_prefixes(fld.p, 4, 1, True))
+        for threads in range(1, 6):
+            census_tally(fld, 2, threads=threads)
+            walked = [
+                prefix
+                for p, n, start, stop in calls.pop()
+                for prefix in walk_prefixes(p, 1 << n, 1, True, start, stop)
+            ]
+            assert walked == whole
 
 
 def test_isotropic_gram_determinant_is_entangled(f3):
