@@ -30,7 +30,11 @@ amplitudes (a "prefix"), compute the residual norm the last amplitude
 must carry, and append each member of that norm fiber.  Every vector is
 produced exactly once, in lexicographic amplitude order.  Work is
 therefore p**(2(D-1)) prefixes, which is the quantity the budget
-limits.  One prefix walker serves every state stream and the census.
+limits.  One walker, walk_prefixes, serves every state stream, the
+entanglement census and the Bloch export.  check_budget is the one
+budget decision: each stream calls it when it is created, before the
+caller has consumed or written anything, and verify reads its skip
+note from the same refusal.
 
 Canonical filtering uses a fact about the phase action: the orbit of a
 nonzero amplitude under the norm-1 group is the entire norm fiber it
@@ -339,6 +343,8 @@ def count_irreducible(prime: ComplexifiablePrime, n: int) -> int:
 # -- enumeration ---------------------------------------------------------------
 
 def check_budget(p: int, d: int, budget: int, closed_form: int | None = None):
+    """The p**(2(d-1)) prefixes a walk of dimension d is charged, or
+    BudgetExceeded (carrying closed_form) when they exceed the budget."""
     prefixes = p ** (2 * (d - 1))
     if prefixes > budget:
         raise BudgetExceeded(prefixes, budget, closed_form)
@@ -405,9 +411,10 @@ def iter_norm_class(
     budget: int = DEFAULT_BUDGET,
     canonical_only: bool = False,
 ):
-    """Yield amplitude tuples of every vector of the given norm, in
+    """Amplitude tuples of every vector of the given norm, in
     lexicographic order.  canonical_only keeps phase-class minima, which
-    is meaningful for nonzero target norms.
+    is meaningful for nonzero target norms.  The budget is checked on
+    the call, so an over-budget stream raises before it yields.
     """
     p = prime.p
     target %= p
@@ -415,15 +422,17 @@ def iter_norm_class(
     if canonical_only and target:
         expected //= p + 1
     check_budget(p, d, budget, expected)
-    for head, _, completions in walk_prefixes(p, d, target, canonical_only):
-        for last in completions:
-            yield head + (last,)
+    return (
+        head + (last,)
+        for head, _, completions in walk_prefixes(p, d, target, canonical_only)
+        for last in completions
+    )
 
 
 def iter_irreducible(
     prime: ComplexifiablePrime, n: int, budget: int = DEFAULT_BUDGET
 ):
-    """Yield canonical unit-norm n-qubit states in lexicographic order."""
+    """Canonical unit-norm n-qubit states in lexicographic order."""
     return iter_norm_class(prime, 1 << n, 1, budget=budget, canonical_only=True)
 
 
@@ -533,10 +542,11 @@ def verify(
     rep.match_flags["zero_norm_recurrence"] = recurrence[-1] == rep.zero_norm
     rep.match_flags["spot_invariants"] = spot_invariants(prime, d, seed)
 
-    prefixes = p ** (2 * (d - 1))
-    if prefixes > budget:
+    try:
+        check_budget(p, d, budget)
+    except BudgetExceeded as exc:
         rep.notes.append(
-            f"enumeration skipped: {prefixes} prefixes exceed budget {budget}"
+            f"enumeration skipped: {exc.required} prefixes exceed budget {budget}"
         )
     else:
         rep.enumerated["unit_norm"] = count_norm_class(prime, d, 1)

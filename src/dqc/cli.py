@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import census
@@ -62,31 +63,31 @@ def mask_bits(mask: int, n: int) -> str:
     return "".join("1" if mask >> j & 1 else "0" for j in range(n))
 
 
-def _write_rows(cfg: RunConfig, header: list, rows):
-    """Emit rows as CSV or a JSON array to cfg.out ('-' = stdout)."""
-    sink = sys.stdout if cfg.out == "-" else open(cfg.out, "w", encoding="utf-8")
-    try:
-        if cfg.format == "json":
-            data = [dict(zip(header, row)) for row in rows]
-            json.dump(data, sink, indent=2)
-            sink.write("\n")
-        else:
-            writer = csv.writer(sink, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+@contextmanager
+def _sink(cfg: RunConfig):
+    """cfg.out opened for writing, or stdout for '-'."""
+    if cfg.out == "-":
+        yield sys.stdout
+    else:
+        with open(cfg.out, "w", encoding="utf-8") as sink:
+            yield sink
 
 
 def _write_json(cfg: RunConfig, payload):
-    sink = sys.stdout if cfg.out == "-" else open(cfg.out, "w", encoding="utf-8")
-    try:
-        json.dump(payload, sink, indent=2, sort_keys=False)
+    with _sink(cfg) as sink:
+        json.dump(payload, sink, indent=2)
         sink.write("\n")
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+
+
+def _write_rows(cfg: RunConfig, header: list, rows):
+    """Emit rows as CSV or a JSON array to cfg.out ('-' = stdout)."""
+    if cfg.format == "json":
+        _write_json(cfg, [dict(zip(header, row)) for row in rows])
+        return
+    with _sink(cfg) as sink:
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -146,42 +147,31 @@ def cmd_bloch(cfg: RunConfig) -> int:
     return 0
 
 
-def _precheck_budget(cfg: RunConfig, closed_form):
-    """Fail on any over-budget cell before a single row is written."""
+def _per_cell(cfg: RunConfig, fn) -> list:
+    """[(p, n, fn(prime, n))] for every cell, in order.  Streams are
+    created here, so every budget is checked before any row is written."""
+    cells = []
     for p in cfg.primes:
-        validate_prime(p)
-        for n in cfg.n_values:
-            census.check_budget(p, 1 << n, cfg.budget, closed_form(p, n))
+        prime = validate_prime(p)
+        cells.extend((p, n, fn(prime, n)) for n in cfg.n_values)
+    return cells
 
 
 def cmd_enumerate(cfg: RunConfig) -> int:
     header = ["p", "n", "norm_class", "amplitudes"]
 
-    def expected(p, n):
+    def stream(prime, n):
         if cfg.norm_class == "irreducible":
-            return census.irreducible_count(p, 1 << n)
-        if cfg.norm_class == "zero":
-            return census.zero_norm_count(p, 1 << n)
-        return census.unit_norm_count(p, 1 << n)
+            return census.iter_irreducible(prime, n, budget=cfg.budget)
+        target = 1 if cfg.norm_class == "unit" else 0
+        return census.iter_norm_class(prime, 1 << n, target, budget=cfg.budget)
 
-    _precheck_budget(cfg, expected)
-
-    def rows():
-        for p in cfg.primes:
-            prime = validate_prime(p)
-            for n in cfg.n_values:
-                d = 1 << n
-                if cfg.norm_class == "irreducible":
-                    stream = census.iter_irreducible(prime, n, budget=cfg.budget)
-                else:
-                    target = 1 if cfg.norm_class == "unit" else 0
-                    stream = census.iter_norm_class(
-                        prime, d, target, budget=cfg.budget
-                    )
-                for amps in stream:
-                    yield [p, n, cfg.norm_class, ";".join(map(format_amp, amps))]
-
-    _write_rows(cfg, header, rows())
+    rows = (
+        [p, n, cfg.norm_class, ";".join(map(format_amp, amps))]
+        for p, n, amps_stream in _per_cell(cfg, stream)
+        for amps in amps_stream
+    )
+    _write_rows(cfg, header, rows)
     return 0
 
 
@@ -189,40 +179,33 @@ def cmd_classify(cfg: RunConfig) -> int:
     header = [
         "p", "n", "state", "class", "sum_sq", "reduced_purity", "separable_mask",
     ]
-    summaries = []
-
-    def rows():
-        for p in cfg.primes:
-            prime = validate_prime(p)
-            for n in cfg.n_values:
-                for amps, kind, sum_sq, reduced, mask in iter_classified(
-                    prime, n, budget=cfg.budget
-                ):
-                    yield [
-                        p, n,
-                        ";".join(map(format_amp, amps)),
-                        kind.value,
-                        sum_sq,
-                        "NA" if reduced is None else reduced,
-                        mask_bits(mask, n),
-                    ]
-
-    if cfg.out == "-":
-        # summary only; the row dump is opt-in via --out
-        for p in cfg.primes:
-            prime = validate_prime(p)
-            for n in cfg.n_values:
-                tally = census_tally(
-                    prime, n, budget=cfg.budget, threads=cfg.workers
-                )
-                summaries.append((p, n, tally))
-    else:
-        _precheck_budget(
-            cfg, lambda p, n: census.irreducible_count(p, 1 << n)
+    if cfg.out != "-":
+        streams = _per_cell(
+            cfg, lambda prime, n: iter_classified(prime, n, budget=cfg.budget)
         )
-        _write_rows(cfg, header, rows())
+        rows = (
+            [
+                p, n,
+                ";".join(map(format_amp, amps)),
+                kind.value,
+                sum_sq,
+                "NA" if reduced is None else reduced,
+                mask_bits(mask, n),
+            ]
+            for p, n, stream in streams
+            for amps, kind, sum_sq, reduced, mask in stream
+        )
+        _write_rows(cfg, header, rows)
+        return 0
 
-    for p, n, tally in summaries:
+    # summary only; the row dump is opt-in via --out
+    tallies = _per_cell(
+        cfg,
+        lambda prime, n: census_tally(
+            prime, n, budget=cfg.budget, threads=cfg.workers
+        ),
+    )
+    for p, n, tally in tallies:
         parts = ", ".join(
             f"{k}: {v}" for k, v in sorted(tally.class_counts.items())
         )

@@ -79,7 +79,6 @@ from .census import (
     canonical_prefix_count,
     check_budget,
     irreducible_count,
-    iter_irreducible,
     prefix_blocks,
     run_blocks,
     walk_prefixes,
@@ -378,18 +377,25 @@ def census_tally(
 def iter_classified(
     prime: ComplexifiablePrime, n: int, budget: int = DEFAULT_BUDGET
 ):
-    """Yield (amps, kind, sum_sq, reduced, mask) for every irreducible
-    state, in lexicographic amplitude order."""
+    """(amps, kind, sum_sq, reduced, mask) for every irreducible state, in
+    lexicographic amplitude order.
+
+    The budget is checked on the call, as for census_tally.  The stream
+    walks the canonical prefixes like _tally_block, building each
+    prefix's forms once and completing them per state.
+    """
     p = prime.p
+    d = 1 << n
+    check_budget(p, d, budget, irreducible_count(p, d))
     n_res = n % p
     inv_n = pow(n_res, p - 2, p) if n_res else None
-    head = None
-    for amps in iter_irreducible(prime, n, budget=budget):
-        # the completions of one prefix arrive together and share its forms
-        x = amps[-1]
-        if amps[:-1] != head:
-            head = amps[:-1]
-            forms = gram_forms(p, n, head, (x[0] * x[0] + x[1] * x[1]) % p)
-        kind, sum_sq, mask = classify_last(p, n, forms, x)
-        reduced = sum_sq * inv_n % p if inv_n is not None else None
-        yield amps, kind, sum_sq, reduced, mask
+
+    def rows():
+        for head, c, completions in walk_prefixes(p, d, 1, True):
+            forms = gram_forms(p, n, head, c)
+            for x in completions:
+                kind, sum_sq, mask = classify_last(p, n, forms, x)
+                reduced = sum_sq * inv_n % p if inv_n is not None else None
+                yield head + (x,), kind, sum_sq, reduced, mask
+
+    return rows()

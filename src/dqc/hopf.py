@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .basefield import ComplexifiablePrime
-from .complexfield import cmul, conj, fnorm, norm_fiber, phase_group
+from .census import iter_irreducible
+from .complexfield import cmul, conj, fnorm, phase_group
 from .errors import NotUnitNorm
 from .states import StateVector
 
@@ -112,18 +113,14 @@ def bloch_export(prime: ComplexifiablePrime) -> list:
     """Bloch points of every irreducible (canonical unit-norm) 1-qubit
     state, sorted by (x, y, z).
 
-    Enumerates unit states by completing each first amplitude with the
-    norm fiber of the residual, filters to canonical representatives,
-    and maps them.  Produces exactly p(p - 1) distinct points.
+    The states are census.iter_irreducible's canonical walk, so the
+    export is budgeted like every walk: under the default budget of
+    10**8 prefixes (p**2 at one qubit) p above 10**4 raises
+    BudgetExceeded.  Produces exactly p(p - 1) distinct points.
     """
-    p = prime.p
-    points = []
-    elements = [(a, b) for a in range(p) for b in range(p)]
-    for a0 in elements:
-        residual = (1 - fnorm(p, a0)) % p
-        for a1 in norm_fiber(prime, residual):
-            psi = StateVector(prime, 1, (a0, a1))
-            if is_canonical(psi):
-                points.append(hopf_map_1q(psi))
+    points = [
+        hopf_map_1q(StateVector(prime, 1, amps))
+        for amps in iter_irreducible(prime, 1)
+    ]
     points.sort(key=lambda b: (b.x, b.y, b.z))
     return points

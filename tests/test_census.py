@@ -4,6 +4,7 @@ import pytest
 
 import dqc.census as census
 from dqc.census import prefix_blocks
+from dqc.entangle import iter_classified
 from dqc import (
     BudgetExceeded,
     VerificationFailed,
@@ -187,6 +188,19 @@ def test_budget_exceeded_attributes(f7):
         list(iter_irreducible(f7, 2, budget=10))
     with pytest.raises(BudgetExceeded):
         full_scan_norm_counts(f7, 4, limit=10)
+
+
+def test_streams_refuse_when_created(f7):
+    # the budget is checked on the call, before any next()
+    for make in (
+        lambda: iter_norm_class(f7, 4, 1, budget=10),
+        lambda: iter_irreducible(f7, 2, budget=10),
+        lambda: iter_classified(f7, 2, budget=10),
+    ):
+        with pytest.raises(BudgetExceeded) as exc:
+            make()
+        assert exc.value.required == 7**6
+        assert exc.value.budget == 10
 
 
 def test_prefix_blocks_partition():

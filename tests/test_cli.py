@@ -15,6 +15,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_log10_decimal_matches_math_log10():
     import math
 
@@ -81,6 +85,13 @@ def test_enumerate_budget_exit_code(capsys):
     assert code == 3
     assert "budget exceeded" in err
     assert out == ""  # not even a header before the failure
+    # a refused second cell stops the first from writing too
+    code, out, err = run(
+        capsys, "enumerate", "--p-list", "3,19", "--n", "1", "--budget", "100"
+    )
+    assert code == 3
+    assert "budget exceeded" in err
+    assert out == ""
 
 
 def test_classify_budget_failure_writes_nothing(tmp_path, capsys):
@@ -91,6 +102,15 @@ def test_classify_budget_failure_writes_nothing(tmp_path, capsys):
     )
     assert code == 3
     assert "budget exceeded" in err
+    assert not target.exists()
+    # a refused second cell stops the first from writing too
+    code, out, err = run(
+        capsys, "classify", "--p-list", "3,19", "--n", "1",
+        "--budget", "100", "--out", str(target),
+    )
+    assert code == 3
+    assert "budget exceeded" in err
+    assert out == ""
     assert not target.exists()
 
 
@@ -155,6 +175,9 @@ def test_bloch_export_row_counts(capsys):
         assert row[7] == "0"
         length = sum(float(row[k]) ** 2 for k in (4, 5, 6))
         assert abs(length - 1.0) < 1e-9
+    assert sha256(out) == (
+        "4509a57ada442e20522787e163aeaded3de8fb5b40ba2b4f43c0e8aa48c8e91d"
+    )
 
 
 def test_enumerate_irreducible_frozen(capsys):
@@ -168,6 +191,13 @@ def test_enumerate_irreducible_frozen(capsys):
     assert lines[1] == "3,1,irreducible,0+0i;0+1i"
     amps = [line.split(",")[3] for line in lines[1:]]
     assert amps == sorted(amps)
+    code, out, _ = run(
+        capsys, "enumerate", "--p", "3", "--n", "2", "--class", "irreducible"
+    )
+    assert code == 0
+    assert sha256(out) == (
+        "a7f5e9f25e6bfacc43965a802924f5f8f7c0bf5755a50d24dc525fb63470a94f"
+    )
 
 
 def test_enumerate_zero_class(capsys):
@@ -175,6 +205,21 @@ def test_enumerate_zero_class(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert len(lines) == 1 + 33
+    code, out, _ = run(capsys, "enumerate", "--p", "3", "--n", "2", "--class", "zero")
+    assert code == 0
+    assert sha256(out) == (
+        "29e8089ae6a84c1db1b155ab8f78b2570d08545ce4fdec06de6382ba2304a2f2"
+    )
+
+
+def test_enumerate_unit_class_pinned_bytes(capsys):
+    # the default class is unit
+    code, out, _ = run(capsys, "enumerate", "--p", "3", "--n", "2")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1 + 2160
+    assert sha256(out) == (
+        "7ea856223955963a3026118eacba51ea097d6d2668f036fe310289afb6be402a"
+    )
 
 
 def test_classify_summary_to_stdout(capsys):

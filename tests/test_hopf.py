@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from dqc import (
+    BudgetExceeded,
     NotUnitNorm,
     StateVector,
     bloch_export,
@@ -129,6 +130,10 @@ def test_bloch_export_sizes_and_order():
     for p in (3, 7, 11):
         points = bloch_export(validate_prime(p))
         assert len(points) == p * (p - 1)
+        # the export walks canonical states by the fiber-min filter; the
+        # literal lex-min-of-class test must select the same states
+        literal = [hopf_map_1q(psi) for psi in unit_vectors(p, 1) if is_canonical(psi)]
+        assert sorted(literal, key=lambda b: (b.x, b.y, b.z)) == points
         coords = [(b.x, b.y, b.z) for b in points]
         assert coords == sorted(coords)
         assert len(set(coords)) == len(coords)
@@ -137,3 +142,10 @@ def test_bloch_export_sizes_and_order():
             assert not b.degenerate
             length = (b.ex ** 2 + b.ey ** 2 + b.ez ** 2) ** 0.5
             assert abs(length - 1.0) < 1e-9
+
+
+def test_bloch_export_is_budgeted():
+    # p**2 prefixes exceed the default budget of 10**8 above p = 10**4
+    with pytest.raises(BudgetExceeded) as exc:
+        bloch_export(validate_prime(10007))
+    assert exc.value.required == 10007**2
