@@ -49,11 +49,20 @@ fiber-minimum lead and a free tail of D-2-k amplitudes.  That is
 1 + (p-1) * sum_{t<D-1} p**(2t) prefixes instead of p**(2(D-1)), about
 one in p + 1; the budget still counts p**(2(D-1)).
 
+The walk yields prefixes in groups that share a parent, their first D-2
+amplitudes, so that a consumer can do the parent's work once (the
+census kernel builds its forms that way).  The canonical walk's first
+group is the zero parent: the zero prefix and the p - 1 prefixes whose
+lead is amplitude D-2.  Every later group is one parent with its p**2
+prefixes, the free amplitudes D-2.  That is 1 + (p-1) *
+sum_{t<D-2} p**(2t) groups, and walk_prefixes' start and stop count
+groups, not prefixes.
+
 Parallelism is the census tally's alone: it splits the canonical
-prefixes into contiguous blocks, one pool per tally, and block results
-merge by addition, so counts are identical for any split.  Every
-canonical prefix but the zero one has p + 1 or 1 completions, so
-blocks of equal prefix count carry about equal work.
+groups into contiguous blocks, one pool per tally, and block results
+merge by addition, so counts are identical for any split.  Every group
+but the zero parent's has p**2 prefixes, so blocks of equal group count
+carry about equal work.
 """
 
 from __future__ import annotations
@@ -351,10 +360,11 @@ def check_budget(p: int, d: int, budget: int, closed_form: int | None = None):
     return prefixes
 
 
-def canonical_prefix_count(p: int, d: int) -> int:
-    """Prefixes the canonical walk visits in dimension d: the zero prefix
-    and, for each tail length t < d - 1, p - 1 leads times p**(2t) tails."""
-    return 1 + (p - 1) * sum(p ** (2 * t) for t in range(d - 1))
+def canonical_group_count(p: int, d: int) -> int:
+    """Parent groups the canonical walk visits in dimension d: the zero
+    parent and, for each tail length t < d - 2, p - 1 leads times
+    p**(2t) tails."""
+    return 1 + (p - 1) * sum(p ** (2 * t) for t in range(d - 2))
 
 
 def walk_prefixes(
@@ -365,41 +375,58 @@ def walk_prefixes(
     start: int = 0,
     stop: int | None = None,
 ):
-    """Yield (head, c, completions) for prefixes start..stop-1 of dimension d.
+    """Yield (parent, children) for parent groups start..stop-1 of dimension d.
 
-    Prefixes are the first d - 1 amplitudes in lexicographic order; head
-    is their tuple of (re, im) pairs, c the norm the last amplitude must
-    carry to bring the total to target, and completions the sorted
-    members of that norm fiber.  canonical_only walks only the canonical
-    prefixes, segment by segment (see the module docstring), and
-    start/stop count those; it keeps only the fiber minimum when the
-    completion leads.
+    Prefixes are the first d - 1 amplitudes in lexicographic order, as
+    (re, im) pairs, grouped by their parent, the first d - 2.  children
+    holds one (tail, c, completions) per prefix parent + tail of the
+    group, in order: tail is the prefix's amplitude d - 2 as a 1-tuple
+    (empty at d = 1, whose one prefix is empty), c the norm the last
+    amplitude must carry to bring the total to target, and completions
+    the sorted members of that norm fiber.  A free amplitude d - 2 gives
+    children that depend only on the parent's norm, so those groups
+    share one children tuple per norm.  start/stop count groups.
+    canonical_only walks only the canonical prefixes, segment by segment
+    (see the module docstring), and keeps only the fiber minimum when
+    the completion leads.
     """
     fn, fibers, _, fiber_min = enum_tables(p)
     pairs = [divmod(e, p) for e in range(p * p)]
     fiber_pairs = [tuple(pairs[e] for e in f) for f in fibers]
     free = range(p * p)
+    target %= p
+
+    def children(s, tails):
+        # the prefixes parent + pairs[e] of a parent of norm s
+        norms = [(e, (target - s - fn[e]) % p) for e in tails]
+        return tuple(((pairs[e],), c, fiber_pairs[c]) for e, c in norms)
+
+    by_norm = [children(s, free) for s in range(p)]
+    zero = fiber_pairs[target]
     if canonical_only:
+        # a zero completion of the zero prefix would leave the zero vector
+        zero = zero[:1] if target else ()
+    if d == 1:
+        segments = [([], (((), target, zero),))]
+    elif canonical_only:
         leads = [e for e in free if fiber_min[e]]
-        segments = [[(0,)] * (d - 1)] + [
-            [(0,)] * k + [leads] + [free] * (d - 2 - k) for k in range(d - 2, -1, -1)
+        zero_group = (((0, 0),), target, zero), *children(0, leads)
+        segments = [([(0,)] * (d - 2), zero_group)] + [
+            ([(0,)] * k + [leads] + [free] * (d - 3 - k), None)
+            for k in range(d - 3, -1, -1)
         ]
     else:
-        segments = [[free] * (d - 1)]
+        segments = [([free] * (d - 2), None)]
     if stop is None:
         stop = p ** (2 * (d - 1))  # no walk is longer
-    for choices in segments:
+    for choices, kids in segments:
         if stop <= 0:
             return
         size = prod(map(len, choices))
         if start < size:
             for digits in islice(product(*choices), start, stop):
-                c = (target - sum(map(fn.__getitem__, digits))) % p
-                completions = fiber_pairs[c]
-                if canonical_only and not any(digits):
-                    # a zero completion would leave the zero vector
-                    completions = completions[:1] if c else ()
-                yield tuple(map(pairs.__getitem__, digits)), c, completions
+                parent = tuple(map(pairs.__getitem__, digits))
+                yield parent, kids or by_norm[sum(map(fn.__getitem__, digits)) % p]
         start = max(start - size, 0)
         stop -= size
 
@@ -423,8 +450,9 @@ def iter_norm_class(
         expected //= p + 1
     check_budget(p, d, budget, expected)
     return (
-        head + (last,)
-        for head, _, completions in walk_prefixes(p, d, target, canonical_only)
+        parent + tail + (last,)
+        for parent, children in walk_prefixes(p, d, target, canonical_only)
+        for tail, _, completions in children
         for last in completions
     )
 
@@ -542,6 +570,12 @@ def verify(
     rep.match_flags["zero_norm_recurrence"] = recurrence[-1] == rep.zero_norm
     rep.match_flags["spot_invariants"] = spot_invariants(prime, d, seed)
 
+    compared: dict = {}  # flag -> (expected, found)
+
+    def compare(flag, expected, found):
+        rep.match_flags[flag] = found == expected
+        compared[flag] = expected, found
+
     try:
         check_budget(p, d, budget)
     except BudgetExceeded as exc:
@@ -552,23 +586,18 @@ def verify(
         rep.enumerated["unit_norm"] = count_norm_class(prime, d, 1)
         rep.enumerated["zero_norm"] = count_norm_class(prime, d, 0)
         rep.enumerated["irreducible"] = count_irreducible(prime, n)
-        rep.match_flags["unit_norm_enumerated"] = (
-            rep.enumerated["unit_norm"] == rep.unit_norm
-        )
-        rep.match_flags["zero_norm_enumerated"] = (
-            rep.enumerated["zero_norm"] == rep.zero_norm
-        )
-        rep.match_flags["irreducible_enumerated"] = (
-            rep.enumerated["irreducible"] == rep.irreducible
-        )
+        for key in ("unit_norm", "zero_norm", "irreducible"):
+            compare(f"{key}_enumerated", getattr(rep, key), rep.enumerated[key])
         tally = census_tally(prime, n, budget=budget, threads=threads)
         rep.enumerated["unentangled_irreducible"] = tally.class_counts["Unentangled"]
         rep.enumerated["maxent_irreducible"] = tally.class_counts["Maximal"]
-        rep.match_flags["unentangled_enumerated"] = (
-            tally.class_counts["Unentangled"] == rep.unentangled_irreducible
+        compare(
+            "unentangled_enumerated",
+            rep.unentangled_irreducible,
+            tally.class_counts["Unentangled"],
         )
-        rep.match_flags["maxent_enumerated"] = (
-            tally.class_counts["Maximal"] == rep.maxent_irreducible
+        compare(
+            "maxent_enumerated", rep.maxent_irreducible, tally.class_counts["Maximal"]
         )
         rep.match_flags["census_total"] = (
             sum(tally.class_counts.values()) == rep.irreducible
@@ -578,14 +607,17 @@ def verify(
         scan = full_scan_norm_counts(prime, d, limit=scan_limit)
         rep.enumerated["full_scan_zero_norm"] = scan[0]
         rep.enumerated["full_scan_unit_norm"] = scan[1]
-        rep.match_flags["full_scan_zero_norm"] = scan[0] == rep.zero_norm
-        rep.match_flags["full_scan_unit_norm"] = scan[1] == rep.unit_norm
-        nonzero = {scan[c] for c in range(1, p)}
-        rep.match_flags["full_scan_uniform_shells"] = nonzero == {rep.unit_norm}
+        compare("full_scan_zero_norm", rep.zero_norm, scan[0])
+        compare("full_scan_unit_norm", rep.unit_norm, scan[1])
+        compare(
+            "full_scan_uniform_shells",
+            [rep.unit_norm],
+            sorted({scan[c] for c in range(1, p)}),
+        )
     else:
         rep.notes.append(f"full scan skipped: {total_count(p, d)} vectors")
 
     for key, ok in rep.match_flags.items():
         if not ok:
-            raise VerificationFailed(key, rep)
+            raise VerificationFailed(key, rep, *compared.get(key, (None, None)))
     return rep

@@ -137,7 +137,7 @@ def cmd_bloch(cfg: RunConfig) -> int:
     rows = []
     for p in cfg.primes:
         prime = validate_prime(p)
-        for b in bloch_export(prime):
+        for b in bloch_export(prime, budget=cfg.budget):
             rows.append([
                 p, b.x, b.y, b.z,
                 f"{b.ex:.9g}", f"{b.ey:.9g}", f"{b.ez:.9g}",

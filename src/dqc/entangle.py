@@ -61,6 +61,41 @@ is the pivot or zero and the qubit factors out whatever x is.
 gram_forms builds these forms once per prefix and classify_last
 completes them in O(n) per state; classify_raw is their composition.
 
+The forms are built one level up as well.  The prefixes sharing a
+parent, their first D - 2 amplitudes, differ only in amplitude D - 2,
+which enters each qubit's pass only as its final pair: the b-entry of
+(D - 2 - m, D - 2) for m > 1, the a-entry of the last column for
+m = 1.  parent_forms runs every pass up to that pair once per parent
+and finish_forms completes it per prefix in O(n); gram_forms is their
+composition.
+
+The census counts the completions instead of classifying them.  For
+c != 0 the last amplitude runs over the circle N(x) = c of p + 1
+points, and a line u x0 + v x1 = t with (u, v) != 0 meets it in
+
+    1 + chi(c (u**2 + v**2) - t**2)
+
+points, chi the Legendre symbol: the line is the points
+t (u, v) / w + s (-v, u) with w = u**2 + v**2, which is nonzero since
+p = 3 mod 4, and their norm is t**2 / w + s**2 w, so s**2 must equal
+(c w - t**2) / w**2.  Per prefix that gives
+
+    Maximal      the common points of the n lines q + u x0 + v x1 = 0:
+                 none, all p + 1, one line's count, or the one crossing
+                 point of two lines when it lies on the circle and on
+                 every other line (parallel lines meet only when equal);
+    Unentangled  the common point x = k / (c0 + i c1) of the tests, when
+                 every qubit is fixed or tested, N(k) = c N(c0 + i c1)
+                 and the tests agree (all p + 1 when no test involves x);
+    sum_sq       qs + us x0 + vs x1, so the prefix adds the key
+                 (qs, c (us**2 + vs**2)) to a histogram that is expanded
+                 into sum_sq values once, after the blocks merge.
+
+Maximal states have sum_sq 0 and Unentangled ones sum_sq n mod p
+(every separable qubit has squared length 1), so Partial and the
+purity-one non-products follow by subtraction.  Prefixes with c == 0,
+and the zero prefix, have one completion and go through classify_last.
+
 Purity is the averaged sum of squared expectations sum_sq / n, an
 element of F_p defined whenever p does not divide n.  Product states
 have purity 1.  The census also counts non-product states whose
@@ -76,7 +111,7 @@ from enum import Enum
 from .basefield import ComplexifiablePrime
 from .census import (
     DEFAULT_BUDGET,
-    canonical_prefix_count,
+    canonical_group_count,
     check_budget,
     irreducible_count,
     prefix_blocks,
@@ -135,6 +170,110 @@ class Classification:
 
 # -- census kernel over amplitude tuples --------------------------------------
 
+def parent_forms(p: int, n: int, parent: tuple) -> tuple:
+    """The part of every qubit's pass that the first 2**n - 2 amplitudes fix.
+
+    Amplitude 2**n - 2 has every bit but the lowest set, so it enters
+    each pass only at its end: as the b-entry of the final head pair
+    (2**n - 2 - m, 2**n - 2) for a qubit of bit m > 1, and as the a-entry
+    of the last column for m == 1.  Returns, per qubit j, (na, nb, re,
+    im, pivot, dependent, g, a): the sums over the head pairs before
+    that, the first nonzero column (c0, c1, e0, e1) or None, and whether
+    the later columns passed against it.  For m > 1, g is the a-entry of
+    the final head pair and a = (a0, a1, N(a)) that of the last column,
+    both counted in na; for m == 1 both are None.  finish_forms
+    completes the passes for one amplitude 2**n - 2.
+    """
+    d = 1 << n
+    passes = []
+    for j in range(n):
+        m = 1 << (n - 1 - j)
+        last = d - 1 - m
+        na = nb = re = im = 0
+        pivot = None
+        dependent = True
+        for i in range(last if m == 1 else last - 1):
+            if i & m:
+                continue
+            a0, a1 = parent[i]
+            b0, b1 = parent[i | m]
+            na += a0 * a0 + a1 * a1
+            nb += b0 * b0 + b1 * b1
+            re += a0 * b0 + a1 * b1
+            im += a0 * b1 - a1 * b0
+            if pivot is None:
+                if a0 or a1 or b0 or b1:
+                    pivot = (a0, a1, b0, b1)
+            elif dependent:
+                c0, c1, e0, e1 = pivot
+                if (c0 * b0 - c1 * b1 - a0 * e0 + a1 * e1) % p or (
+                    c0 * b1 + c1 * b0 - a0 * e1 - a1 * e0
+                ) % p:
+                    dependent = False
+        g = a = None
+        if m > 1:
+            g = parent[last - 1]
+            a0, a1 = parent[last]
+            a = a0, a1, a0 * a0 + a1 * a1
+            na += g[0] * g[0] + g[1] * g[1] + a[2]
+        passes.append((na, nb, re, im, pivot, dependent, g, a))
+    return tuple(passes)
+
+
+def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
+    """gram_forms of the head parent + (y,), from parent_forms' passes.
+
+    O(n): each pass takes y into its last head pair or last column and
+    builds its affine forms.
+    """
+    y0, y1 = y
+    ny = y0 * y0 + y1 * y1
+    lengths = []
+    tests = []
+    fixed = qs = us = vs = 0
+    bit = 1
+    for na, nb, re, im, pivot, dependent, g, a in passes:
+        if g is None:
+            a0, a1 = y
+            nl = ny
+            na += ny
+        else:
+            g0, g1 = g
+            nb += ny
+            re += g0 * y0 + g1 * y1
+            im += g0 * y1 - g1 * y0
+            if pivot is None:
+                if g0 or g1 or y0 or y1:
+                    pivot = (g0, g1, y0, y1)
+            elif dependent:
+                c0, c1, e0, e1 = pivot
+                if (c0 * y0 - c1 * y1 - g0 * e0 + g1 * e1) % p or (
+                    c0 * y1 + c1 * y0 - g0 * e1 - g1 * e0
+                ) % p:
+                    dependent = False
+            a0, a1, nl = a
+        # |h + conj(a) x|**2 = N(h) + N(a) c + 2 Re(conj(h a) x)
+        q = (1 - 4 * (na * (nb + c) - re * re - im * im - nl * c)) % p
+        u = 8 * (re * a0 - im * a1) % p
+        v = 8 * (re * a1 + im * a0) % p
+        lengths.append((q, u, v))
+        qs += q
+        us += u
+        vs += v
+        if dependent:
+            if pivot is None:
+                # the last column is the first nonzero one, if any, and
+                # is tested against nothing
+                fixed |= bit
+            else:
+                c0, c1, e0, e1 = pivot
+                tests.append(
+                    (bit, c0, c1, (a0 * e0 - a1 * e1) % p, (a0 * e1 + a1 * e0) % p)
+                )
+        bit <<= 1
+    return qs % p, us % p, vs % p, lengths, tests, fixed
+
+
 def gram_forms(p: int, n: int, head: tuple, c: int) -> tuple:
     """Per-prefix forms of the kernel, which classify_last completes.
 
@@ -145,56 +284,9 @@ def gram_forms(p: int, n: int, head: tuple, c: int) -> tuple:
     (qs, us, vs) their sums; tests holds (bit, c0, c1, k0, k1) for a
     qubit that factors out exactly when (c0 + i c1) x == k0 + i k1;
     fixed has the bits of the qubits that factor out whatever x is.
+    The composition of parent_forms and finish_forms.
     """
-    d = 1 << n
-    lengths = []
-    tests = []
-    fixed = qs = us = vs = 0
-    for j in range(n):
-        m = 1 << (n - 1 - j)
-        last = d - 1 - m
-        na = nb = re = im = 0
-        pivoted = False
-        dependent = True
-        for i in range(last):
-            if i & m:
-                continue
-            a0, a1 = head[i]
-            b0, b1 = head[i | m]
-            na += a0 * a0 + a1 * a1
-            nb += b0 * b0 + b1 * b1
-            re += a0 * b0 + a1 * b1
-            im += a0 * b1 - a1 * b0
-            if not pivoted:
-                c0, c1, e0, e1 = a0, a1, b0, b1
-                pivoted = bool(a0 or a1 or b0 or b1)
-            elif dependent and (
-                (c0 * b0 - c1 * b1 - a0 * e0 + a1 * e1) % p
-                or (c0 * b1 + c1 * b0 - a0 * e1 - a1 * e0) % p
-            ):
-                dependent = False
-        a0, a1 = head[last]
-        nl = a0 * a0 + a1 * a1
-        na += nl
-        # |h + conj(a) x|**2 = N(h) + N(a) c + 2 Re(conj(h a) x)
-        q = (1 - 4 * (na * (nb + c) - re * re - im * im - nl * c)) % p
-        u = 8 * (re * a0 - im * a1) % p
-        v = 8 * (re * a1 + im * a0) % p
-        lengths.append((q, u, v))
-        qs += q
-        us += u
-        vs += v
-        if not dependent:
-            continue
-        if pivoted:
-            tests.append(
-                (1 << j, c0, c1, (a0 * e0 - a1 * e1) % p, (a0 * e1 + a1 * e0) % p)
-            )
-        else:
-            # the last column is the first nonzero one, if any, and is
-            # tested against nothing
-            fixed |= 1 << j
-    return qs % p, us % p, vs % p, lengths, tests, fixed
+    return finish_forms(p, n, parent_forms(p, n, head[:-1]), head[-1], c)
 
 
 def classify_last(p: int, n: int, forms: tuple, x: tuple) -> tuple:
@@ -328,16 +420,142 @@ class CensusTally:
         return {k: (self.p + 1) * v for k, v in self.class_counts.items()}
 
 
-def _tally_block(args) -> dict:
-    """Count the states of one block of canonical prefixes by (kind, sum_sq)."""
+def _line_points(p: int) -> list:
+    """_line_points(p)[r] = 1 + chi(r), chi the Legendre symbol mod p.
+
+    For (u, v) != 0 the line u x0 + v x1 = t meets the circle
+    x0**2 + x1**2 = c in _line_points(p)[(c (u**2 + v**2) - t**2) % p]
+    points (the module docstring derives it).
+    """
+    points = [0] * p
+    for x in range(p):
+        points[x * x % p] = 2
+    points[0] = 1
+    return points
+
+
+def _count_maximal(p: int, c: int, lengths: list, points: list) -> int:
+    """Points x of N(x) = c != 0 on which every (q, u, v) of lengths,
+    read as q + u x0 + v x1, vanishes."""
+    line = None
+    for q, u, v in lengths:
+        if not (u or v):
+            if q:
+                return 0
+        elif line is None:
+            line = q, u, v
+        else:
+            q1, u1, v1 = line
+            det = (u1 * v - v1 * u) % p
+            if det:
+                # the two lines cross at (x0, x1) / det; check it on the
+                # circle and on every line
+                x0 = v1 * q - v * q1
+                x1 = u * q1 - u1 * q
+                if (x0 * x0 + x1 * x1 - c * det * det) % p:
+                    return 0
+                for q, u, v in lengths:
+                    if (u * x0 + v * x1 + q * det) % p:
+                        return 0
+                return 1
+            if (q * u1 - q1 * u) % p or (q * v1 - q1 * v) % p:
+                return 0  # parallel and distinct
+    if line is None:
+        return p + 1
+    q1, u1, v1 = line
+    return points[(c * (u1 * u1 + v1 * v1) - q1 * q1) % p]
+
+
+def _count_unentangled(p: int, n: int, c: int, tests: list, fixed: int) -> int:
+    """Points x of N(x) = c != 0 at which every qubit factors out: each
+    test (bit, c0, c1, k0, k1) asks (c0 + i c1) x == k0 + i k1."""
+    for bit, *_ in tests:
+        fixed |= bit
+    if fixed != (1 << n) - 1:
+        return 0
+    lead = None
+    for test in tests:
+        _, c0, c1, k0, k1 = test
+        if not (c0 or c1):
+            if k0 or k1:
+                return 0
+        elif lead is None:
+            # x = k / (c0 + i c1) lies on the circle when N(k) == c N(c0 + i c1)
+            if (k0 * k0 + k1 * k1 - c * (c0 * c0 + c1 * c1)) % p:
+                return 0
+            lead = test
+        else:
+            _, d0, d1, l0, l1 = lead
+            # the same x: (c0 + i c1) l == k (d0 + i d1)
+            if (c0 * l0 - c1 * l1 - k0 * d0 + k1 * d1) % p or (
+                c0 * l1 + c1 * l0 - k0 * d1 - k1 * d0
+            ) % p:
+                return 0
+    return p + 1 if lead is None else 1
+
+
+def _tally_block(args) -> tuple:
+    """Count the states of one block of canonical parent groups.
+
+    Returns (counts, circles).  A prefix with one completion (c == 0, or
+    the zero prefix) is classified: counts[(kind, sum_sq)] += 1.  A
+    prefix with the p + 1 completions of N(x) = c != 0 is counted:
+    circles[(qs, c (us**2 + vs**2))] += 1 for its sum_sq line, which
+    _merge_blocks expands into Partial, and its Maximal and Unentangled
+    completions are moved from Partial to their own kind, so counts can
+    hold negative Partial entries until the expansion.
+    """
     p, n, start, stop = args
+    points = _line_points(p)
     counts: dict = {}
-    for head, c, completions in walk_prefixes(p, 1 << n, 1, True, start, stop):
-        forms = gram_forms(p, n, head, c)
-        for x in completions:
-            key = classify_last(p, n, forms, x)[:2]
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    circles: dict = {}
+    maximal = unentangled = 0
+    for parent, children in walk_prefixes(p, 1 << n, 1, True, start, stop):
+        passes = parent_forms(p, n, parent)
+        for (y,), c, completions in children:
+            forms = finish_forms(p, n, passes, y, c)
+            if len(completions) > 1:
+                qs, us, vs, lengths, tests, fixed = forms
+                key = qs, c * (us * us + vs * vs) % p
+                circles[key] = circles.get(key, 0) + 1
+                maximal += _count_maximal(p, c, lengths, points)
+                unentangled += _count_unentangled(p, n, c, tests, fixed)
+                continue
+            for x in completions:
+                key = classify_last(p, n, forms, x)[:2]
+                counts[key] = counts.get(key, 0) + 1
+    # Maximal states have sum_sq 0, Unentangled ones n mod p
+    for kind, sum_sq, k in (
+        (EntanglementClass.MAXIMAL, 0, maximal),
+        (EntanglementClass.UNENTANGLED, n % p, unentangled),
+    ):
+        counts[kind, sum_sq] = counts.get((kind, sum_sq), 0) + k
+        partial = EntanglementClass.PARTIAL, sum_sq
+        counts[partial] = counts.get(partial, 0) - k
+    return counts, circles
+
+
+def _merge_blocks(p: int, results) -> dict:
+    """States by (kind, sum_sq) over _tally_block's block results.
+
+    Sums the blocks, then expands each circle line once: a key (qs, w)
+    puts 1 + chi(w - (s - qs)**2) completions at sum_sq s when w != 0,
+    and all p + 1 at qs when w == 0 (us = vs = 0).
+    """
+    counts: dict = {}
+    circles: dict = {}
+    for block_counts, block_circles in results:
+        for key, k in block_counts.items():
+            counts[key] = counts.get(key, 0) + k
+        for key, k in block_circles.items():
+            circles[key] = circles.get(key, 0) + k
+    points = _line_points(p)
+    for (qs, w), k in circles.items():
+        for s in range(p):
+            on_line = points[(w - (s - qs) ** 2) % p] if w else (p + 1) * (s == qs)
+            key = EntanglementClass.PARTIAL, s
+            counts[key] = counts.get(key, 0) + k * on_line
+    return {key: k for key, k in counts.items() if k}
 
 
 def census_tally(
@@ -354,17 +572,17 @@ def census_tally(
     p = prime.p
     d = 1 << n
     check_budget(p, d, budget, irreducible_count(p, d))
-    blocks = prefix_blocks(canonical_prefix_count(p, d), threads)
+    blocks = prefix_blocks(canonical_group_count(p, d), threads)
     args = [(p, n, start, stop) for start, stop in blocks]
     classes: dict = {k.value: 0 for k in EntanglementClass}
     purities: dict = {}
     p1np = 0
-    for counts in run_blocks(_tally_block, args, threads):
-        for (kind, sum_sq), k in counts.items():
-            classes[kind.value] += k
-            purities[sum_sq] = purities.get(sum_sq, 0) + k
-            if sum_sq == n % p and kind is not EntanglementClass.UNENTANGLED:
-                p1np += k
+    counts = _merge_blocks(p, run_blocks(_tally_block, args, threads))
+    for (kind, sum_sq), k in counts.items():
+        classes[kind.value] += k
+        purities[sum_sq] = purities.get(sum_sq, 0) + k
+        if sum_sq == n % p and kind is not EntanglementClass.UNENTANGLED:
+            p1np += k
     return CensusTally(
         p=p,
         n=n,
@@ -381,8 +599,9 @@ def iter_classified(
     lexicographic amplitude order.
 
     The budget is checked on the call, as for census_tally.  The stream
-    walks the canonical prefixes like _tally_block, building each
-    prefix's forms once and completing them per state.
+    walks the canonical parent groups like _tally_block, building each
+    parent's passes once, each prefix's forms from them, and completing
+    those per state.
     """
     p = prime.p
     d = 1 << n
@@ -391,11 +610,14 @@ def iter_classified(
     inv_n = pow(n_res, p - 2, p) if n_res else None
 
     def rows():
-        for head, c, completions in walk_prefixes(p, d, 1, True):
-            forms = gram_forms(p, n, head, c)
-            for x in completions:
-                kind, sum_sq, mask = classify_last(p, n, forms, x)
-                reduced = sum_sq * inv_n % p if inv_n is not None else None
-                yield head + (x,), kind, sum_sq, reduced, mask
+        for parent, children in walk_prefixes(p, d, 1, True):
+            passes = parent_forms(p, n, parent)
+            for tail, c, completions in children:
+                forms = finish_forms(p, n, passes, tail[0], c)
+                head = parent + tail
+                for x in completions:
+                    kind, sum_sq, mask = classify_last(p, n, forms, x)
+                    reduced = sum_sq * inv_n % p if inv_n is not None else None
+                    yield head + (x,), kind, sum_sq, reduced, mask
 
     return rows()

@@ -62,9 +62,16 @@ class VerificationFailed(DqcError):
     Attributes:
         field_name: which report field mismatched.
         report: the CountReport carrying all values seen so far.
+        expected, found: the closed-form and the counted value, when the
+            check compares two values, else None.
     """
 
-    def __init__(self, field_name: str, report=None):
+    def __init__(self, field_name: str, report=None, expected=None, found=None):
         self.field_name = field_name
         self.report = report
-        super().__init__(f"verification mismatch in field {field_name!r}")
+        self.expected = expected
+        self.found = found
+        msg = f"verification mismatch in field {field_name!r}"
+        if expected is not None or found is not None:
+            msg += f": expected {expected}, found {found}"
+        super().__init__(msg)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .basefield import ComplexifiablePrime
-from .census import iter_irreducible
+from .census import DEFAULT_BUDGET, iter_irreducible
 from .complexfield import cmul, conj, fnorm, phase_group
 from .errors import NotUnitNorm
 from .states import StateVector
@@ -109,18 +109,18 @@ def fingerprint(psi: StateVector) -> tuple:
     return tuple(out)
 
 
-def bloch_export(prime: ComplexifiablePrime) -> list:
+def bloch_export(prime: ComplexifiablePrime, budget: int = DEFAULT_BUDGET) -> list:
     """Bloch points of every irreducible (canonical unit-norm) 1-qubit
     state, sorted by (x, y, z).
 
     The states are census.iter_irreducible's canonical walk, so the
-    export is budgeted like every walk: under the default budget of
-    10**8 prefixes (p**2 at one qubit) p above 10**4 raises
+    export is budgeted like every walk: it is charged p**2 prefixes, and
+    under the default budget of 10**8 p above 10**4 raises
     BudgetExceeded.  Produces exactly p(p - 1) distinct points.
     """
     points = [
         hopf_map_1q(StateVector(prime, 1, amps))
-        for amps in iter_irreducible(prime, 1)
+        for amps in iter_irreducible(prime, 1, budget=budget)
     ]
     points.sort(key=lambda b: (b.x, b.y, b.z))
     return points

@@ -35,9 +35,15 @@ from dqc import (
     verify,
     zero_norm_count,
 )
-from dqc.census import prefix_blocks, random_phase, run_blocks, sample_unit_amps
+from dqc.census import (
+    prefix_blocks,
+    random_phase,
+    run_blocks,
+    sample_unit_amps,
+    walk_prefixes,
+)
 from dqc.cli import main
-from dqc.entangle import EntanglementClass, _tally_block
+from dqc.entangle import EntanglementClass, _merge_blocks, _tally_block
 
 from _oracles import (
     brute_canonical,
@@ -149,8 +155,13 @@ def test_criterion_4_two_qubit_census_p7(report, tally72):
         assert threaded == tally  # thread count never changes results
         # the speed-up is timed on the first 120000 canonical prefixes of
         # the p=3 n=3 census, long enough that starting the pool is a
-        # small share of the two-worker run
-        blocks = [(3, 3, start, stop) for start, stop in prefix_blocks(120000, 2)]
+        # small share of the two-worker run.  Blocks count parent groups:
+        # the zero parent's 3 prefixes, then 1640 + 11693 groups of 9
+        groups = 13334
+        assert sum(
+            len(children) for _, children in walk_prefixes(3, 8, 1, True, 0, groups)
+        ) == 120000
+        blocks = [(3, 3, start, stop) for start, stop in prefix_blocks(groups, 2)]
         t0 = time.perf_counter()
         serial = run_blocks(_tally_block, blocks, 1)
         serial_dt = time.perf_counter() - t0
@@ -158,7 +169,7 @@ def test_criterion_4_two_qubit_census_p7(report, tally72):
         parallel = run_blocks(_tally_block, blocks, 2)
         parallel_dt = time.perf_counter() - t0
         assert parallel == serial
-        assert sum(sum(counts.values()) for counts in serial) == 360498
+        assert sum(_merge_blocks(3, serial).values()) == 360498
         speedup = serial_dt / parallel_dt if parallel_dt else float("inf")
         extra["tail"] = (
             f"; p=7 single-thread {elapsed:.2f}s; p=3 n=3 slice 1 worker "

@@ -168,8 +168,17 @@ def test_canonical_walk_matches_literal_filter():
                 c = (1 - sum(cnorm(p, x) for x in head)) % p
                 # the zero prefix keeps only the leading fiber minimum
                 want.append((head, c, fibers[c] if any(digits) else fibers[c][:1]))
-            assert list(census.walk_prefixes(p, d, 1, True)) == want
-            assert census.canonical_prefix_count(p, d) == len(want)
+            groups = list(census.walk_prefixes(p, d, 1, True))
+            walked = [
+                (parent + tail, c, completions)
+                for parent, children in groups
+                for tail, c, completions in children
+            ]
+            assert walked == want
+            # each group is one parent, the first d - 2 amplitudes
+            assert all(len(parent) == max(d - 2, 0) for parent, _ in groups)
+            assert len({parent for parent, _ in groups}) == len(groups)
+            assert census.canonical_group_count(p, d) == len(groups)
 
 
 def test_iter_counts_agree_with_counters(f3):

@@ -73,9 +73,12 @@ def test_verify_budget_note_and_success(capsys):
 
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(census, "count_irreducible", lambda *a, **k: 1)
-    code, _, err = run(capsys, "verify", "--p", "3", "--n", "1")
+    code, out, err = run(capsys, "verify", "--p", "3", "--n", "1")
     assert code == 1
     assert "verification failed" in err
+    # the message names the flag and both values
+    assert "'irreducible_enumerated': expected 6, found 1" in err
+    assert out == ""
 
 
 def test_enumerate_budget_exit_code(capsys):
@@ -159,6 +162,14 @@ def test_tables_json_format(capsys):
             "log10_irreducible": "2.732",
         }
     ]
+
+
+def test_bloch_budget_exit_code(capsys):
+    # --budget reaches the export: p=7 is charged 7**2 prefixes
+    code, out, err = run(capsys, "bloch", "--p", "7", "--budget", "10")
+    assert code == 3
+    assert "budget exceeded" in err
+    assert out == ""
 
 
 def test_bloch_export_row_counts(capsys):

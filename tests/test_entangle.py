@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,8 +21,17 @@ from dqc import (
     validate_prime,
 )
 import dqc.entangle as entangle
-from dqc.census import iter_irreducible, sample_unit_amps, walk_prefixes
-from dqc.entangle import classify_last, classify_raw, gram_forms, iter_classified
+from dqc.census import iter_irreducible, prefix_blocks, sample_unit_amps, walk_prefixes
+from dqc.entangle import (
+    _merge_blocks,
+    _tally_block,
+    classify_last,
+    classify_raw,
+    finish_forms,
+    gram_forms,
+    iter_classified,
+    parent_forms,
+)
 
 from _oracles import (
     brute_canonical,
@@ -145,13 +155,13 @@ def test_hoisted_forms_agree_with_independent_paths(f3):
 
 
 def test_census_blocks_cover_canonical_prefixes(monkeypatch, f3, f7):
-    # concatenated, census_tally's blocks walk every canonical prefix
-    # once, in order, for any thread count
+    # concatenated, census_tally's blocks walk every canonical parent
+    # group once, in order, for any thread count
     calls = []
 
     def capture(worker, args_list, threads):
         calls.append(args_list)
-        return [{}] * len(args_list)
+        return [({}, {})] * len(args_list)
 
     monkeypatch.setattr(entangle, "run_blocks", capture)
     for fld in (f3, f7):
@@ -334,6 +344,47 @@ def test_census_tally_matches_per_state_classification(f3):
         kind, _, _ = classify_raw(3, 2, amps)
         counts[kind.value] += 1
     assert counts == census_tally(f3, 2).class_counts
+
+
+def per_state_tally(p, n, counts):
+    """(class_counts, purity_hist, purity_one_not_product) of a Counter of
+    (kind, sum_sq) over single states."""
+    classes = {k.value: 0 for k in EntanglementClass}
+    purities = Counter()
+    p1np = 0
+    for (kind, sum_sq), k in counts.items():
+        classes[kind.value] += k
+        purities[sum_sq] += k
+        if sum_sq == n % p and kind is not EntanglementClass.UNENTANGLED:
+            p1np += k
+    return classes, dict(sorted(purities.items())), p1np
+
+
+def test_counted_tally_matches_per_state_tally(f3, f7, f11):
+    # census_tally counts each prefix's completions on its norm circle;
+    # the oracle classifies every state one by one
+    for fld, n in ((f3, 1), (f7, 1), (f11, 1), (f3, 2), (f7, 2)):
+        p = fld.p
+        counts = Counter(classify_raw(p, n, amps)[:2] for amps in iter_irreducible(fld, n))
+        tally = census_tally(fld, n)
+        got = tally.class_counts, tally.purity_hist, tally.purity_one_not_product
+        assert got == per_state_tally(p, n, counts)
+
+
+def test_counted_blocks_match_per_state_on_p3_n3_slice():
+    # block by block over criterion 4's slice of the p=3 n=3 census, the
+    # first 13334 parent groups: leading zeros leave qubits with no
+    # pivot or with tests that do not involve x, and n = 3 gives three
+    # length lines, parallel and crossing.  The oracle completes each
+    # prefix's forms state by state, as iter_classified does
+    for start, stop in prefix_blocks(13334, 2):
+        want = Counter()
+        for parent, children in walk_prefixes(3, 8, 1, True, start, stop):
+            passes = parent_forms(3, 3, parent)
+            for (y,), c, completions in children:
+                forms = finish_forms(3, 3, passes, y, c)
+                want.update(classify_last(3, 3, forms, x)[:2] for x in completions)
+        assert _merge_blocks(3, [_tally_block((3, 3, start, stop))]) == dict(want)
 
 
 def test_all_zero_expectations_is_strictly_smaller(f3):

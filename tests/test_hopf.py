@@ -149,3 +149,6 @@ def test_bloch_export_is_budgeted():
     with pytest.raises(BudgetExceeded) as exc:
         bloch_export(validate_prime(10007))
     assert exc.value.required == 10007**2
+    with pytest.raises(BudgetExceeded):
+        bloch_export(validate_prime(7), budget=48)
+    assert len(bloch_export(validate_prime(7), budget=49)) == 42
