@@ -385,7 +385,8 @@ def walk_prefixes(
     amplitude must carry to bring the total to target, and completions
     the sorted members of that norm fiber.  A free amplitude d - 2 gives
     children that depend only on the parent's norm, so those groups
-    share one children tuple per norm.  start/stop count groups.
+    share one children tuple per norm, built when first needed.
+    start/stop count groups.
     canonical_only walks only the canonical prefixes, segment by segment
     (see the module docstring), and keeps only the fiber minimum when
     the completion leads.
@@ -401,7 +402,14 @@ def walk_prefixes(
         norms = [(e, (target - s - fn[e]) % p) for e in tails]
         return tuple(((pairs[e],), c, fiber_pairs[c]) for e, c in norms)
 
-    by_norm = [children(s, free) for s in range(p)]
+    by_norm = [None] * p
+
+    def free_children(s):
+        # built on first use: the d = 2 walks need at most one norm
+        if by_norm[s] is None:
+            by_norm[s] = children(s, free)
+        return by_norm[s]
+
     zero = fiber_pairs[target]
     if canonical_only:
         # a zero completion of the zero prefix would leave the zero vector
@@ -426,7 +434,7 @@ def walk_prefixes(
         if start < size:
             for digits in islice(product(*choices), start, stop):
                 parent = tuple(map(pairs.__getitem__, digits))
-                yield parent, kids or by_norm[sum(map(fn.__getitem__, digits)) % p]
+                yield parent, kids or free_children(sum(map(fn.__getitem__, digits)) % p)
         start = max(start - size, 0)
         stop -= size
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import dqc.census as census
 from dqc.census import prefix_blocks
 from dqc.entangle import iter_classified
+from dqc.hopf import bloch_export
 from dqc import (
     BudgetExceeded,
     VerificationFailed,
@@ -179,6 +181,26 @@ def test_canonical_walk_matches_literal_filter():
             assert all(len(parent) == max(d - 2, 0) for parent, _ in groups)
             assert len({parent for parent, _ in groups}) == len(groups)
             assert census.canonical_group_count(p, d) == len(groups)
+
+
+def test_one_qubit_walks_stay_quadratic():
+    # a 1-qubit walk visits p**2 prefixes at most, so it must not build
+    # the children of every parent norm (p**3 entries, about 125 MB at
+    # p = 101); the canonical one needs none of them, the full one one
+    p = 101
+    for canonical_only, prefixes in ((True, p), (False, p * p)):
+        tracemalloc.start()
+        try:
+            walked = sum(
+                len(children)
+                for _, children in census.walk_prefixes(p, 2, 1, canonical_only)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert walked == prefixes
+        assert peak < 20_000_000
+    assert len(bloch_export(validate_prime(211))) == 211 * 210
 
 
 def test_iter_counts_agree_with_counters(f3):

@@ -371,20 +371,30 @@ def test_counted_tally_matches_per_state_tally(f3, f7, f11):
         assert got == per_state_tally(p, n, counts)
 
 
-def test_counted_blocks_match_per_state_on_p3_n3_slice():
+def test_counted_blocks_match_per_state_on_p3_n3_slice(f3):
     # block by block over criterion 4's slice of the p=3 n=3 census, the
     # first 13334 parent groups: leading zeros leave qubits with no
     # pivot or with tests that do not involve x, and n = 3 gives three
     # length lines, parallel and crossing.  The oracle completes each
-    # prefix's forms state by state, as iter_classified does
+    # prefix's forms state by state, as iter_classified does; on a
+    # seeded 1% of the prefixes the states are also checked against the
+    # Pauli expectations and the minors, independent of the forms
+    rng = random.Random(17)
+    sampled = 0
     for start, stop in prefix_blocks(13334, 2):
         want = Counter()
         for parent, children in walk_prefixes(3, 8, 1, True, start, stop):
             passes = parent_forms(3, 3, parent)
             for (y,), c, completions in children:
                 forms = finish_forms(3, 3, passes, y, c)
-                want.update(classify_last(3, 3, forms, x)[:2] for x in completions)
+                raw = [classify_last(3, 3, forms, x) for x in completions]
+                want.update(r[:2] for r in raw)
+                if rng.random() < 0.01:
+                    for x, r in zip(completions, raw):
+                        check_against_independent_paths(f3, 3, parent + (y, x), *r)
+                        sampled += 1
         assert _merge_blocks(3, [_tally_block((3, 3, start, stop))]) == dict(want)
+    assert sampled > 1000
 
 
 def test_all_zero_expectations_is_strictly_smaller(f3):
