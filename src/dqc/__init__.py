@@ -22,14 +22,12 @@ from .census import (
     zero_norm_count,
 )
 from .complexfield import (
-    PhaseGroup,
     cadd,
     cinv,
     cmul,
     cneg,
     conj,
     cpow,
-    csub,
     fnorm,
     frobenius,
     norm_fiber,
@@ -68,6 +66,6 @@ from .hopf import (
     is_canonical,
     phase_class,
 )
-from .states import DensityMatrix, StateVector, format_amp, parse_amp
+from .states import StateVector, format_amp, parse_amp
 
 __version__ = "0.1.0"

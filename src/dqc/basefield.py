@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, NotComplexifiable, NotPrime
+from .errors import NotComplexifiable, NotPrime
 
 # Witnesses making Miller-Rabin deterministic for all 64-bit integers.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -53,36 +53,10 @@ class ComplexifiablePrime:
 
     p: int
 
-    # -- base arithmetic, canonical representatives in 0..p-1 --
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.p
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.p
-
-    def mul(self, x: int, y: int) -> int:
-        return x * y % self.p
-
-    def neg(self, x: int) -> int:
-        return -x % self.p
-
-    def inv(self, x: int) -> int:
-        if x % self.p == 0:
-            raise DivisionByZero(f"inverse of 0 mod {self.p}")
-        return pow(x, self.p - 2, self.p)
-
-    def pow(self, x: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(x), -e, self.p)
-        return pow(x, e, self.p)
-
     def centered(self, x: int) -> int:
         """Representative of x in -(p-1)/2 .. (p-1)/2."""
         x %= self.p
         return x if x <= (self.p - 1) // 2 else x - self.p
-
-    # -- squares and square roots --
 
     def sqrt(self, c: int) -> tuple[int, ...]:
         """All square roots of c in F_p, in increasing order.

@@ -126,9 +126,12 @@ def unentangled_irreducible_count(p: int, n: int) -> int:
 def maxent_irreducible_count(p: int, n: int) -> int:
     """Irreducible maximally entangled n-qubit states.
 
-    p**(n+1) * (p-1) * (p+1)**(n-1) for n >= 2.  A single qubit admits
-    none: its Bloch point satisfies X**2+Y**2+Z**2 == 1, so the three
-    expectations cannot all vanish.
+    p**(n+1) * (p-1) * (p+1)**(n-1), the abstract's formula, which
+    enumeration confirms only at n == 2.  At p=3 n=3 the census finds
+    257,904 Maximal irreducible states against the formula's 2,592, so
+    verify fails there.  A single qubit admits none: its Bloch point
+    satisfies X**2+Y**2+Z**2 == 1, so the three expectations cannot all
+    vanish.
     """
     if n < 2:
         return 0
@@ -136,7 +139,11 @@ def maxent_irreducible_count(p: int, n: int) -> int:
 
 
 def maxent_to_unentangled_ratio(p: int, n: int) -> Fraction:
-    """Exact ratio p * ((p+1)/(p-1))**(n-1), meaningful for n >= 2."""
+    """Exact ratio p * ((p+1)/(p-1))**(n-1) of the two closed forms.
+
+    Confirmed by enumeration only at n == 2.  At p=3 n=3 it gives 12,
+    while the census gives 257,904 / 216 = 1,194.
+    """
     return Fraction(p) * Fraction(p + 1, p - 1) ** (n - 1)
 
 

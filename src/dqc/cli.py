@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import signal
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -223,45 +224,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact census of discrete qubits over F_p[i], p % 4 == 3.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, with_class=False, with_threads=False):
-        sp.add_argument("--p", type=int, help="prime modulus (p %% 4 == 3)")
-        sp.add_argument("--p-list", type=str, help="comma-separated primes")
-        sp.add_argument("--n", type=int, help="qubit count")
-        sp.add_argument("--n-max", type=int, help="run n = 1..n_max")
-        sp.add_argument(
-            "--budget",
-            type=int,
-            default=None,
-            help="prefix-count budget (default: DQC_BUDGET or 10^8)",
-        )
-        if with_threads:
-            sp.add_argument(
-                "--threads", type=int, default=0, help="workers (0 = auto)"
-            )
-        if with_class:
-            sp.add_argument(
-                "--class",
-                dest="norm_class",
-                choices=("unit", "zero", "irreducible"),
-                default="unit",
-            )
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", type=str, default="-", help="output path ('-' = stdout)")
-        sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-
-    add_common(sub.add_parser("verify", help="cross-check closed forms by enumeration"),
-               with_threads=True)
-    add_common(sub.add_parser("tables", help="closed-form count tables"))
-    add_common(sub.add_parser("bloch", help="export the discrete Bloch sphere"))
-    add_common(sub.add_parser("enumerate", help="stream vectors of a norm class"),
-               with_class=True)
-    add_common(sub.add_parser("classify", help="entanglement census"),
-               with_threads=True)
+    flags = {
+        "--p": dict(type=int, help="prime modulus (p %% 4 == 3)"),
+        "--p-list": dict(type=str, help="comma-separated primes"),
+        "--n": dict(type=int, help="qubit count"),
+        "--n-max": dict(type=int, help="run n = 1..n_max"),
+        "--budget": dict(type=int, help="prefix-count budget (default: DQC_BUDGET or 10^8)"),
+        "--threads": dict(type=int, default=0, help="workers (0 = auto)"),
+        "--class": dict(
+            dest="norm_class", choices=("unit", "zero", "irreducible"), default="unit"
+        ),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+        "--out": dict(type=str, default="-", help="output path ('-' = stdout)"),
+        "--seed": dict(type=int, default=0, help="seed for sampled checks"),
+    }
+    cells = ("--p", "--p-list", "--n", "--n-max")
+    # each subcommand takes only the flags it reads
+    for command, help_text, names in (
+        ("verify", "cross-check closed forms by enumeration",
+         (*cells, "--budget", "--threads", "--out", "--seed")),
+        ("tables", "closed-form count tables", (*cells, "--format", "--out")),
+        ("bloch", "export the discrete Bloch sphere",
+         ("--p", "--p-list", "--budget", "--format", "--out")),
+        ("enumerate", "stream vectors of a norm class",
+         (*cells, "--budget", "--class", "--format", "--out")),
+        ("classify", "entanglement census",
+         (*cells, "--budget", "--threads", "--format", "--out")),
+    ):
+        sp = sub.add_parser(command, help=help_text)
+        for name in names:
+            sp.add_argument(name, **flags[name])
     return parser
 
 
 def make_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+    # a subcommand's namespace holds only its own flags
+    n, n_max = getattr(args, "n", None), getattr(args, "n_max", None)
     if args.p is not None and args.p_list:
         parser.error("--p and --p-list are mutually exclusive")
     if args.p_list:
@@ -278,37 +276,35 @@ def make_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Ru
     if not primes:
         parser.error("empty prime list")
 
-    if args.n is not None and args.n_max is not None:
+    if n is not None and n_max is not None:
         parser.error("--n and --n-max are mutually exclusive")
-    if args.n_max is not None:
-        n_values = list(range(1, args.n_max + 1))
-    elif args.n is not None:
-        n_values = [args.n]
+    if n_max is not None:
+        n_values = list(range(1, n_max + 1))
+    elif n is not None:
+        n_values = [n]
     elif args.command == "tables":
         n_values = [1, 2, 3, 4]
     elif args.command == "bloch":
         n_values = [1]
     else:
         parser.error("one of --n or --n-max is required")
-    if not n_values or any(n < 1 for n in n_values):
+    if not n_values or any(k < 1 for k in n_values):
         parser.error("qubit counts must be >= 1")
 
-    budget = args.budget
+    budget = getattr(args, "budget", None)
     if budget is None:
         budget = int(os.environ.get("DQC_BUDGET", census.DEFAULT_BUDGET))
     if budget <= 0:
         parser.error("--budget must be positive")
 
+    # flags a subcommand does not take keep RunConfig's defaults
+    optional = ("norm_class", "threads", "format", "out", "seed")
     return RunConfig(
         command=args.command,
         primes=primes,
         n_values=n_values,
-        norm_class=getattr(args, "norm_class", "unit"),
         budget=budget,
-        threads=getattr(args, "threads", 0),
-        format=args.format,
-        out=args.out,
-        seed=args.seed,
+        **{key: value for key, value in vars(args).items() if key in optional},
     )
 
 
@@ -339,6 +335,9 @@ def main(argv=None) -> int:
 
 
 def entry():
+    # end quietly, like other filters, when the reader closes the pipe
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -12,7 +12,6 @@ test suite cross-asserts the two on every element for small p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .basefield import ComplexifiablePrime
@@ -26,10 +25,6 @@ ONE = (1, 0)
 
 def cadd(p: int, x: GFc, y: GFc) -> GFc:
     return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
-
-
-def csub(p: int, x: GFc, y: GFc) -> GFc:
-    return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
 
 
 def cneg(p: int, x: GFc) -> GFc:
@@ -68,10 +63,7 @@ def cinv(p: int, x: GFc) -> GFc:
 
 
 def cpow(p: int, x: GFc, e: int) -> GFc:
-    """Square-and-multiply power; negative e inverts first."""
-    if e < 0:
-        x = cinv(p, x)
-        e = -e
+    """Square-and-multiply power for e >= 0."""
     out = ONE
     base = x
     while e:
@@ -108,67 +100,12 @@ def norm_fiber(prime: ComplexifiablePrime, c: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class PhaseGroup:
-    """The multiplicative group of field-norm-1 elements of F_p**2.
-
-    Cyclic of order p + 1.  Multiplying a state vector by a member
-    changes no observable quantity; the quotient by this action is what
-    the canonical representative machinery computes.
-    """
-
-    prime: ComplexifiablePrime
-    elements: tuple
-    generator: GFc
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, x) -> bool:
-        return fnorm(self.prime.p, x) == 1
-
-
-def _factorize(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def multiplicative_order(p: int, x: GFc, group_order: int) -> int:
-    """Order of x in a group of known order (x must lie in it)."""
-    order = group_order
-    for q in _factorize(group_order):
-        while order % q == 0 and cpow(p, x, order // q) == ONE:
-            order //= q
-    return order
-
-
 @lru_cache(maxsize=32)
-def phase_group(prime: ComplexifiablePrime) -> PhaseGroup:
-    """Enumerate the norm-1 elements and pick a cyclic generator.
+def phase_group(prime: ComplexifiablePrime) -> tuple:
+    """The p + 1 field-norm-1 elements of F_p**2, sorted.
 
-    The generator is the lexicographically smallest element of full
-    order p + 1, found by order testing against the factorization of
-    p + 1.  Elements are returned sorted.
+    They form the cyclic phase group: multiplying a state vector by a
+    member changes no observable quantity, and the quotient by this
+    action is what the canonical representative machinery computes.
     """
-    p = prime.p
-    elems = norm_fiber(prime, 1)
-    gen = None
-    for u in elems:
-        if multiplicative_order(p, u, p + 1) == p + 1:
-            gen = u
-            break
-    if gen is None:  # cannot happen: the group is cyclic
-        raise AssertionError(f"no generator of order {p + 1} found for p={p}")
-    return PhaseGroup(prime=prime, elements=tuple(elems), generator=gen)
+    return tuple(norm_fiber(prime, 1))

@@ -58,16 +58,16 @@ The dependence test of the head columns runs once per prefix.  If they
 hold a pivot (c_k, e_k) and pass, the last column passes exactly when
 c_k x == a e_k, again affine in x; if none is nonzero the last column
 is the pivot or zero and the qubit factors out whatever x is.
-gram_forms builds these forms once per prefix and classify_last
-completes them in O(n) per state; classify_raw is their composition.
+These forms are built once per prefix and classify_last completes
+them in O(n) per state.
 
 The forms are built one level up as well.  The prefixes sharing a
 parent, their first D - 2 amplitudes, differ only in amplitude D - 2,
 which enters each qubit's pass only as its final pair: the b-entry of
 (D - 2 - m, D - 2) for m > 1, the a-entry of the last column for
 m = 1.  parent_forms runs every pass up to that pair once per parent
-and finish_forms completes it per prefix in O(n); gram_forms is their
-composition.
+and finish_forms completes it per prefix in O(n); classify_raw
+composes the three.
 
 The census counts the completions instead of classifying them.  For
 c != 0 the last amplitude runs over the circle N(x) = c of p + 1
@@ -221,10 +221,17 @@ def parent_forms(p: int, n: int, parent: tuple) -> tuple:
 
 
 def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
-    """gram_forms of the head parent + (y,), from parent_forms' passes.
+    """Per-prefix forms of the kernel, which classify_last completes.
 
-    O(n): each pass takes y into its last head pair or last column and
-    builds its affine forms.
+    The prefix is the parent of parent_forms' passes followed by y, and
+    c is the field norm of the last amplitude, x (the module docstring
+    derives the forms).  O(n): each pass takes y into its last head pair
+    or last column.  Returns (qs, us, vs, lengths, tests, fixed):
+    lengths holds each qubit's squared length as (q, u, v), read as
+    q + u x0 + v x1 mod p, and (qs, us, vs) their sums; tests holds
+    (bit, c0, c1, k0, k1) for a qubit that factors out exactly when
+    (c0 + i c1) x == k0 + i k1; fixed has the bits of the qubits that
+    factor out whatever x is.
     """
     y0, y1 = y
     ny = y0 * y0 + y1 * y1
@@ -274,23 +281,8 @@ def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
     return qs % p, us % p, vs % p, lengths, tests, fixed
 
 
-def gram_forms(p: int, n: int, head: tuple, c: int) -> tuple:
-    """Per-prefix forms of the kernel, which classify_last completes.
-
-    head is the first 2**n - 1 amplitudes and c the field norm of the
-    last one, x (the module docstring derives the forms).  Returns
-    (qs, us, vs, lengths, tests, fixed): lengths holds each qubit's
-    squared length as (q, u, v), read as q + u x0 + v x1 mod p, and
-    (qs, us, vs) their sums; tests holds (bit, c0, c1, k0, k1) for a
-    qubit that factors out exactly when (c0 + i c1) x == k0 + i k1;
-    fixed has the bits of the qubits that factor out whatever x is.
-    The composition of parent_forms and finish_forms.
-    """
-    return finish_forms(p, n, parent_forms(p, n, head[:-1]), head[-1], c)
-
-
 def classify_last(p: int, n: int, forms: tuple, x: tuple) -> tuple:
-    """(kind, sum_sq, mask) of the state gram_forms' head followed by x.
+    """(kind, sum_sq, mask) of the state finish_forms' prefix followed by x.
 
     O(n): each qubit's squared length and last-column dependence test is
     read from its affine form.  sum_sq is the total of the n squared
@@ -315,12 +307,13 @@ def classify_last(p: int, n: int, forms: tuple, x: tuple) -> tuple:
 def classify_raw(p: int, n: int, amps: tuple) -> tuple:
     """(kind, sum_sq, mask) for a unit-norm amplitude tuple.
 
-    gram_forms of the first 2**n - 1 amplitudes, completed by
-    classify_last with the last one.  The mask does not depend on the
-    norm, so any nonzero vector may be passed.
+    parent_forms and finish_forms of the first 2**n - 1 amplitudes,
+    completed by classify_last with the last one.  The mask does not
+    depend on the norm, so any nonzero vector may be passed.
     """
     x0, x1 = amps[-1]
-    forms = gram_forms(p, n, amps[:-1], (x0 * x0 + x1 * x1) % p)
+    passes = parent_forms(p, n, amps[:-2])
+    forms = finish_forms(p, n, passes, amps[-2], (x0 * x0 + x1 * x1) % p)
     return classify_last(p, n, forms, amps[-1])
 
 

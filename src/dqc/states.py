@@ -1,4 +1,4 @@
-"""State vectors and density matrices over the complexified field.
+"""State vectors over the complexified field.
 
 An n-qubit state is a tuple of 2**n amplitude pairs.  Basis labels are
 read with qubit 0 as the most significant bit: amplitude index i
@@ -118,44 +118,3 @@ class StateVector:
             cmul(p, x, y) for x in self.amps for y in other.amps
         )
         return StateVector(self.field, self.n + other.n, amps)
-
-    def density(self) -> "DensityMatrix":
-        """Outer product rho[i][j] = amps[i] * conj(amps[j])."""
-        p = self.field.p
-        rows = tuple(
-            tuple(cmul(p, x, conj(p, y)) for y in self.amps) for x in self.amps
-        )
-        return DensityMatrix(self.field, rows)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Rank-1 density matrix of a state vector.
-
-    Hermitian in the conjugation of F_p**2: entries[j][i] is the
-    conjugate of entries[i][j], so the diagonal is real.  The trace
-    equals the vector norm of the underlying state.
-    """
-
-    field: ComplexifiablePrime
-    entries: tuple
-
-    def __post_init__(self):
-        p = self.field.p
-        d = len(self.entries)
-        for row in self.entries:
-            if len(row) != d:
-                raise DimensionMismatch("density matrix must be square")
-        for i in range(d):
-            if self.entries[i][i][1] != 0:
-                raise DqcError("diagonal of a density matrix must be real")
-            for j in range(i + 1, d):
-                if self.entries[j][i] != conj(p, self.entries[i][j]):
-                    raise DqcError("density matrix is not Hermitian")
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def trace(self) -> int:
-        return sum(row[i][0] for i, row in enumerate(self.entries)) % self.field.p

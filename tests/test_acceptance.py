@@ -162,12 +162,18 @@ def test_criterion_4_two_qubit_census_p7(report, tally72):
             len(children) for _, children in walk_prefixes(3, 8, 1, True, 0, groups)
         ) == 120000
         blocks = [(3, 3, start, stop) for start, stop in prefix_blocks(groups, 2)]
-        t0 = time.perf_counter()
-        serial = run_blocks(_tally_block, blocks, 1)
-        serial_dt = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        parallel = run_blocks(_tally_block, blocks, 2)
-        parallel_dt = time.perf_counter() - t0
+
+        def best_of_3(threads):
+            # one slow run on a shared host must not decide the gate
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                result = run_blocks(_tally_block, blocks, threads)
+                times.append(time.perf_counter() - t0)
+            return result, min(times)
+
+        serial, serial_dt = best_of_3(1)
+        parallel, parallel_dt = best_of_3(2)
         assert parallel == serial
         assert sum(_merge_blocks(3, serial).values()) == 360498
         speedup = serial_dt / parallel_dt if parallel_dt else float("inf")

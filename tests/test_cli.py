@@ -2,9 +2,13 @@ import csv
 import hashlib
 import json
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import dqc
 import dqc.census as census
 from dqc.cli import log10_decimal, main, mask_bits
 
@@ -304,10 +308,44 @@ def test_usage_errors_exit_2():
         ["verify", "--p", "3", "--n", "1", "--budget", "0"],
         ["verify", "--p", "3", "--n", "0"],
         ["enumerate", "--p", "3", "--n", "1", "--class", "bogus"],
+        # flags a subcommand does not read are not accepted
+        ["verify", "--p", "3", "--n", "1", "--format", "csv"],
+        ["tables", "--budget", "10"],
+        ["tables", "--seed", "1"],
+        ["bloch", "--p", "3", "--n", "1"],
+        ["bloch", "--p", "3", "--n-max", "2"],
+        ["bloch", "--p", "3", "--seed", "1"],
+        ["enumerate", "--p", "3", "--n", "1", "--seed", "1"],
+        ["classify", "--p", "3", "--n", "1", "--seed", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_pipe_closed_early_ends_quietly():
+    # like `dqc enumerate --p 3 --n 2 | head -n 1`: the reader stops
+    # after one line, and dqc ends without a traceback
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe size cannot be set on this platform")
+    read_fd, write_fd = os.pipe()
+    # a one-page pipe cannot take the 62 kB of output in advance, so dqc
+    # is still writing when the reader closes
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    src = os.path.dirname(os.path.dirname(dqc.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dqc.cli", "enumerate", "--p", "3", "--n", "2"],
+        stdout=write_fd,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as reader:
+        assert reader.readline() == b"p,n,norm_class,amplitudes\n"
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == -signal.SIGPIPE
 
 
 def test_verify_out_file(tmp_path, capsys):

@@ -28,7 +28,6 @@ from dqc.entangle import (
     classify_last,
     classify_raw,
     finish_forms,
-    gram_forms,
     iter_classified,
     parent_forms,
 )
@@ -146,7 +145,7 @@ def test_hoisted_forms_agree_with_independent_paths(f3):
     while checked < 2000:
         head = tuple((rng.randrange(3), rng.randrange(3)) for _ in range(7))
         c = (1 - sum(cnorm(3, x) for x in head)) % 3
-        forms = gram_forms(3, 3, head, c)
+        forms = finish_forms(3, 3, parent_forms(3, 3, head[:-1]), head[-1], c)
         for x in brute_fiber(3, c):
             check_against_independent_paths(
                 f3, 3, head + (x,), *classify_last(3, 3, forms, x)

@@ -1,7 +1,6 @@
 import pytest
 
 from dqc import (
-    DensityMatrix,
     DimensionMismatch,
     DqcError,
     StateVector,
@@ -133,31 +132,3 @@ def test_dimension_mismatch(f3, f7):
     c = vec(f7, (1, 0), (0, 0))
     with pytest.raises(DimensionMismatch):
         a.hdot(c)
-
-
-def test_density_frozen_example(f3):
-    # |psi> = |0> + i|1> over F_9: rho = [[1, -i],[i, 1]] = [[1, 2i],[i, 1]]
-    s = vec(f3, (1, 0), (0, 1))
-    rho = s.density()
-    assert rho.entries == (((1, 0), (0, 2)), ((0, 1), (1, 0)))
-    assert rho.trace() == s.vnorm()
-
-
-def test_density_is_hermitian_with_real_diagonal(f7):
-    s = vec(f7, (1, 2), (3, 4), (5, 6), (0, 1))
-    rho = s.density()
-    m = rho.entries
-    for i in range(4):
-        assert m[i][i][1] == 0
-        for j in range(4):
-            assert m[i][j] == conj(7, m[j][i])
-    assert rho.trace() == s.vnorm()
-
-
-def test_density_matrix_validation(f3):
-    with pytest.raises(DqcError):
-        DensityMatrix(f3, (((0, 1),),))  # imaginary diagonal
-    with pytest.raises(DqcError):
-        DensityMatrix(f3, (((1, 0), (1, 0)), ((2, 0), (1, 0))))  # not hermitian
-    with pytest.raises(DimensionMismatch):
-        DensityMatrix(f3, (((1, 0), (1, 0)),))  # not square
