@@ -479,18 +479,16 @@ def iter_irreducible(
     return iter_norm_class(prime, 1 << n, 1, budget=budget, canonical_only=True)
 
 
-def full_scan_norm_counts(
-    prime: ComplexifiablePrime, d: int, limit: int = DEFAULT_SCAN_LIMIT
-) -> dict:
+def full_scan_norm_counts(prime: ComplexifiablePrime, d: int) -> dict:
     """Naive oracle: walk all p**(2d) vectors and tally norms.
 
     Independent of the fiber machinery; used to cross-check it at tiny
-    sizes.  Raises BudgetExceeded above the limit.
+    sizes.  Raises BudgetExceeded above DEFAULT_SCAN_LIMIT vectors.
     """
     p = prime.p
     vectors = p ** (2 * d)
-    if vectors > limit:
-        raise BudgetExceeded(vectors, limit)
+    if vectors > DEFAULT_SCAN_LIMIT:
+        raise BudgetExceeded(vectors, DEFAULT_SCAN_LIMIT)
     fn, _, _, _ = enum_tables(p)
     counts = [0] * p
     for digits in product(range(p * p), repeat=d):
@@ -518,19 +516,17 @@ def random_phase(prime: ComplexifiablePrime, rng: random.Random):
             return cmul(p, z, cinv(p, conj(p, z)))
 
 
-def spot_invariants(
-    prime: ComplexifiablePrime, d: int, seed: int, rounds: int = 32
-) -> bool:
+def spot_invariants(prime: ComplexifiablePrime, d: int, seed: int) -> bool:
     """Randomized sanity checks that need no enumeration budget.
 
-    Verifies on sampled states/elements: conjugation agrees with the
+    Verifies on 32 sampled states/elements: conjugation agrees with the
     Frobenius power, field-norm multiplicativity, phase invariance of
     the vector norm, and Hermitian conjugate symmetry of the dot
     product.  Cheap even at the largest supported p.
     """
     p = prime.p
     rng = random.Random(seed)
-    for _ in range(rounds):
+    for _ in range(32):
         x = (rng.randrange(p), rng.randrange(p))
         y = (rng.randrange(p), rng.randrange(p))
         if conj(p, x) != frobenius(p, x):
@@ -563,7 +559,6 @@ def verify(
     n: int,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
-    scan_limit: int = DEFAULT_SCAN_LIMIT,
     seed: int = 0,
 ) -> CountReport:
     """Cross-check closed forms against independent counts for n qubits.
@@ -573,7 +568,7 @@ def verify(
     the budget, it also counts the unit and zero spheres and the
     canonical states by convolution, enumerates the entanglement census
     (the only step that uses threads), and compares every count.  The
-    naive full scan joins in below scan_limit.  Any mismatch raises
+    naive full scan joins in below the scan limit.  Any mismatch raises
     VerificationFailed; a budget skip is recorded as a note instead.
     """
     from .entangle import census_tally  # deferred: entangle imports this module
@@ -618,8 +613,8 @@ def verify(
             sum(tally.class_counts.values()) == rep.irreducible
         )
 
-    if total_count(p, d) <= scan_limit:
-        scan = full_scan_norm_counts(prime, d, limit=scan_limit)
+    if total_count(p, d) <= DEFAULT_SCAN_LIMIT:
+        scan = full_scan_norm_counts(prime, d)
         rep.enumerated["full_scan_zero_norm"] = scan[0]
         rep.enumerated["full_scan_unit_norm"] = scan[1]
         compare("full_scan_zero_norm", rep.zero_norm, scan[0])

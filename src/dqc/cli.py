@@ -291,11 +291,19 @@ def make_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Ru
     if not n_values or any(k < 1 for k in n_values):
         parser.error("qubit counts must be >= 1")
 
-    budget = getattr(args, "budget", None)
-    if budget is None:
-        budget = int(os.environ.get("DQC_BUDGET", census.DEFAULT_BUDGET))
-    if budget <= 0:
+    budget = getattr(args, "budget", census.DEFAULT_BUDGET)
+    if budget is None:  # only subcommands that take --budget read DQC_BUDGET
+        raw = os.environ.get("DQC_BUDGET", str(census.DEFAULT_BUDGET))
+        try:
+            budget = int(raw)
+        except ValueError:
+            budget = 0
+        if budget <= 0:
+            parser.error(f"DQC_BUDGET must be a positive integer, got {raw!r}")
+    elif budget <= 0:
         parser.error("--budget must be positive")
+    if getattr(args, "threads", 0) < 0:
+        parser.error("--threads must be >= 0")
 
     # flags a subcommand does not take keep RunConfig's defaults
     optional = ("norm_class", "threads", "format", "out", "seed")

@@ -69,32 +69,38 @@ m = 1.  parent_forms runs every pass up to that pair once per parent
 and finish_forms completes it per prefix in O(n); classify_raw
 composes the three.
 
-The census counts the completions instead of classifying them.  For
-c != 0 the last amplitude runs over the circle N(x) = c of p + 1
-points, and a line u x0 + v x1 = t with (u, v) != 0 meets it in
+The census counts the completions instead of classifying them.  The
+last amplitude runs over the circle N(x) = c, which has p + 1 points
+for c != 0 and the single point 0 for c == 0, and a line
+u x0 + v x1 = t with (u, v) != 0 meets it in
 
     1 + chi(c (u**2 + v**2) - t**2)
 
 points, chi the Legendre symbol: the line is the points
 t (u, v) / w + s (-v, u) with w = u**2 + v**2, which is nonzero since
 p = 3 mod 4, and their norm is t**2 / w + s**2 w, so s**2 must equal
-(c w - t**2) / w**2.  Per prefix that gives
+(c w - t**2) / w**2.  At c == 0 that is 1 + chi(-t**2), 1 exactly when
+t == 0 (-1 is a non-residue mod p).  The zero prefix keeps only its
+circle's fiber minimum, but its forms are constant in x (h = a = 0).
+So one rule counts every prefix, with all its completions where the
+rule would take the whole circle:
 
     Maximal      the common points of the n lines q + u x0 + v x1 = 0:
-                 none, all p + 1, one line's count, or the one crossing
-                 point of two lines when it lies on the circle and on
-                 every other line (parallel lines meet only when equal);
+                 none, all completions, one line's count, or the one
+                 crossing point of two lines when it lies on the circle
+                 and on every other line (parallel lines meet only when
+                 equal);
     Unentangled  the common point x = k / (c0 + i c1) of the tests, when
                  every qubit is fixed or tested, N(k) = c N(c0 + i c1)
-                 and the tests agree (all p + 1 when no test involves x);
-    sum_sq       qs + us x0 + vs x1, so the prefix adds the key
-                 (qs, c (us**2 + vs**2)) to a histogram that is expanded
-                 into sum_sq values once, after the blocks merge.
+                 and the tests agree (all completions when no test
+                 involves x);
+    sum_sq       qs + us x0 + vs x1: all completions at qs when
+                 w = c (us**2 + vs**2) is 0, else the key (qs, w) of a
+                 histogram of lines, expanded as the blocks merge.
 
 Maximal states have sum_sq 0 and Unentangled ones sum_sq n mod p
 (every separable qubit has squared length 1), so Partial and the
-purity-one non-products follow by subtraction.  Prefixes with c == 0,
-and the zero prefix, have one completion and go through classify_last.
+purity-one non-products follow by subtraction.
 
 Purity is the averaged sum of squared expectations sum_sq / n, an
 element of F_p defined whenever p does not divide n.  Product states
@@ -221,7 +227,8 @@ def parent_forms(p: int, n: int, parent: tuple) -> tuple:
 
 
 def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
-    """Per-prefix forms of the kernel, which classify_last completes.
+    """Per-prefix forms of the kernel, which classify_last completes
+    and the census counts.
 
     The prefix is the parent of parent_forms' passes followed by y, and
     c is the field norm of the last amplitude, x (the module docstring
@@ -427,9 +434,9 @@ def _line_points(p: int) -> list:
     return points
 
 
-def _count_maximal(p: int, c: int, lengths: list, points: list) -> int:
-    """Points x of N(x) = c != 0 on which every (q, u, v) of lengths,
-    read as q + u x0 + v x1, vanishes."""
+def _count_maximal(p: int, c: int, size: int, lengths: list, points: list) -> int:
+    """Completions x, size of them on N(x) = c, on which every (q, u, v)
+    of lengths, read as q + u x0 + v x1, vanishes."""
     line = None
     for q, u, v in lengths:
         if not (u or v):
@@ -454,14 +461,16 @@ def _count_maximal(p: int, c: int, lengths: list, points: list) -> int:
             if (q * u1 - q1 * u) % p or (q * v1 - q1 * v) % p:
                 return 0  # parallel and distinct
     if line is None:
-        return p + 1
+        return size
     q1, u1, v1 = line
     return points[(c * (u1 * u1 + v1 * v1) - q1 * q1) % p]
 
 
-def _count_unentangled(p: int, n: int, c: int, tests: list, fixed: int) -> int:
-    """Points x of N(x) = c != 0 at which every qubit factors out: each
-    test (bit, c0, c1, k0, k1) asks (c0 + i c1) x == k0 + i k1."""
+def _count_unentangled(
+    p: int, n: int, c: int, size: int, tests: list, fixed: int
+) -> int:
+    """Completions x, size of them on N(x) = c, at which every qubit
+    factors out: test (bit, c0, c1, k0, k1) asks (c0 + i c1) x == k0 + i k1."""
     for bit, *_ in tests:
         fixed |= bit
     if fixed != (1 << n) - 1:
@@ -484,71 +493,57 @@ def _count_unentangled(p: int, n: int, c: int, tests: list, fixed: int) -> int:
                 c0 * l1 + c1 * l0 - k0 * d1 - k1 * d0
             ) % p:
                 return 0
-    return p + 1 if lead is None else 1
+    return size if lead is None else 1
 
 
 def _tally_block(args) -> tuple:
     """Count the states of one block of canonical parent groups.
 
-    Returns (counts, circles).  A prefix with one completion (c == 0, or
-    the zero prefix) is classified: counts[(kind, sum_sq)] += 1.  A
-    prefix with the p + 1 completions of N(x) = c != 0 is counted:
-    circles[(qs, c (us**2 + vs**2))] += 1 for its sum_sq line, which
-    _merge_blocks expands into Partial, and its Maximal and Unentangled
-    completions are moved from Partial to their own kind, so counts can
-    hold negative Partial entries until the expansion.
+    Returns (maximal, unentangled, sums, lines): the Maximal and
+    Unentangled counts, sums[qs] the completions of prefixes whose
+    sum_sq is the constant qs, and lines[(qs, w)] the prefixes whose
+    sum_sq is qs + us x0 + vs x1 with w = c (us**2 + vs**2) != 0, which
+    _merge_blocks expands.
     """
     p, n, start, stop = args
     points = _line_points(p)
-    counts: dict = {}
-    circles: dict = {}
     maximal = unentangled = 0
+    sums: dict = {}
+    lines: dict = {}
     for parent, children in walk_prefixes(p, 1 << n, 1, True, start, stop):
         passes = parent_forms(p, n, parent)
         for (y,), c, completions in children:
-            forms = finish_forms(p, n, passes, y, c)
-            if len(completions) > 1:
-                qs, us, vs, lengths, tests, fixed = forms
-                key = qs, c * (us * us + vs * vs) % p
-                circles[key] = circles.get(key, 0) + 1
-                maximal += _count_maximal(p, c, lengths, points)
-                unentangled += _count_unentangled(p, n, c, tests, fixed)
-                continue
-            for x in completions:
-                key = classify_last(p, n, forms, x)[:2]
-                counts[key] = counts.get(key, 0) + 1
-    # Maximal states have sum_sq 0, Unentangled ones n mod p
-    for kind, sum_sq, k in (
-        (EntanglementClass.MAXIMAL, 0, maximal),
-        (EntanglementClass.UNENTANGLED, n % p, unentangled),
-    ):
-        counts[kind, sum_sq] = counts.get((kind, sum_sq), 0) + k
-        partial = EntanglementClass.PARTIAL, sum_sq
-        counts[partial] = counts.get(partial, 0) - k
-    return counts, circles
+            qs, us, vs, lengths, tests, fixed = finish_forms(p, n, passes, y, c)
+            size = len(completions)
+            w = c * (us * us + vs * vs) % p
+            if w:
+                lines[qs, w] = lines.get((qs, w), 0) + 1
+            else:
+                sums[qs] = sums.get(qs, 0) + size
+            maximal += _count_maximal(p, c, size, lengths, points)
+            unentangled += _count_unentangled(p, n, c, size, tests, fixed)
+    return maximal, unentangled, sums, lines
 
 
-def _merge_blocks(p: int, results) -> dict:
-    """States by (kind, sum_sq) over _tally_block's block results.
+def _merge_blocks(p: int, results) -> tuple:
+    """(maximal, unentangled, purities) over _tally_block's block results.
 
-    Sums the blocks, then expands each circle line once: a key (qs, w)
-    puts 1 + chi(w - (s - qs)**2) completions at sum_sq s when w != 0,
-    and all p + 1 at qs when w == 0 (us = vs = 0).
+    Sums the blocks and expands their lines: a key (qs, w) puts
+    1 + chi(w - (s - qs)**2) completions at sum_sq s.  purities maps
+    each sum_sq that some state has to its number of states.
     """
-    counts: dict = {}
-    circles: dict = {}
-    for block_counts, block_circles in results:
-        for key, k in block_counts.items():
-            counts[key] = counts.get(key, 0) + k
-        for key, k in block_circles.items():
-            circles[key] = circles.get(key, 0) + k
+    maximal = unentangled = 0
+    purities = [0] * p
     points = _line_points(p)
-    for (qs, w), k in circles.items():
-        for s in range(p):
-            on_line = points[(w - (s - qs) ** 2) % p] if w else (p + 1) * (s == qs)
-            key = EntanglementClass.PARTIAL, s
-            counts[key] = counts.get(key, 0) + k * on_line
-    return {key: k for key, k in counts.items() if k}
+    for block_maximal, block_unentangled, sums, lines in results:
+        maximal += block_maximal
+        unentangled += block_unentangled
+        for qs, k in sums.items():
+            purities[qs] += k
+        for (qs, w), k in lines.items():
+            for s in range(p):
+                purities[s] += k * points[(w - (s - qs) ** 2) % p]
+    return maximal, unentangled, {s: k for s, k in enumerate(purities) if k}
 
 
 def census_tally(
@@ -560,28 +555,28 @@ def census_tally(
     """Classify every irreducible n-qubit state by block enumeration.
 
     Block results merge by addition, so the tally is independent of the
-    thread count and block layout.
+    thread count and block layout.  Partial and the purity-one
+    non-products follow by subtraction (see the module docstring).
     """
     p = prime.p
     d = 1 << n
     check_budget(p, d, budget, irreducible_count(p, d))
     blocks = prefix_blocks(canonical_group_count(p, d), threads)
     args = [(p, n, start, stop) for start, stop in blocks]
-    classes: dict = {k.value: 0 for k in EntanglementClass}
-    purities: dict = {}
-    p1np = 0
-    counts = _merge_blocks(p, run_blocks(_tally_block, args, threads))
-    for (kind, sum_sq), k in counts.items():
-        classes[kind.value] += k
-        purities[sum_sq] = purities.get(sum_sq, 0) + k
-        if sum_sq == n % p and kind is not EntanglementClass.UNENTANGLED:
-            p1np += k
+    maximal, unentangled, purities = _merge_blocks(
+        p, run_blocks(_tally_block, args, threads)
+    )
+    partial = sum(purities.values()) - maximal - unentangled
     return CensusTally(
         p=p,
         n=n,
-        class_counts=classes,
-        purity_hist=dict(sorted(purities.items())),
-        purity_one_not_product=p1np,
+        class_counts={
+            EntanglementClass.UNENTANGLED.value: unentangled,
+            EntanglementClass.PARTIAL.value: partial,
+            EntanglementClass.MAXIMAL.value: maximal,
+        },
+        purity_hist=purities,
+        purity_one_not_product=purities.get(n % p, 0) - unentangled,
     )
 
 

@@ -175,7 +175,7 @@ def test_criterion_4_two_qubit_census_p7(report, tally72):
         serial, serial_dt = best_of_3(1)
         parallel, parallel_dt = best_of_3(2)
         assert parallel == serial
-        assert sum(_merge_blocks(3, serial).values()) == 360498
+        assert sum(_merge_blocks(3, serial)[2].values()) == 360498
         speedup = serial_dt / parallel_dt if parallel_dt else float("inf")
         extra["tail"] = (
             f"; p=7 single-thread {elapsed:.2f}s; p=3 n=3 slice 1 worker "

@@ -218,7 +218,7 @@ def test_budget_exceeded_attributes(f7):
     with pytest.raises(BudgetExceeded):
         list(iter_irreducible(f7, 2, budget=10))
     with pytest.raises(BudgetExceeded):
-        full_scan_norm_counts(f7, 4, limit=10)
+        full_scan_norm_counts(f7, 4)  # 7**8 vectors exceed the scan limit
 
 
 def test_streams_refuse_when_created(f7):

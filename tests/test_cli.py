@@ -129,6 +129,17 @@ def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("DQC_BUDGET", "100")
     code, out, _ = run(capsys, "enumerate", "--p", "3", "--n", "1", "--budget", "1000")
     assert code == 0
+    # a value that is not a positive integer is a usage error naming it
+    for value in ("abc", "0", "-5"):
+        monkeypatch.setenv("DQC_BUDGET", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--p", "3", "--n", "1"])
+        assert exc.value.code == 2
+        assert "DQC_BUDGET" in capsys.readouterr().err
+    # subcommands without --budget do not read it
+    monkeypatch.setenv("DQC_BUDGET", "0")
+    code, _, _ = run(capsys, "tables", "--p", "3", "--n", "1")
+    assert code == 0
 
 
 def test_tables_defaults(capsys):
@@ -306,6 +317,8 @@ def test_usage_errors_exit_2():
         ["verify", "--p", "3", "--p-list", "3,7", "--n", "1"],
         ["verify", "--p", "3", "--n", "1", "--n-max", "2"],
         ["verify", "--p", "3", "--n", "1", "--budget", "0"],
+        ["verify", "--p", "3", "--n", "1", "--threads", "-2"],
+        ["classify", "--p", "3", "--n", "1", "--threads", "-1"],
         ["verify", "--p", "3", "--n", "0"],
         ["enumerate", "--p", "3", "--n", "1", "--class", "bogus"],
         # flags a subcommand does not read are not accepted

@@ -23,6 +23,9 @@ from dqc import (
 import dqc.entangle as entangle
 from dqc.census import iter_irreducible, prefix_blocks, sample_unit_amps, walk_prefixes
 from dqc.entangle import (
+    _count_maximal,
+    _count_unentangled,
+    _line_points,
     _merge_blocks,
     _tally_block,
     classify_last,
@@ -160,7 +163,7 @@ def test_census_blocks_cover_canonical_prefixes(monkeypatch, f3, f7):
 
     def capture(worker, args_list, threads):
         calls.append(args_list)
-        return [({}, {})] * len(args_list)
+        return [(0, 0, {}, {})] * len(args_list)
 
     monkeypatch.setattr(entangle, "run_blocks", capture)
     for fld in (f3, f7):
@@ -370,6 +373,89 @@ def test_counted_tally_matches_per_state_tally(f3, f7, f11):
         assert got == per_state_tally(p, n, counts)
 
 
+def seeded_lengths(p, point, rng):
+    """Up to four squared-length forms (q, u, v): random lines, lines
+    through point, multiples of an earlier line (parallel and equal) and
+    constants, zero or not."""
+    lengths = []
+    for _ in range(rng.randrange(5)):
+        u, v = rng.randrange(p), rng.randrange(p)
+        shape = rng.randrange(4)
+        if shape == 0:
+            q = rng.randrange(p)
+        elif shape == 1:
+            q = -(u * point[0] + v * point[1]) % p
+        elif shape == 2 and lengths:
+            s = rng.randrange(1, p)
+            q, u, v = (s * t % p for t in rng.choice(lengths))
+            q = (q + rng.choice((0, 0, 1))) % p
+        else:
+            u = v = 0
+            q = rng.choice((0, rng.randrange(p)))
+        lengths.append((q, u, v))
+    return lengths
+
+
+def seeded_tests(p, n, point, rng):
+    """Dependence tests (bit, c0, c1, k0, k1) and fixed bits for n qubits:
+    each qubit is fixed, untested or tested, with a test that point
+    passes, a random one, or one with c == 0."""
+    tests = []
+    fixed = 0
+    for j in range(n):
+        shape = rng.randrange(8)
+        if shape == 0:
+            continue
+        if shape == 1:
+            fixed |= 1 << j
+            continue
+        c0, c1 = rng.randrange(p), rng.randrange(p)
+        if shape == 2:
+            c0 = c1 = 0
+        if shape in (2, 3):
+            k0, k1 = rng.choice(((0, 0), (rng.randrange(p), rng.randrange(p))))
+        else:
+            k0 = (c0 * point[0] - c1 * point[1]) % p
+            k1 = (c1 * point[0] + c0 * point[1]) % p
+        tests.append((1 << j, c0, c1, k0, k1))
+    return tests, fixed
+
+
+def test_circle_counters_match_brute_force_at_every_norm():
+    # the census counts every prefix's completions with _count_maximal
+    # and _count_unentangled, c == 0 (one completion, x = 0) included;
+    # each count is checked against a scan of the circle N(x) = c
+    rng = random.Random(23)
+    cases = 0
+    for p in (3, 7, 11):
+        points = _line_points(p)
+        for c in range(p):
+            circle = brute_fiber(p, c)
+            for _ in range(1800 // p):
+                point = rng.choice(circle)
+                lengths = seeded_lengths(p, point, rng)
+                want = sum(
+                    not any((q + u * x0 + v * x1) % p for q, u, v in lengths)
+                    for x0, x1 in circle
+                )
+                assert _count_maximal(p, c, len(circle), lengths, points) == want
+                n = rng.randrange(1, 4)
+                tests, fixed = seeded_tests(p, n, point, rng)
+                covered = fixed | sum(t[0] for t in tests) == (1 << n) - 1
+                want = covered * sum(
+                    all(
+                        (c0 * x0 - c1 * x1 - k0) % p == 0
+                        and (c1 * x0 + c0 * x1 - k1) % p == 0
+                        for _, c0, c1, k0, k1 in tests
+                    )
+                    for x0, x1 in circle
+                )
+                got = _count_unentangled(p, n, c, len(circle), tests, fixed)
+                assert got == want
+                cases += 1
+    assert cases > 5000
+
+
 def test_counted_blocks_match_per_state_on_p3_n3_slice(f3):
     # block by block over criterion 4's slice of the p=3 n=3 census, the
     # first 13334 parent groups: leading zeros leave qubits with no
@@ -377,7 +463,10 @@ def test_counted_blocks_match_per_state_on_p3_n3_slice(f3):
     # length lines, parallel and crossing.  The oracle completes each
     # prefix's forms state by state, as iter_classified does; on a
     # seeded 1% of the prefixes the states are also checked against the
-    # Pauli expectations and the minors, independent of the forms
+    # Pauli expectations and the minors, independent of the forms.  The
+    # blocks count Maximal and Unentangled and a purity histogram; the
+    # census reads Partial off them, since every Maximal state has
+    # sum_sq 0 and every Unentangled one sum_sq n mod p = 0
     rng = random.Random(17)
     sampled = 0
     for start, stop in prefix_blocks(13334, 2):
@@ -392,7 +481,20 @@ def test_counted_blocks_match_per_state_on_p3_n3_slice(f3):
                     for x, r in zip(completions, raw):
                         check_against_independent_paths(f3, 3, parent + (y, x), *r)
                         sampled += 1
-        assert _merge_blocks(3, [_tally_block((3, 3, start, stop))]) == dict(want)
+        kinds = Counter()
+        purities = Counter()
+        for (kind, sum_sq), k in want.items():
+            kinds[kind] += k
+            purities[sum_sq] += k
+            if kind is EntanglementClass.MAXIMAL:
+                assert sum_sq == 0
+            if kind is EntanglementClass.UNENTANGLED:
+                assert sum_sq == 3 % 3
+        assert _merge_blocks(3, [_tally_block((3, 3, start, stop))]) == (
+            kinds[EntanglementClass.MAXIMAL],
+            kinds[EntanglementClass.UNENTANGLED],
+            dict(sorted(purities.items())),
+        )
     assert sampled > 1000
 
 
