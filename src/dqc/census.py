@@ -124,26 +124,29 @@ def unentangled_irreducible_count(p: int, n: int) -> int:
 
 
 def maxent_irreducible_count(p: int, n: int) -> int:
-    """Irreducible maximally entangled n-qubit states.
+    """Irreducible maximally entangled n-qubit states, for n <= 2.
 
     p**(n+1) * (p-1) * (p+1)**(n-1), the abstract's formula, which
-    enumeration confirms only at n == 2.  At p=3 n=3 the census finds
-    257,904 Maximal irreducible states against the formula's 2,592, so
-    verify fails there.  A single qubit admits none: its Bloch point
-    satisfies X**2+Y**2+Z**2 == 1, so the three expectations cannot all
-    vanish.
+    enumeration confirms only at n == 2, so it raises DqcError for
+    n >= 3.  At p=3 n=3 the census finds 257,904 Maximal irreducible
+    states against the formula's 2,592.  A single qubit admits none:
+    its Bloch point satisfies X**2+Y**2+Z**2 == 1, so the three
+    expectations cannot all vanish.
     """
+    if n >= 3:
+        raise DqcError(f"no Maximal closed form for n={n}; enumerate instead")
     if n < 2:
         return 0
     return p ** (n + 1) * (p - 1) * (p + 1) ** (n - 1)
 
 
 def maxent_to_unentangled_ratio(p: int, n: int) -> Fraction:
-    """Exact ratio p * ((p+1)/(p-1))**(n-1) of the two closed forms.
-
-    Confirmed by enumeration only at n == 2.  At p=3 n=3 it gives 12,
-    while the census gives 257,904 / 216 = 1,194.
-    """
+    """Exact ratio p * ((p+1)/(p-1))**(n-1) of the two closed forms, at
+    n == 2 only: no Maximal state has n == 1, and from n == 3 on there
+    is no Maximal closed form (at p=3 n=3 the census ratio is
+    257,904 / 216 = 1,194, the formula's 12)."""
+    if n != 2:
+        raise DqcError(f"the Maximal/Unentangled ratio holds only at n=2, got n={n}")
     return Fraction(p) * Fraction(p + 1, p - 1) ** (n - 1)
 
 
@@ -256,13 +259,10 @@ def closed_form_counts(prime: ComplexifiablePrime, d: int) -> CountReport:
             irreducible_product_form(p, n) == rep.irreducible
         )
         rep.unentangled_irreducible = unentangled_irreducible_count(p, n)
-        rep.maxent_irreducible = maxent_irreducible_count(p, n)
         rep.unentangled_unit = (p + 1) * rep.unentangled_irreducible
-        rep.maxent_unit = (p + 1) * rep.maxent_irreducible
-        if n >= 2:
-            rep.match_flags["maxent_ratio_formula"] = Fraction(
-                rep.maxent_irreducible, rep.unentangled_irreducible
-            ) == maxent_to_unentangled_ratio(p, n)
+        if n <= 2:  # the only range with a Maximal closed form
+            rep.maxent_irreducible = maxent_irreducible_count(p, n)
+            rep.maxent_unit = (p + 1) * rep.maxent_irreducible
     return rep
 
 
@@ -567,8 +567,10 @@ def verify(
     the sampled invariants.  When the census's p**(2(D-1)) prefixes fit
     the budget, it also counts the unit and zero spheres and the
     canonical states by convolution, enumerates the entanglement census
-    (the only step that uses threads), and compares every count.  The
-    naive full scan joins in below the scan limit.  Any mismatch raises
+    (the only step that uses threads), and compares every count that
+    has a closed form; the Maximal count has one only for n <= 2, and
+    for n >= 3 it is reported in enumerated alone.  The naive full scan
+    joins in below the scan limit.  Any mismatch raises
     VerificationFailed; a budget skip is recorded as a note instead.
     """
     from .entangle import census_tally  # deferred: entangle imports this module
@@ -606,9 +608,12 @@ def verify(
             rep.unentangled_irreducible,
             tally.class_counts["Unentangled"],
         )
-        compare(
-            "maxent_enumerated", rep.maxent_irreducible, tally.class_counts["Maximal"]
-        )
+        if rep.maxent_irreducible is not None:
+            compare(
+                "maxent_enumerated",
+                rep.maxent_irreducible,
+                tally.class_counts["Maximal"],
+            )
         rep.match_flags["census_total"] = (
             sum(tally.class_counts.values()) == rep.irreducible
         )

@@ -17,40 +17,18 @@ import os
 import signal
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from . import census
-from .basefield import ComplexifiablePrime, validate_prime
+from .basefield import validate_prime
 from .entangle import census_tally, iter_classified
 from .errors import (
     BudgetExceeded,
-    DqcError,
     NotComplexifiable,
     NotPrime,
     VerificationFailed,
 )
 from .hopf import bloch_export
 from .states import format_amp
-
-DEFAULT_PRIMES = (3, 7, 11, 19, 23, 31)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    primes: list
-    n_values: list
-    norm_class: str = "unit"
-    budget: int = census.DEFAULT_BUDGET
-    threads: int = 0
-    format: str = "csv"
-    out: str = "-"
-    seed: int = 0
-
-    @property
-    def workers(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
-
 
 def log10_decimal(x: int) -> float:
     """Base-10 log of a positive big integer from its decimal digits."""
@@ -65,60 +43,60 @@ def mask_bits(mask: int, n: int) -> str:
 
 
 @contextmanager
-def _sink(cfg: RunConfig):
-    """cfg.out opened for writing, or stdout for '-'."""
-    if cfg.out == "-":
+def _sink(out: str):
+    """out opened for writing, or stdout for '-'."""
+    if out == "-":
         yield sys.stdout
     else:
-        with open(cfg.out, "w", encoding="utf-8") as sink:
+        with open(out, "w", encoding="utf-8") as sink:
             yield sink
 
 
-def _write_json(cfg: RunConfig, payload):
-    with _sink(cfg) as sink:
+def _write_json(out: str, payload):
+    with _sink(out) as sink:
         json.dump(payload, sink, indent=2)
         sink.write("\n")
 
 
-def _write_rows(cfg: RunConfig, header: list, rows):
-    """Emit rows as CSV or a JSON array to cfg.out ('-' = stdout)."""
-    if cfg.format == "json":
-        _write_json(cfg, [dict(zip(header, row)) for row in rows])
+def _write_rows(args: argparse.Namespace, header: list, rows):
+    """Emit rows as CSV or a JSON array to args.out ('-' = stdout)."""
+    if args.format == "json":
+        _write_json(args.out, [dict(zip(header, row)) for row in rows])
         return
-    with _sink(cfg) as sink:
+    with _sink(args.out) as sink:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     reports = []
-    for p in cfg.primes:
+    for p in args.primes:
         prime = validate_prime(p)
-        for n in cfg.n_values:
+        for n in args.n_values:
             rep = census.verify(
                 prime,
                 n,
-                budget=cfg.budget,
-                threads=cfg.workers,
-                seed=cfg.seed,
+                budget=args.budget,
+                threads=args.threads,
+                seed=args.seed,
             )
             for note in rep.notes:
                 print(f"note: p={p} n={n}: {note}", file=sys.stderr)
             reports.append(rep.to_json_dict())
-    _write_json(cfg, reports[0] if len(reports) == 1 else reports)
+    _write_json(args.out, reports[0] if len(reports) == 1 else reports)
     return 0
 
 
-def cmd_tables(cfg: RunConfig) -> int:
+def cmd_tables(args: argparse.Namespace) -> int:
     header = [
         "p", "n", "total", "unit_norm", "irreducible",
         "log10_total", "log10_unit_norm", "log10_irreducible",
     ]
     rows = []
-    for p in cfg.primes:
+    for p in args.primes:
         validate_prime(p)
-        for n in cfg.n_values:
+        for n in args.n_values:
             d = 1 << n
             total = census.total_count(p, d)
             unit = census.unit_norm_count(p, d)
@@ -129,60 +107,60 @@ def cmd_tables(cfg: RunConfig) -> int:
                 f"{log10_decimal(unit):.3f}",
                 f"{log10_decimal(irr):.3f}",
             ])
-    _write_rows(cfg, header, rows)
+    _write_rows(args, header, rows)
     return 0
 
 
-def cmd_bloch(cfg: RunConfig) -> int:
+def cmd_bloch(args: argparse.Namespace) -> int:
     header = ["p", "X", "Y", "Z", "ex", "ey", "ez", "degenerate_flag"]
     rows = []
-    for p in cfg.primes:
+    for p in args.primes:
         prime = validate_prime(p)
-        for b in bloch_export(prime, budget=cfg.budget):
+        for b in bloch_export(prime, budget=args.budget):
             rows.append([
                 p, b.x, b.y, b.z,
                 f"{b.ex:.9g}", f"{b.ey:.9g}", f"{b.ez:.9g}",
                 int(b.degenerate),
             ])
-    _write_rows(cfg, header, rows)
+    _write_rows(args, header, rows)
     return 0
 
 
-def _per_cell(cfg: RunConfig, fn) -> list:
+def _per_cell(args: argparse.Namespace, fn) -> list:
     """[(p, n, fn(prime, n))] for every cell, in order.  Streams are
     created here, so every budget is checked before any row is written."""
     cells = []
-    for p in cfg.primes:
+    for p in args.primes:
         prime = validate_prime(p)
-        cells.extend((p, n, fn(prime, n)) for n in cfg.n_values)
+        cells.extend((p, n, fn(prime, n)) for n in args.n_values)
     return cells
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     header = ["p", "n", "norm_class", "amplitudes"]
 
     def stream(prime, n):
-        if cfg.norm_class == "irreducible":
-            return census.iter_irreducible(prime, n, budget=cfg.budget)
-        target = 1 if cfg.norm_class == "unit" else 0
-        return census.iter_norm_class(prime, 1 << n, target, budget=cfg.budget)
+        if args.norm_class == "irreducible":
+            return census.iter_irreducible(prime, n, budget=args.budget)
+        target = 1 if args.norm_class == "unit" else 0
+        return census.iter_norm_class(prime, 1 << n, target, budget=args.budget)
 
     rows = (
-        [p, n, cfg.norm_class, ";".join(map(format_amp, amps))]
-        for p, n, amps_stream in _per_cell(cfg, stream)
+        [p, n, args.norm_class, ";".join(map(format_amp, amps))]
+        for p, n, amps_stream in _per_cell(args, stream)
         for amps in amps_stream
     )
-    _write_rows(cfg, header, rows)
+    _write_rows(args, header, rows)
     return 0
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(args: argparse.Namespace) -> int:
     header = [
         "p", "n", "state", "class", "sum_sq", "reduced_purity", "separable_mask",
     ]
-    if cfg.out != "-":
+    if args.out != "-":
         streams = _per_cell(
-            cfg, lambda prime, n: iter_classified(prime, n, budget=cfg.budget)
+            args, lambda prime, n: iter_classified(prime, n, budget=args.budget)
         )
         rows = (
             [
@@ -196,14 +174,14 @@ def cmd_classify(cfg: RunConfig) -> int:
             for p, n, stream in streams
             for amps, kind, sum_sq, reduced, mask in stream
         )
-        _write_rows(cfg, header, rows)
+        _write_rows(args, header, rows)
         return 0
 
     # summary only; the row dump is opt-in via --out
     tallies = _per_cell(
-        cfg,
+        args,
         lambda prime, n: census_tally(
-            prime, n, budget=cfg.budget, threads=cfg.workers
+            prime, n, budget=args.budget, threads=args.threads
         ),
     )
     for p, n, tally in tallies:
@@ -218,119 +196,133 @@ def cmd_classify(cfg: RunConfig) -> int:
     return 0
 
 
+# -- argument types: argparse reports their errors under the subcommand's usage
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def budget(text: str) -> int:
+    """--budget, whose default is DQC_BUDGET or census.DEFAULT_BUDGET."""
+    try:
+        return positive_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--budget and DQC_BUDGET must be positive integers, got {text!r}"
+        ) from None
+
+
+def workers(text: str) -> int:
+    """--threads: worker processes, 0 for one per CPU."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value or os.cpu_count() or 1
+
+
+def one_prime(text: str) -> list:
+    """--p: a single modulus."""
+    return [int(text)]
+
+
+def prime_list(text: str) -> list:
+    """--p-list: comma-separated moduli, at least one."""
+    primes = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not primes:
+        raise ValueError(text)
+    return primes
+
+
+def one_qubit_count(text: str) -> list:
+    """--n: a single qubit count."""
+    return [positive_int(text)]
+
+
+def qubit_counts_to(text: str) -> list:
+    """--n-max: the qubit counts 1..n_max."""
+    return list(range(1, positive_int(text) + 1))
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser: a flag it does not take is an error under
+    its own usage, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dqc",
         description="Exact census of discrete qubits over F_p[i], p % 4 == 3.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Subcommand
+    )
     flags = {
-        "--p": dict(type=int, help="prime modulus (p %% 4 == 3)"),
-        "--p-list": dict(type=str, help="comma-separated primes"),
-        "--n": dict(type=int, help="qubit count"),
-        "--n-max": dict(type=int, help="run n = 1..n_max"),
-        "--budget": dict(type=int, help="prefix-count budget (default: DQC_BUDGET or 10^8)"),
-        "--threads": dict(type=int, default=0, help="workers (0 = auto)"),
+        "--p": dict(dest="primes", metavar="P", type=one_prime,
+                    help="prime modulus (p %% 4 == 3)"),
+        "--p-list": dict(dest="primes", metavar="P_LIST", type=prime_list,
+                         help="comma-separated primes"),
+        "--n": dict(dest="n_values", metavar="N", type=one_qubit_count, help="qubit count"),
+        "--n-max": dict(dest="n_values", metavar="N_MAX", type=qubit_counts_to,
+                        help="run n = 1..n_max"),
+        # a string default goes through `type`, so a bad DQC_BUDGET is a
+        # usage error, raised only when --budget is not given
+        "--budget": dict(
+            type=budget,
+            default=os.environ.get("DQC_BUDGET", str(census.DEFAULT_BUDGET)),
+            help="prefix-count budget (default: DQC_BUDGET or 10^8)",
+        ),
+        "--threads": dict(type=workers, default="0", help="workers (0 = auto)"),
         "--class": dict(
             dest="norm_class", choices=("unit", "zero", "irreducible"), default="unit"
         ),
         "--format": dict(choices=("csv", "json"), default="csv"),
-        "--out": dict(type=str, default="-", help="output path ('-' = stdout)"),
+        "--out": dict(default="-", help="output path ('-' = stdout)"),
         "--seed": dict(type=int, default=0, help="seed for sampled checks"),
     }
-    cells = ("--p", "--p-list", "--n", "--n-max")
+    # each pair fills one destination; one of the two flags is required
+    # unless the subcommand sets that destination's default
+    pairs = {"--p": "--p-list", "--n": "--n-max"}
+    # the grid `dqc tables` prints when no cell is given
+    table_grid = {"primes": [3, 7, 11, 19, 23, 31], "n_values": [1, 2, 3, 4]}
     # each subcommand takes only the flags it reads
-    for command, help_text, names in (
-        ("verify", "cross-check closed forms by enumeration",
-         (*cells, "--budget", "--threads", "--out", "--seed")),
-        ("tables", "closed-form count tables", (*cells, "--format", "--out")),
-        ("bloch", "export the discrete Bloch sphere",
-         ("--p", "--p-list", "--budget", "--format", "--out")),
-        ("enumerate", "stream vectors of a norm class",
-         (*cells, "--budget", "--class", "--format", "--out")),
-        ("classify", "entanglement census",
-         (*cells, "--budget", "--threads", "--format", "--out")),
+    for command, run, help_text, names in (
+        ("verify", cmd_verify, "cross-check closed forms by enumeration",
+         ("--p", "--n", "--budget", "--threads", "--out", "--seed")),
+        ("tables", cmd_tables, "closed-form count tables",
+         ("--p", "--n", "--format", "--out")),
+        ("bloch", cmd_bloch, "export the discrete Bloch sphere",
+         ("--p", "--budget", "--format", "--out")),
+        ("enumerate", cmd_enumerate, "stream vectors of a norm class",
+         ("--p", "--n", "--budget", "--class", "--format", "--out")),
+        ("classify", cmd_classify, "entanglement census",
+         ("--p", "--n", "--budget", "--threads", "--format", "--out")),
     ):
         sp = sub.add_parser(command, help=help_text)
+        defaults = table_grid if command == "tables" else {}
+        sp.set_defaults(run=run, **defaults)
         for name in names:
-            sp.add_argument(name, **flags[name])
+            if name not in pairs:
+                sp.add_argument(name, **flags[name])
+                continue
+            group = sp.add_mutually_exclusive_group(required=not defaults)
+            for flag in (name, pairs[name]):
+                group.add_argument(flag, **flags[flag])
     return parser
 
 
-def make_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    # a subcommand's namespace holds only its own flags
-    n, n_max = getattr(args, "n", None), getattr(args, "n_max", None)
-    if args.p is not None and args.p_list:
-        parser.error("--p and --p-list are mutually exclusive")
-    if args.p_list:
-        try:
-            primes = [int(tok) for tok in args.p_list.split(",") if tok.strip()]
-        except ValueError:
-            parser.error(f"--p-list must be comma-separated integers, got {args.p_list!r}")
-    elif args.p is not None:
-        primes = [args.p]
-    elif args.command == "tables":
-        primes = list(DEFAULT_PRIMES)
-    else:
-        parser.error("one of --p or --p-list is required")
-    if not primes:
-        parser.error("empty prime list")
-
-    if n is not None and n_max is not None:
-        parser.error("--n and --n-max are mutually exclusive")
-    if n_max is not None:
-        n_values = list(range(1, n_max + 1))
-    elif n is not None:
-        n_values = [n]
-    elif args.command == "tables":
-        n_values = [1, 2, 3, 4]
-    elif args.command == "bloch":
-        n_values = [1]
-    else:
-        parser.error("one of --n or --n-max is required")
-    if not n_values or any(k < 1 for k in n_values):
-        parser.error("qubit counts must be >= 1")
-
-    budget = getattr(args, "budget", census.DEFAULT_BUDGET)
-    if budget is None:  # only subcommands that take --budget read DQC_BUDGET
-        raw = os.environ.get("DQC_BUDGET", str(census.DEFAULT_BUDGET))
-        try:
-            budget = int(raw)
-        except ValueError:
-            budget = 0
-        if budget <= 0:
-            parser.error(f"DQC_BUDGET must be a positive integer, got {raw!r}")
-    elif budget <= 0:
-        parser.error("--budget must be positive")
-    if getattr(args, "threads", 0) < 0:
-        parser.error("--threads must be >= 0")
-
-    # flags a subcommand does not take keep RunConfig's defaults
-    optional = ("norm_class", "threads", "format", "out", "seed")
-    return RunConfig(
-        command=args.command,
-        primes=primes,
-        n_values=n_values,
-        budget=budget,
-        **{key: value for key, value in vars(args).items() if key in optional},
-    )
-
-
-COMMANDS = {
-    "verify": cmd_verify,
-    "tables": cmd_tables,
-    "bloch": cmd_bloch,
-    "enumerate": cmd_enumerate,
-    "classify": cmd_classify,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = make_config(args, parser)
-        return COMMANDS[cfg.command](cfg)
+        return args.run(args)
     except (NotPrime, NotComplexifiable) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -1,14 +1,17 @@
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import dqc.census as census
+import dqc.entangle as entangle
 from dqc.census import prefix_blocks
 from dqc.entangle import iter_classified
 from dqc.hopf import bloch_export
 from dqc import (
     BudgetExceeded,
+    DqcError,
     VerificationFailed,
     closed_form_counts,
     count_irreducible,
@@ -86,10 +89,48 @@ def test_maxent_ratio_exact():
     assert maxent_to_unentangled_ratio(3, 2) == Fraction(6)
     assert maxent_to_unentangled_ratio(7, 2) == Fraction(28, 3)
     for p in (3, 7, 11):
-        for n in (2, 3, 4):
-            assert maxent_to_unentangled_ratio(p, n) == Fraction(
-                maxent_irreducible_count(p, n), unentangled_irreducible_count(p, n)
-            )
+        assert maxent_to_unentangled_ratio(p, 2) == Fraction(
+            maxent_irreducible_count(p, 2), unentangled_irreducible_count(p, 2)
+        )
+
+
+def test_maxent_closed_form_only_up_to_two_qubits(f3, monkeypatch):
+    for n in (3, 4):
+        with pytest.raises(DqcError):
+            maxent_irreducible_count(3, n)
+        with pytest.raises(DqcError):
+            maxent_to_unentangled_ratio(3, n)
+    with pytest.raises(DqcError):  # the formula gives p; no 1-qubit state is Maximal
+        maxent_to_unentangled_ratio(3, 1)
+    rep = closed_form_counts(f3, 8)
+    assert rep.n == 3
+    assert rep.maxent_irreducible is None and rep.maxent_unit is None
+    assert rep.unentangled_irreducible == 216
+
+    # the p=3 n=3 census (257,904 Maximal), without walking it
+    counts = {"Unentangled": 216, "Partial": 3328560, "Maximal": 257904}
+    monkeypatch.setattr(
+        entangle, "census_tally", lambda *a, **k: SimpleNamespace(class_counts=counts)
+    )
+    rep = verify(f3, 3)
+    assert rep.verified
+    assert "maxent_enumerated" not in rep.match_flags
+    for flag in ("unentangled_enumerated", "census_total", "irreducible_enumerated"):
+        assert rep.match_flags[flag]
+    assert rep.enumerated["maxent_irreducible"] == 257904
+    doc = rep.to_json_dict()
+    assert doc["maxent_irreducible"] is None and doc["maxent_unit"] is None
+    assert doc["enumerated"]["maxent_irreducible"] == "257904"
+    # only the Maximal comparison is skipped: the others still fail
+    counts["Unentangled"], counts["Partial"] = 217, 3328559
+    with pytest.raises(VerificationFailed) as exc:
+        verify(f3, 3)
+    assert exc.value.field_name == "unentangled_enumerated"
+    # and at n = 2 the Maximal count is still compared
+    counts.update(Unentangled=36, Partial=289, Maximal=215)
+    with pytest.raises(VerificationFailed) as exc:
+        verify(f3, 2)
+    assert exc.value.field_name == "maxent_enumerated"
 
 
 def test_zero_norm_recurrence_long_run(f3, f7):
@@ -252,7 +293,13 @@ def test_closed_form_counts_flags(f3):
     assert rep.verified
     assert rep.match_flags["partition_identity"]
     assert rep.match_flags["irreducible_product_form"]
-    assert rep.match_flags["maxent_ratio_formula"]
+    # no flag compares a closed form with its own quotient
+    assert set(rep.match_flags) == {
+        "partition_identity",
+        "phase_divisibility",
+        "density_ratio",
+        "irreducible_product_form",
+    }
     assert rep.unentangled_unit == 36 * 4
     assert rep.maxent_unit == 216 * 4
     # non-power-of-two dimension: no qubit structure

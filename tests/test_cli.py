@@ -336,6 +336,28 @@ def test_usage_errors_exit_2():
         assert exc.value.code == 2
 
 
+def test_usage_errors_print_the_subcommand_usage(capsys, monkeypatch):
+    for budget_env, argv in (
+        (None, ["verify", "--p", "3", "--n", "1", "--threads", "-2"]),
+        (None, ["verify", "--p", "3", "--n", "1", "--budget", "0"]),
+        (None, ["verify", "--p", "3", "--p-list", "3,7", "--n", "1"]),
+        (None, ["verify", "--p", "3"]),
+        (None, ["verify", "--p", "3", "--n", "1", "--format", "csv"]),
+        (None, ["tables", "--p-list", "3,x"]),
+        ("abc", ["enumerate", "--p", "3", "--n", "1"]),
+    ):
+        if budget_env is None:
+            monkeypatch.delenv("DQC_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("DQC_BUDGET", budget_env)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2, argv
+        assert f"usage: dqc {argv[0]} " in err, argv
+        assert f"dqc {argv[0]}: error: " in err, argv
+
+
 def test_pipe_closed_early_ends_quietly():
     # like `dqc enumerate --p 3 --n 2 | head -n 1`: the reader stops
     # after one line, and dqc ends without a traceback
