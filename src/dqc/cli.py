@@ -154,6 +154,35 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _classify_lines(p: int, n: int, stream):
+    """The CSV lines of one cell's classify rows.
+
+    A line is head + amplitude + tail: the head ("p,n,a+bi;...;") is
+    built once per prefix, since rows arrive in lexicographic order,
+    and the tail (",class,sum_sq,reduced,mask\\n") once per (kind,
+    sum_sq, mask); reduced follows from sum_sq and n.  No field holds a
+    comma, quote or newline, so the lines are what csv.writer writes.
+    The tables belong to this cell: the same prefix has another lead,
+    and the same key another reduced purity, in another cell.
+    """
+    amp_text = {(a, b): format_amp((a, b)) for a in range(p) for b in range(p)}
+    lead = f"{p},{n},"
+    tails = {}
+    prefix = head = None
+    for amps, kind, sum_sq, reduced, mask in stream:
+        if amps[:-1] != prefix:
+            prefix = amps[:-1]
+            head = lead + "".join(amp_text[x] + ";" for x in prefix)
+        key = (kind, sum_sq, mask)
+        tail = tails.get(key)
+        if tail is None:
+            shown = "NA" if reduced is None else reduced
+            tail = tails[key] = (
+                f",{kind.value},{sum_sq},{shown},{mask_bits(mask, n)}\n"
+            )
+        yield head + amp_text[amps[-1]] + tail
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     header = [
         "p", "n", "state", "class", "sum_sq", "reduced_purity", "separable_mask",
@@ -162,6 +191,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
         streams = _per_cell(
             args, lambda prime, n: iter_classified(prime, n, budget=args.budget)
         )
+        if args.format == "csv":
+            with _sink(args.out) as sink:
+                sink.write(",".join(header) + "\n")
+                for p, n, stream in streams:
+                    sink.writelines(_classify_lines(p, n, stream))
+            return 0
         rows = (
             [
                 p, n,

