@@ -310,12 +310,13 @@ def prefix_blocks(total: int, workers: int) -> list:
 def run_blocks(worker, args_list: list, threads: int) -> list:
     """Run a top-level worker over per-block argument tuples.
 
-    threads <= 1 executes inline; otherwise a process pool is used.
-    Results come back in block order either way.
+    threads <= 1 executes inline; otherwise a process pool of at most
+    one worker per block is used.  Results come back in block order
+    either way.
     """
     if threads <= 1 or len(args_list) <= 1:
         return [worker(a) for a in args_list]
-    with Pool(processes=threads) as pool:
+    with Pool(processes=min(threads, len(args_list))) as pool:
         return pool.map(worker, args_list)
 
 

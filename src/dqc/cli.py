@@ -10,23 +10,18 @@ value ever passes through a float.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import signal
 import sys
 from contextlib import contextmanager
+from itertools import chain
 
 from . import census
 from .basefield import validate_prime
 from .entangle import census_tally, iter_classified
-from .errors import (
-    BudgetExceeded,
-    NotComplexifiable,
-    NotPrime,
-    VerificationFailed,
-)
+from .errors import BudgetExceeded, NotComplexifiable, NotPrime, VerificationFailed
 from .hopf import bloch_export
 from .states import format_amp
 
@@ -52,21 +47,43 @@ def _sink(out: str):
             yield sink
 
 
-def _write_json(out: str, payload):
-    with _sink(out) as sink:
-        json.dump(payload, sink, indent=2)
-        sink.write("\n")
+def _layout(fmt: str, header: list) -> tuple:
+    """(render, seps, end) of a row in fmt: the row v0, v1, ... is
+    seps[0] + render(v0) + seps[1] + render(v1) + ... + end.
+
+    CSV fields are written bare, since none holds a comma, a quote or a
+    newline.  A JSON row is the object json.dump(rows, indent=2) writes
+    as an element of the array.
+    """
+    if fmt == "csv":
+        return str, [""] + [","] * (len(header) - 1), "\n"
+    seps = [f",\n    {json.dumps(key)}: " for key in header]
+    seps[0] = "  {" + seps[0][1:]
+    return json.dumps, seps, "\n  }"
 
 
-def _write_rows(args: argparse.Namespace, header: list, rows):
-    """Emit rows as CSV or a JSON array to args.out ('-' = stdout)."""
-    if args.format == "json":
-        _write_json(args.out, [dict(zip(header, row)) for row in rows])
-        return
+def _fields(layout: tuple, values, first: int = 0) -> str:
+    """The text of values as the fields first, first + 1, ... of a row,
+    and the row's end if they run to its last field."""
+    render, seps, end = layout
+    text = "".join(s + render(v) for s, v in zip(seps[first:], values))
+    return text + end if first + len(values) == len(seps) else text
+
+
+def _write_rows(args: argparse.Namespace, header: list, lines) -> None:
+    """Stream the row texts in lines, laid out by _layout(args.format,
+    header), to args.out ('-' = stdout): after the CSV header, or as
+    the elements of a JSON array.  No row is held back."""
     with _sink(args.out) as sink:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        if args.format == "csv":
+            sink.write(",".join(header) + "\n")
+            sink.writelines(lines)
+            return
+        lead = "[\n"
+        for line in lines:
+            sink.write(lead + line)
+            lead = ",\n"
+        sink.write("[]\n" if lead == "[\n" else "\n]\n")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -75,54 +92,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         prime = validate_prime(p)
         for n in args.n_values:
             rep = census.verify(
-                prime,
-                n,
-                budget=args.budget,
-                threads=args.threads,
-                seed=args.seed,
+                prime, n, budget=args.budget, threads=args.threads, seed=args.seed
             )
             for note in rep.notes:
                 print(f"note: p={p} n={n}: {note}", file=sys.stderr)
             reports.append(rep.to_json_dict())
-    _write_json(args.out, reports[0] if len(reports) == 1 else reports)
-    return 0
-
-
-def cmd_tables(args: argparse.Namespace) -> int:
-    header = [
-        "p", "n", "total", "unit_norm", "irreducible",
-        "log10_total", "log10_unit_norm", "log10_irreducible",
-    ]
-    rows = []
-    for p in args.primes:
-        validate_prime(p)
-        for n in args.n_values:
-            d = 1 << n
-            total = census.total_count(p, d)
-            unit = census.unit_norm_count(p, d)
-            irr = census.irreducible_count(p, d)
-            rows.append([
-                p, n, str(total), str(unit), str(irr),
-                f"{log10_decimal(total):.3f}",
-                f"{log10_decimal(unit):.3f}",
-                f"{log10_decimal(irr):.3f}",
-            ])
-    _write_rows(args, header, rows)
-    return 0
-
-
-def cmd_bloch(args: argparse.Namespace) -> int:
-    header = ["p", "X", "Y", "Z", "ex", "ey", "ez", "degenerate_flag"]
-    rows = []
-    for p in args.primes:
-        prime = validate_prime(p)
-        for b in bloch_export(prime, budget=args.budget):
-            rows.append([
-                p, b.x, b.y, b.z,
-                f"{b.ex:.9g}", f"{b.ey:.9g}", f"{b.ez:.9g}",
-                int(b.degenerate),
-            ])
-    _write_rows(args, header, rows)
+    with _sink(args.out) as sink:
+        json.dump(reports[0] if len(reports) == 1 else reports, sink, indent=2)
+        sink.write("\n")
     return 0
 
 
@@ -136,8 +113,81 @@ def _per_cell(args: argparse.Namespace, fn) -> list:
     return cells
 
 
+def cmd_tables(args: argparse.Namespace) -> int:
+    header = [
+        "p", "n", "total", "unit_norm", "irreducible",
+        "log10_total", "log10_unit_norm", "log10_irreducible",
+    ]
+    layout = _layout(args.format, header)
+
+    def row(prime, n):
+        counts = [
+            count(prime.p, 1 << n) for count in
+            (census.total_count, census.unit_norm_count, census.irreducible_count)
+        ]
+        return _fields(layout, [
+            prime.p, n, *map(str, counts),
+            *(f"{log10_decimal(c):.3f}" for c in counts),
+        ])
+
+    _write_rows(args, header, [line for _, _, line in _per_cell(args, row)])
+    return 0
+
+
+def cmd_bloch(args: argparse.Namespace) -> int:
+    header = ["p", "X", "Y", "Z", "ex", "ey", "ez", "degenerate_flag"]
+    layout = _layout(args.format, header)
+    exports = [
+        (p, bloch_export(validate_prime(p), budget=args.budget))
+        for p in args.primes
+    ]
+    _write_rows(args, header, (
+        _fields(layout, [
+            p, b.x, b.y, b.z,
+            f"{b.ex:.9g}", f"{b.ey:.9g}", f"{b.ez:.9g}",
+            int(b.degenerate),
+        ])
+        for p, points in exports
+        for b in points
+    ))
+    return 0
+
+
+def _state_lines(layout: tuple, p: int, lead: list, rows, tail=lambda: ()):
+    """The lines of one cell's state rows, for enumerate and classify.
+
+    rows yields (amps, *key); zip(amps_stream) gives rows with no key.
+    A line holds the lead fields, the state (amps as 'a+bi' joined by
+    ';') and the fields tail(*key).  Rows arrive in lexicographic
+    order, so the head (the lead and every amplitude but the last) is
+    built once per prefix, and the text after the last amplitude once
+    per key.  The tables belong to this cell: the same prefix has
+    another lead, and the same key may have other fields, in another
+    cell.
+    """
+    render, seps, _ = layout
+    amp_text = {(a, b): format_amp((a, b)) for a in range(p) for b in range(p)}
+    # render only wraps amplitude text: none of it is quoted or escaped
+    opening, closing = render(";").split(";")
+    lead_text = _fields(layout, lead) + seps[len(lead)] + opening
+    tails = {}
+    prefix = head = None
+    for row in rows:
+        amps = row[0]
+        if amps[:-1] != prefix:
+            prefix = amps[:-1]
+            head = lead_text + "".join(amp_text[x] + ";" for x in prefix)
+        key = row[1:]
+        text = tails.get(key)
+        if text is None:
+            rest = tail(*key)
+            text = tails[key] = closing + _fields(layout, rest, len(seps) - len(rest))
+        yield head + amp_text[amps[-1]] + text
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     header = ["p", "n", "norm_class", "amplitudes"]
+    layout = _layout(args.format, header)
 
     def stream(prime, n):
         if args.norm_class == "irreducible":
@@ -145,71 +195,30 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         target = 1 if args.norm_class == "unit" else 0
         return census.iter_norm_class(prime, 1 << n, target, budget=args.budget)
 
-    rows = (
-        [p, n, args.norm_class, ";".join(map(format_amp, amps))]
-        for p, n, amps_stream in _per_cell(args, stream)
-        for amps in amps_stream
-    )
-    _write_rows(args, header, rows)
+    _write_rows(args, header, chain.from_iterable(
+        _state_lines(layout, p, [p, n, args.norm_class], zip(states))
+        for p, n, states in _per_cell(args, stream)
+    ))
     return 0
 
 
-def _classify_lines(p: int, n: int, stream):
-    """The CSV lines of one cell's classify rows.
-
-    A line is head + amplitude + tail: the head ("p,n,a+bi;...;") is
-    built once per prefix, since rows arrive in lexicographic order,
-    and the tail (",class,sum_sq,reduced,mask\\n") once per (kind,
-    sum_sq, mask); reduced follows from sum_sq and n.  No field holds a
-    comma, quote or newline, so the lines are what csv.writer writes.
-    The tables belong to this cell: the same prefix has another lead,
-    and the same key another reduced purity, in another cell.
-    """
-    amp_text = {(a, b): format_amp((a, b)) for a in range(p) for b in range(p)}
-    lead = f"{p},{n},"
-    tails = {}
-    prefix = head = None
-    for amps, kind, sum_sq, reduced, mask in stream:
-        if amps[:-1] != prefix:
-            prefix = amps[:-1]
-            head = lead + "".join(amp_text[x] + ";" for x in prefix)
-        key = (kind, sum_sq, mask)
-        tail = tails.get(key)
-        if tail is None:
-            shown = "NA" if reduced is None else reduced
-            tail = tails[key] = (
-                f",{kind.value},{sum_sq},{shown},{mask_bits(mask, n)}\n"
-            )
-        yield head + amp_text[amps[-1]] + tail
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
-    header = [
-        "p", "n", "state", "class", "sum_sq", "reduced_purity", "separable_mask",
-    ]
+    header = ["p", "n", "state", "class", "sum_sq", "reduced_purity", "separable_mask"]
     if args.out != "-":
-        streams = _per_cell(
+        layout = _layout(args.format, header)
+        cells = _per_cell(
             args, lambda prime, n: iter_classified(prime, n, budget=args.budget)
         )
-        if args.format == "csv":
-            with _sink(args.out) as sink:
-                sink.write(",".join(header) + "\n")
-                for p, n, stream in streams:
-                    sink.writelines(_classify_lines(p, n, stream))
-            return 0
-        rows = (
-            [
-                p, n,
-                ";".join(map(format_amp, amps)),
-                kind.value,
-                sum_sq,
-                "NA" if reduced is None else reduced,
-                mask_bits(mask, n),
-            ]
-            for p, n, stream in streams
-            for amps, kind, sum_sq, reduced, mask in stream
-        )
-        _write_rows(args, header, rows)
+        _write_rows(args, header, chain.from_iterable(
+            _state_lines(
+                layout, p, [p, n], stream,
+                lambda kind, sum_sq, reduced, mask, n=n: (
+                    kind.value, sum_sq, "NA" if reduced is None else reduced,
+                    mask_bits(mask, n),
+                ),
+            )
+            for p, n, stream in cells
+        ))
         return 0
 
     # summary only; the row dump is opt-in via --out

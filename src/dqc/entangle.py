@@ -19,9 +19,9 @@ p**(n+1) (p-1) (p+1)**(n-1) enumerates; demanding all components zero
 selects a strictly smaller set (24 versus 216 classes at p=3, n=2).
 The squared-length meaning is kept for every n, but enumeration
 confirms the formula only at n = 2, so census.verify compares the
-Maximal count with a closed form only for n <= 2.  At p=3, n=3 there are 257,904 Maximal irreducible
-states, against the formula's 2,592 and the 2,160 whose Pauli
-expectations all vanish.
+Maximal count with a closed form only for n <= 2.  At p=3, n=3 there
+are 257,904 Maximal irreducible states, against the formula's 2,592
+and the 2,160 whose Pauli expectations all vanish.
 Unentangled and Maximal cannot overlap: a tensor factor of a unit-norm
 state has nonzero field norm t, and its qubit's squared length works
 out to t**2 times the cofactor norm squared, which is nonzero.

@@ -329,6 +329,34 @@ def test_verify_starts_one_pool(f3, monkeypatch):
     assert len(starts) == 1
 
 
+def test_pool_has_at_most_one_worker_per_block(f3, monkeypatch):
+    # a pool that records its size and maps inline, so no process starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(census, "Pool", InlinePool)
+    assert census.run_blocks(abs, [-1, 2, -3], threads=64) == [1, 2, 3]
+    assert census.run_blocks(abs, [-1, 2, -3], threads=2) == [1, 2, 3]
+    assert sizes == [3, 2]
+    # `dqc classify --p 3 --n 2 --threads 64`: 21 canonical groups, so
+    # 21 blocks and 21 workers, not 64
+    tally = entangle.census_tally(f3, 2, threads=64)
+    assert tally.class_counts == {"Maximal": 216, "Partial": 288, "Unentangled": 36}
+    assert sizes[2:] == [21]
+
+
 def test_verify_budget_skip_keeps_closed_forms(f19):
     rep = verify(f19, 4, budget=10**6)
     assert rep.verified

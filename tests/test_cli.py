@@ -16,6 +16,7 @@ import dqc.cli as cli
 from dqc.basefield import validate_prime
 from dqc.cli import log10_decimal, main, mask_bits
 from dqc.entangle import iter_classified
+from dqc.hopf import bloch_export
 from dqc.states import format_amp
 
 
@@ -297,38 +298,136 @@ def test_classify_rows_p7_pinned_bytes(tmp_path, capsys):
     )
 
 
+def written(fmt, header, rows):
+    """What csv.writer, or json.dump(indent=2) and a newline, writes."""
+    text = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        json.dump([dict(zip(header, row)) for row in rows], text, indent=2)
+        text.write("\n")
+    return text.getvalue()
+
+
 def test_classify_csv_rows_match_the_stream(tmp_path, capsys, monkeypatch):
-    # the file against csv.writer on rows formatted here from the
-    # stream; each run has several cells, so a table of one cell that
-    # leaks into the next shows
-    for argv, cells, limit in (
-        (("--p-list", "3,7", "--n", "1"), [(3, 1), (7, 1)], None),
-        (("--p", "3", "--n-max", "2"), [(3, 1), (3, 2)], None),
-        # the first p=7 n=2 rows share (class, sum_sq, mask) with p=3
-        # n=2 rows, but not their reduced purity
-        (("--p-list", "3,7", "--n", "2"), [(3, 2), (7, 2)], 3000),
-    ):
-        monkeypatch.setattr(
-            cli, "iter_classified",
-            lambda prime, n, budget: islice(iter_classified(prime, n, budget), limit),
-        )
-        target = tmp_path / "rows.csv"
-        code, _, _ = run(capsys, "classify", *argv, "--out", str(target))
-        assert code == 0
-        expected = io.StringIO()
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(
-            ["p", "n", "state", "class", "sum_sq", "reduced_purity", "separable_mask"]
-        )
-        for p, n in cells:
-            for amps, kind, sum_sq, reduced, mask in islice(
-                iter_classified(validate_prime(p), n), limit
-            ):
-                writer.writerow([
+    # each file against csv.writer or json.dump on rows formatted here
+    # from the stream; most runs have several cells, so a table of one
+    # cell that leaks into the next shows
+    header = ["p", "n", "state", "class", "sum_sq", "reduced_purity", "separable_mask"]
+    for fmt in ("csv", "json"):
+        for argv, cells, limit in (
+            (("--p-list", "3,7", "--n", "1"), [(3, 1), (7, 1)], None),
+            (("--p", "3", "--n-max", "2"), [(3, 1), (3, 2)], None),
+            # the first p=7 n=2 rows share (class, sum_sq, mask) with p=3
+            # n=2 rows, but not their reduced purity
+            (("--p-list", "3,7", "--n", "2"), [(3, 2), (7, 2)], 3000),
+            # p divides n, so reduced_purity is NA
+            (("--p", "3", "--n", "3"), [(3, 3)], 2000),
+            # no rows: the header alone, or []
+            (("--p-list", "3,7", "--n", "1"), [(3, 1), (7, 1)], 0),
+        ):
+            monkeypatch.setattr(
+                cli, "iter_classified",
+                lambda prime, n, budget: islice(
+                    iter_classified(prime, n, budget), limit
+                ),
+            )
+            target = tmp_path / "rows.out"
+            code, _, _ = run(
+                capsys, "classify", *argv, "--format", fmt, "--out", str(target)
+            )
+            assert code == 0
+            rows = [
+                [
                     p, n, ";".join(map(format_amp, amps)), kind.value, sum_sq,
                     "NA" if reduced is None else reduced, mask_bits(mask, n),
-                ])
-        assert target.read_bytes() == expected.getvalue().encode(), argv
+                ]
+                for p, n in cells
+                for amps, kind, sum_sq, reduced, mask in islice(
+                    iter_classified(validate_prime(p), n), limit
+                )
+            ]
+            assert any(row[5] == "NA" for row in rows) == (cells == [(3, 3)])
+            expected = written(fmt, header, rows)
+            assert target.read_bytes() == expected.encode(), (fmt, argv)
+
+    # the other row outputs, against rows built here from the library
+    counted = [
+        (p, n, [
+            count(p, 1 << n) for count in
+            (census.total_count, census.unit_norm_count, census.irreducible_count)
+        ])
+        for p in (3, 7)
+        for n in (1, 2)
+    ]
+    tables = [
+        [p, n, *map(str, counts), *(f"{log10_decimal(c):.3f}" for c in counts)]
+        for p, n, counts in counted
+    ]
+    bloch = [
+        [
+            p, b.x, b.y, b.z, f"{b.ex:.9g}", f"{b.ey:.9g}", f"{b.ez:.9g}",
+            int(b.degenerate),
+        ]
+        for p in (3, 7)
+        for b in bloch_export(validate_prime(p))
+    ]
+    unit = [
+        [p, 1, "unit", ";".join(map(format_amp, amps))]
+        for p in (3, 7)
+        for amps in census.iter_norm_class(validate_prime(p), 2, 1)
+    ]
+    for fmt in ("csv", "json"):
+        for argv, header, rows in (
+            (
+                ("tables", "--p-list", "3,7", "--n-max", "2"),
+                [
+                    "p", "n", "total", "unit_norm", "irreducible",
+                    "log10_total", "log10_unit_norm", "log10_irreducible",
+                ],
+                tables,
+            ),
+            (
+                ("bloch", "--p-list", "3,7"),
+                ["p", "X", "Y", "Z", "ex", "ey", "ez", "degenerate_flag"],
+                bloch,
+            ),
+            (
+                ("enumerate", "--p-list", "3,7", "--n", "1"),
+                ["p", "n", "norm_class", "amplitudes"],
+                unit,
+            ),
+        ):
+            code, out, _ = run(capsys, *argv, "--format", fmt)
+            assert code == 0
+            assert out == written(fmt, header, rows), (fmt, argv)
+
+
+def test_rows_are_written_as_they_are_drawn(monkeypatch):
+    # before the stream yields state k + 1, the output already ends
+    # with the row of state k: nothing is collected before writing
+    ends = {"csv": ",%s\n", "json": '"amplitudes": "%s"\n  }'}
+    walk = census.iter_irreducible
+    for fmt, end in ends.items():
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        shown = []
+
+        def checked(prime, n, budget):
+            for amps in walk(prime, n, budget):
+                if shown:
+                    assert out.getvalue().endswith(end % shown[-1]), len(shown)
+                shown.append(";".join(map(format_amp, amps)))
+                yield amps
+
+        monkeypatch.setattr(census, "iter_irreducible", checked)
+        argv = ["enumerate", "--p", "3", "--n", "2", "--class", "irreducible"]
+        assert main(argv + ["--format", fmt]) == 0
+        assert len(shown) == 540
+        closing = "\n]\n" if fmt == "json" else ""
+        assert out.getvalue().endswith(end % shown[-1] + closing)
 
 
 def test_outputs_byte_deterministic(tmp_path, capsys):
