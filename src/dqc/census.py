@@ -159,8 +159,8 @@ def zero_norm_by_recurrence(prime: ComplexifiablePrime, d_max: int) -> list:
 
         zeta(d+1) = zeta(d) + (p + 1) * (p**(2d) - zeta(d)).
 
-    Each term is compared against the closed form; disagreement raises
-    VerificationFailed.
+    Each term is compared against the closed form; the first that
+    disagrees raises VerificationFailed with both values.
     """
     p = prime.p
     out = []
@@ -168,8 +168,9 @@ def zero_norm_by_recurrence(prime: ComplexifiablePrime, d_max: int) -> list:
     for d in range(1, d_max + 1):
         if d > 1:
             z = z + (p + 1) * (p ** (2 * (d - 1)) - z)
-        if z != zero_norm_count(p, d):
-            raise VerificationFailed(f"zero_norm_recurrence[d={d}]")
+        expected = zero_norm_count(p, d)
+        if z != expected:
+            raise VerificationFailed(f"zero_norm_recurrence[d={d}]", expected, z)
         out.append(z)
     return out
 
@@ -180,9 +181,11 @@ def zero_norm_by_recurrence(prime: ComplexifiablePrime, d_max: int) -> list:
 class CountReport:
     """Closed-form and (when run) enumerated counts for one (p, D) cell.
 
-    match_flags records each cross-check by name; verified is their
-    conjunction.  enumerated holds raw enumeration results.  notes
-    collects skip reasons (budget) in human-readable form.
+    checks maps each cross-check's name to its (expected, found) pair,
+    in the order the checks ran; match_flags ({name: expected == found})
+    and verified (all of them hold) are read-only views of it.
+    enumerated holds raw enumeration results.  notes collects skip
+    reasons (budget) in human-readable form.
     """
 
     p: int
@@ -197,8 +200,12 @@ class CountReport:
     unentangled_unit: int | None = None
     maxent_unit: int | None = None
     enumerated: dict = dc_field(default_factory=dict)
-    match_flags: dict = dc_field(default_factory=dict)
+    checks: dict = dc_field(default_factory=dict)
     notes: list = dc_field(default_factory=list)
+
+    @property
+    def match_flags(self) -> dict:
+        return {name: e == f for name, (e, f) in self.checks.items()}
 
     @property
     def verified(self) -> bool:
@@ -226,9 +233,12 @@ class CountReport:
 
 
 def closed_form_counts(prime: ComplexifiablePrime, d: int) -> CountReport:
-    """Closed-form report for dimension d, with the internal identities
-    checked: norm partition, divisibility by p + 1, the product form of
-    the irreducible count, and the total/unit ratio bound.
+    """Closed-form report for dimension d, with the two identities that
+    compare independently derived forms recorded as checks: the norm
+    partition (zero-norm vectors plus p - 1 shells of unit_norm make up
+    the total) and, for D = 2**n, the product form of the irreducible
+    count.  irreducible_count raises if p + 1 does not divide the unit
+    sphere.
     """
     if d < 1:
         raise DqcError(f"dimension must be >= 1, got {d}")
@@ -243,20 +253,12 @@ def closed_form_counts(prime: ComplexifiablePrime, d: int) -> CountReport:
         unit_norm=unit_norm_count(p, d),
         irreducible=irreducible_count(p, d),
     )
-    # zero-norm vectors plus p-1 equal nonzero-norm shells cover everything
-    rep.match_flags["partition_identity"] = (
-        rep.zero_norm + (p - 1) * rep.unit_norm == rep.total
+    rep.checks["partition_identity"] = (
+        rep.total, rep.zero_norm + (p - 1) * rep.unit_norm
     )
-    rep.match_flags["phase_divisibility"] = rep.unit_norm % (p + 1) == 0
-    # total / unit_norm reduces to p**(d+1) / (p**d - s), strictly above p
-    ratio = Fraction(rep.total, rep.unit_norm)
-    sign = -1 if d % 2 else 1
-    rep.match_flags["density_ratio"] = ratio == Fraction(
-        p ** (d + 1), p**d - sign
-    ) and ratio > p
     if n is not None:
-        rep.match_flags["irreducible_product_form"] = (
-            irreducible_product_form(p, n) == rep.irreducible
+        rep.checks["irreducible_product_form"] = (
+            rep.irreducible, irreducible_product_form(p, n)
         )
         rep.unentangled_irreducible = unentangled_irreducible_count(p, n)
         rep.unentangled_unit = (p + 1) * rep.unentangled_irreducible
@@ -564,30 +566,27 @@ def verify(
 ) -> CountReport:
     """Cross-check closed forms against independent counts for n qubits.
 
-    Always runs the closed-form identities, the zero-norm recurrence and
-    the sampled invariants.  When the census's p**(2(D-1)) prefixes fit
-    the budget, it also counts the unit and zero spheres and the
-    canonical states by convolution, enumerates the entanglement census
-    (the only step that uses threads), and compares every count that
-    has a closed form; the Maximal count has one only for n <= 2, and
-    for n >= 3 it is reported in enumerated alone.  The naive full scan
-    joins in below the scan limit.  Any mismatch raises
-    VerificationFailed; a budget skip is recorded as a note instead.
+    Every check is recorded in the report as (expected, found): the
+    closed-form identities of closed_form_counts and the sampled
+    invariants always, and, when the census's p**(2(D-1)) prefixes fit
+    the budget, the unit and zero spheres and the canonical states
+    counted by convolution, the entanglement census (the only step that
+    uses threads) against the Unentangled and Maximal closed forms and
+    the irreducible total.  The Maximal count has a closed form only for
+    n <= 2; for n >= 3 it is reported in enumerated alone.  Below the
+    scan limit the naive full scan's norm histogram is checked too.  The
+    zero-norm recurrence raises VerificationFailed, without a report, at
+    its first wrong term.  Otherwise the first check whose two values
+    differ raises VerificationFailed carrying both and the finished
+    report; a budget skip is recorded as a note instead.
     """
     from .entangle import census_tally  # deferred: entangle imports this module
 
     p = prime.p
     d = 1 << n
     rep = closed_form_counts(prime, d)
-    recurrence = zero_norm_by_recurrence(prime, d)
-    rep.match_flags["zero_norm_recurrence"] = recurrence[-1] == rep.zero_norm
-    rep.match_flags["spot_invariants"] = spot_invariants(prime, d, seed)
-
-    compared: dict = {}  # flag -> (expected, found)
-
-    def compare(flag, expected, found):
-        rep.match_flags[flag] = found == expected
-        compared[flag] = expected, found
+    zero_norm_by_recurrence(prime, d)
+    rep.checks["spot_invariants"] = True, spot_invariants(prime, d, seed)
 
     try:
         check_budget(p, d, budget)
@@ -600,40 +599,29 @@ def verify(
         rep.enumerated["zero_norm"] = count_norm_class(prime, d, 0)
         rep.enumerated["irreducible"] = count_irreducible(prime, n)
         for key in ("unit_norm", "zero_norm", "irreducible"):
-            compare(f"{key}_enumerated", getattr(rep, key), rep.enumerated[key])
-        tally = census_tally(prime, n, budget=budget, threads=threads)
-        rep.enumerated["unentangled_irreducible"] = tally.class_counts["Unentangled"]
-        rep.enumerated["maxent_irreducible"] = tally.class_counts["Maximal"]
-        compare(
-            "unentangled_enumerated",
-            rep.unentangled_irreducible,
-            tally.class_counts["Unentangled"],
+            rep.checks[f"{key}_enumerated"] = getattr(rep, key), rep.enumerated[key]
+        counts = census_tally(prime, n, budget=budget, threads=threads).class_counts
+        rep.enumerated["unentangled_irreducible"] = counts["Unentangled"]
+        rep.enumerated["maxent_irreducible"] = counts["Maximal"]
+        rep.checks["unentangled_enumerated"] = (
+            rep.unentangled_irreducible, counts["Unentangled"]
         )
         if rep.maxent_irreducible is not None:
-            compare(
-                "maxent_enumerated",
-                rep.maxent_irreducible,
-                tally.class_counts["Maximal"],
-            )
-        rep.match_flags["census_total"] = (
-            sum(tally.class_counts.values()) == rep.irreducible
-        )
+            rep.checks["maxent_enumerated"] = rep.maxent_irreducible, counts["Maximal"]
+        rep.checks["census_total"] = rep.irreducible, sum(counts.values())
 
     if total_count(p, d) <= DEFAULT_SCAN_LIMIT:
         scan = full_scan_norm_counts(prime, d)
         rep.enumerated["full_scan_zero_norm"] = scan[0]
         rep.enumerated["full_scan_unit_norm"] = scan[1]
-        compare("full_scan_zero_norm", rep.zero_norm, scan[0])
-        compare("full_scan_unit_norm", rep.unit_norm, scan[1])
-        compare(
-            "full_scan_uniform_shells",
-            [rep.unit_norm],
-            sorted({scan[c] for c in range(1, p)}),
+        rep.checks["full_scan_histogram"] = (
+            [rep.zero_norm] + [rep.unit_norm] * (p - 1),
+            [scan[c] for c in range(p)],
         )
     else:
         rep.notes.append(f"full scan skipped: {total_count(p, d)} vectors")
 
-    for key, ok in rep.match_flags.items():
-        if not ok:
-            raise VerificationFailed(key, rep, *compared.get(key, (None, None)))
+    for name, (expected, found) in rep.checks.items():
+        if expected != found:
+            raise VerificationFailed(name, expected, found, rep)
     return rep

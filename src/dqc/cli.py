@@ -87,20 +87,28 @@ def _write_rows(args: argparse.Namespace, header: list, lines) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    reports = []
+    """Write every cell's report, a failing one with verified false, and
+    exit 1 if any failed; a failure without a report ends the run."""
+    reports, failed = [], False
     for p in args.primes:
         prime = validate_prime(p)
         for n in args.n_values:
-            rep = census.verify(
-                prime, n, budget=args.budget, threads=args.threads, seed=args.seed
-            )
+            try:
+                rep = census.verify(
+                    prime, n, budget=args.budget, threads=args.threads, seed=args.seed
+                )
+            except VerificationFailed as exc:
+                if exc.report is None:
+                    raise
+                rep, failed = exc.report, True
+                print(f"verification failed: p={p} n={n}: {exc}", file=sys.stderr)
             for note in rep.notes:
                 print(f"note: p={p} n={n}: {note}", file=sys.stderr)
             reports.append(rep.to_json_dict())
     with _sink(args.out) as sink:
         json.dump(reports[0] if len(reports) == 1 else reports, sink, indent=2)
         sink.write("\n")
-    return 0
+    return 1 if failed else 0
 
 
 def _per_cell(args: argparse.Namespace, fn) -> list:
@@ -204,7 +212,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     header = ["p", "n", "state", "class", "sum_sq", "reduced_purity", "separable_mask"]
-    if args.out != "-":
+    if args.out is not None:
         layout = _layout(args.format, header)
         cells = _per_cell(
             args, lambda prime, n: iter_classified(prime, n, budget=args.budget)
@@ -360,6 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
             group = sp.add_mutually_exclusive_group(required=not defaults)
             for flag in (name, pairs[name]):
                 group.add_argument(flag, **flags[flag])
+        if command == "classify":  # no --out: the summary, not the rows
+            sp.set_defaults(out=None)
     return parser
 
 

@@ -57,21 +57,22 @@ class BudgetExceeded(DqcError):
 
 
 class VerificationFailed(DqcError):
-    """An enumerated count disagreed with its closed form.
+    """A check's two values disagreed.
 
     Attributes:
-        field_name: which report field mismatched.
-        report: the CountReport carrying all values seen so far.
-        expected, found: the closed-form and the counted value, when the
-            check compares two values, else None.
+        field_name: the name of the check.
+        expected, found: the check's two values, as a closed form and
+            the count it was compared with.
+        report: the cell's finished CountReport, or None for a check
+            that no report records (the zero-norm recurrence).
     """
 
-    def __init__(self, field_name: str, report=None, expected=None, found=None):
+    def __init__(self, field_name: str, expected, found, report=None):
         self.field_name = field_name
-        self.report = report
         self.expected = expected
         self.found = found
-        msg = f"verification mismatch in field {field_name!r}"
-        if expected is not None or found is not None:
-            msg += f": expected {expected}, found {found}"
-        super().__init__(msg)
+        self.report = report
+        super().__init__(
+            f"verification mismatch in field {field_name!r}: "
+            f"expected {expected}, found {found}"
+        )

@@ -129,12 +129,18 @@ def test_maxent_closed_form_only_up_to_two_qubits(f3, monkeypatch):
     assert exc.value.field_name == "maxent_enumerated"
 
 
-def test_zero_norm_recurrence_long_run(f3, f7):
+def test_zero_norm_recurrence_long_run(f3, f7, monkeypatch):
     for fld in (f3, f7):
         seq = zero_norm_by_recurrence(fld, 64)
         assert len(seq) == 64
         assert seq[0] == 1
         assert seq[-1] == zero_norm_count(fld.p, 64)
+    # a wrong closed form fails at its first wrong term, with both values
+    monkeypatch.setattr(census, "zero_norm_count", lambda p, d: p ** (2 * d - 2))
+    with pytest.raises(VerificationFailed) as exc:
+        zero_norm_by_recurrence(f3, 4)
+    assert exc.value.field_name == "zero_norm_recurrence[d=2]"
+    assert (exc.value.expected, exc.value.found, exc.value.report) == (9, 33, None)
 
 
 def test_count_norm_class_matches_closed_forms(f3, f7):
@@ -287,15 +293,20 @@ def test_closed_form_counts_flags(f3):
     rep = closed_form_counts(f3, 4)
     assert rep.n == 2
     assert rep.verified
-    assert rep.match_flags["partition_identity"]
-    assert rep.match_flags["irreducible_product_form"]
-    # no flag compares a closed form with its own quotient
-    assert set(rep.match_flags) == {
-        "partition_identity",
-        "phase_divisibility",
-        "density_ratio",
-        "irreducible_product_form",
-    }
+    # only the identities between independently derived forms
+    assert list(rep.match_flags) == ["partition_identity", "irreducible_product_form"]
+    assert rep.checks["irreducible_product_form"] == (540, 540)
+    # every identity holds in every dimension, odd ones included
+    for p in (3, 7, 11):
+        for d in range(1, 10):
+            rep_d = closed_form_counts(validate_prime(p), d)
+            assert rep_d.verified, (p, d)
+            names = ["partition_identity"]
+            if rep_d.n is not None:
+                names.append("irreducible_product_form")
+            assert list(rep_d.checks) == names
+            for expected, found in rep_d.checks.values():
+                assert expected == found, (p, d)
     assert rep.unentangled_unit == 36 * 4
     assert rep.maxent_unit == 216 * 4
     # non-power-of-two dimension: no qubit structure
@@ -307,6 +318,13 @@ def test_closed_form_counts_flags(f3):
 def test_verify_full_enumeration(f3):
     rep = verify(f3, 2)
     assert rep.verified
+    assert list(rep.match_flags) == [
+        "partition_identity", "irreducible_product_form", "spot_invariants",
+        "unit_norm_enumerated", "zero_norm_enumerated", "irreducible_enumerated",
+        "unentangled_enumerated", "maxent_enumerated", "census_total",
+        "full_scan_histogram",
+    ]
+    assert rep.checks["full_scan_histogram"] == ([2241, 2160, 2160],) * 2
     assert rep.enumerated["unit_norm"] == 2160
     assert rep.enumerated["zero_norm"] == 2241
     assert rep.enumerated["irreducible"] == 540
@@ -362,8 +380,12 @@ def test_verify_budget_skip_keeps_closed_forms(f19):
     assert rep.verified
     assert "unit_norm" not in rep.enumerated
     assert any("budget" in note for note in rep.notes)
-    assert rep.match_flags["zero_norm_recurrence"]
-    assert rep.match_flags["spot_invariants"]
+    # the closed-form identities and the sampled invariants, nothing else
+    assert rep.match_flags == {
+        "partition_identity": True,
+        "irreducible_product_form": True,
+        "spot_invariants": True,
+    }
 
 
 def test_verify_seed_changes_samples_not_outcome(f7):
@@ -376,8 +398,28 @@ def test_verify_detects_mismatch(f3, monkeypatch):
     with pytest.raises(VerificationFailed) as exc:
         verify(f3, 1)
     assert exc.value.field_name == "irreducible_enumerated"
+    assert (exc.value.expected, exc.value.found) == (6, 999)
     assert exc.value.report is not None
     assert exc.value.report.enumerated["irreducible"] == 999
+    assert exc.value.report.verified is False
+    monkeypatch.undo()
+
+    # failed sampled invariants, and a census whose classes overcount
+    monkeypatch.setattr(census, "spot_invariants", lambda *a, **k: False)
+    with pytest.raises(VerificationFailed) as exc:
+        verify(f3, 1)
+    assert exc.value.field_name == "spot_invariants"
+    assert (exc.value.expected, exc.value.found) == (True, False)
+    monkeypatch.undo()
+    counts = {"Unentangled": 6, "Partial": 1, "Maximal": 0}
+    monkeypatch.setattr(
+        entangle, "census_tally", lambda *a, **k: SimpleNamespace(class_counts=counts)
+    )
+    with pytest.raises(VerificationFailed) as exc:
+        verify(f3, 1)
+    assert exc.value.field_name == "census_total"
+    assert (exc.value.expected, exc.value.found) == (6, 7)
+    assert exc.value.report.enumerated["unentangled_irreducible"] == 6
 
 
 def test_report_json_schema(f3):

@@ -89,7 +89,16 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     assert "verification failed" in err
     # the message names the flag and both values
     assert "'irreducible_enumerated': expected 6, found 1" in err
-    assert out == ""
+    # and the report is still written, marked as failing
+    doc = json.loads(out)
+    assert doc["verified"] is False
+    assert doc["enumerated"]["irreducible"] == "1"
+    # every cell runs and is written; only the failing ones are false
+    monkeypatch.setattr(census, "count_irreducible", lambda p, n: 1 if n == 1 else 540)
+    code, out, err = run(capsys, "verify", "--p", "3", "--n-max", "2")
+    assert code == 1
+    assert [doc["verified"] for doc in json.loads(out)] == [False, True]
+    assert err.count("verification failed: p=3 n=1:") == 1
 
 
 def test_enumerate_budget_exit_code(capsys):
@@ -435,6 +444,13 @@ def test_outputs_byte_deterministic(tmp_path, capsys):
     run(capsys, "classify", "--p", "3", "--n", "2", "--out", str(a))
     run(capsys, "classify", "--p", "3", "--n", "2", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+    # --out - writes to stdout the bytes --out FILE writes
+    run(capsys, "classify", "--p", "3", "--n", "1", "--out", str(a))
+    _, out, _ = run(capsys, "classify", "--p", "3", "--n", "1", "--out", "-")
+    assert out.encode() == a.read_bytes()
+    assert sha256(out) == (
+        "972fda521863d7eeddcb5d632e08549ef495e1621bd131e475b5b453fa1c8057"
+    )
 
 
 def test_summary_thread_invariant(capsys):
