@@ -27,42 +27,43 @@ Enumeration
 -----------
 States themselves are walked by fiber completion: fix the first D-1
 amplitudes (a "prefix"), compute the residual norm the last amplitude
-must carry, and append each member of that norm fiber.  Every vector is
-produced exactly once, in lexicographic amplitude order.  Work is
-therefore p**(2(D-1)) prefixes, which is the quantity the budget
-limits.  One walker, walk_prefixes, serves every state stream, the
-entanglement census and the Bloch export.  check_budget is the one
-budget decision: each stream calls it when it is created, before the
-caller has consumed or written anything, and verify reads its skip
-note from the same refusal.
+must carry, and append each member of that norm fiber.  One walker,
+walk_prefixes, serves every state stream, the entanglement census and
+the Bloch export.  It takes the states to walk as segments: lists of
+per-position digit choices, walked one after another, each in
+lexicographic order.  A full walk is one segment of free choices, so
+it produces every vector once in lexicographic order, from
+p**(2(D-1)) prefixes.
+
+The budget limits prefixes.  check_budget is the one budget decision:
+a walk is charged its prefixes, and never less than the p**2 entries
+of the tables every walk builds.  Each stream calls it when it is
+created, before the caller has consumed or written anything, and is
+charged p**(2(D-1)), whatever it filters.  The census is charged the
+prefixes of its weighted walk (see entangle), and verify reads its
+skip note from the census's refusal.
 
 Canonical filtering uses a fact about the phase action: the orbit of a
 nonzero amplitude under the norm-1 group is the entire norm fiber it
 lies in (both have p + 1 elements), so a unit state is canonical
 exactly when its first nonzero amplitude is the smallest element of its
 fiber.  The literal lex-min-of-class definition lives in hopf and the
-test suite cross-asserts the two on full spheres.  A canonical walk
-therefore builds only canonical prefixes, in lexicographic order as
-segments: the zero prefix (whose completion leads and is kept as its
-fiber minimum alone), then, for k = D-2 down to 0, k leading zeros, a
-fiber-minimum lead and a free tail of D-2-k amplitudes.  That is
+test suite cross-asserts the two on full spheres.  The canonical walk
+(canonical_segments) therefore has D segments, in lexicographic order:
+for k = D-1 down to 0, k leading zeros, a fiber-minimum lead and free
+amplitudes after it.  The first is the zero prefix, whose completion
+leads and keeps its fiber minimum alone.  That is
 1 + (p-1) * sum_{t<D-1} p**(2t) prefixes instead of p**(2(D-1)), about
-one in p + 1; the budget still counts p**(2(D-1)).
+one in p + 1.
 
 The walk yields prefixes in groups that share a parent, their first D-2
 amplitudes, so that a consumer can do the parent's work once (the
-census kernel builds its forms that way).  The canonical walk's first
-group is the zero parent: the zero prefix and the p - 1 prefixes whose
-lead is amplitude D-2.  Every later group is one parent with its p**2
-prefixes, the free amplitudes D-2.  That is 1 + (p-1) *
-sum_{t<D-2} p**(2t) groups, and walk_prefixes' start and stop count
-groups, not prefixes.
-
-Parallelism is the census tally's alone: it splits the canonical
-groups into contiguous blocks, one pool per tally, and block results
-merge by addition, so counts are identical for any split.  Every group
-but the zero parent's has p**2 prefixes, so blocks of equal group count
-carry about equal work.
+census kernel builds its forms that way); walk_prefixes' start and stop
+count parents, not prefixes.  Parallelism is the census tally's alone:
+it splits its walk's parents into contiguous blocks, one pool per
+tally, and block results merge by addition, so counts are identical for
+any split.  Every parent of the census's walk has the same number of
+children, so blocks of equal parent count carry about equal work.
 """
 
 from __future__ import annotations
@@ -276,10 +277,10 @@ _TABLE_CACHE: dict = {}
 def enum_tables(p: int):
     """Flat lookup tables over element indices e = re * p + im.
 
-    Returns (fnorm_by_index, fibers, fiber_sizes, fiber_min) where
-    fibers[c] is the sorted tuple of element indices of norm c,
-    fiber_sizes[c] = len(fibers[c]) and fiber_min[e] flags the smallest
-    element of each nonzero-norm fiber.
+    Returns (fnorm_by_index, fibers, fiber_sizes, leads) where fibers[c]
+    is the sorted tuple of element indices of norm c, fiber_sizes[c] =
+    len(fibers[c]) and leads lists the smallest element of each
+    nonzero-norm fiber, in increasing order.
     """
     cached = _TABLE_CACHE.get(p)
     if cached is not None:
@@ -294,10 +295,7 @@ def enum_tables(p: int):
             fibers[c].append(e)
     fibers = [tuple(f) for f in fibers]
     fiber_sizes = [len(f) for f in fibers]
-    fiber_min = bytearray(p * p)
-    for c in range(1, p):
-        fiber_min[fibers[c][0]] = 1
-    tables = (fn, fibers, fiber_sizes, fiber_min)
+    tables = (fn, fibers, fiber_sizes, sorted(f[0] for f in fibers[1:]))
     _TABLE_CACHE[p] = tables
     return tables
 
@@ -361,90 +359,81 @@ def count_irreducible(prime: ComplexifiablePrime, n: int) -> int:
 
 # -- enumeration ---------------------------------------------------------------
 
-def check_budget(p: int, d: int, budget: int, closed_form: int | None = None):
-    """The p**(2(d-1)) prefixes a walk of dimension d is charged, or
-    BudgetExceeded (carrying closed_form) when they exceed the budget."""
-    prefixes = p ** (2 * (d - 1))
-    if prefixes > budget:
-        raise BudgetExceeded(prefixes, budget, closed_form)
-    return prefixes
+def check_budget(p: int, prefixes: int, budget: int, closed_form: int | None = None):
+    """Raise BudgetExceeded (carrying closed_form) when a walk's charge
+    exceeds the budget: its prefixes, and never less than the p**2
+    entries of the tables every walk builds."""
+    charge = max(prefixes, p * p)
+    if charge > budget:
+        raise BudgetExceeded(charge, budget, closed_form)
 
 
-def canonical_group_count(p: int, d: int) -> int:
-    """Parent groups the canonical walk visits in dimension d: the zero
-    parent and, for each tail length t < d - 2, p - 1 leads times
-    p**(2t) tails."""
-    return 1 + (p - 1) * sum(p ** (2 * t) for t in range(d - 2))
+def canonical_segments(p: int, d: int) -> list:
+    """The canonical walk of dimension d as walk_prefixes' segments: for
+    k = d - 1 down to 0, k leading zeros, a fiber-minimum lead and free
+    amplitudes after it.  k = d - 1 is the zero prefix, whose completion
+    leads and so keeps its fiber minimum alone."""
+    leads = enum_tables(p)[3]
+    free = range(p * p)
+    return [[(0,)] * k + [leads] + [free] * (d - 1 - k) for k in range(d - 1, -1, -1)]
 
 
 def walk_prefixes(
     p: int,
     d: int,
     target: int,
-    canonical_only: bool,
+    segments: list,
     start: int = 0,
     stop: int | None = None,
 ):
-    """Yield (parent, children) for parent groups start..stop-1 of dimension d.
+    """Yield (parent, children) for parents start..stop-1 of a walk of
+    dimension d.
 
-    Prefixes are the first d - 1 amplitudes in lexicographic order, as
-    (re, im) pairs, grouped by their parent, the first d - 2.  children
-    holds one (tail, c, completions) per prefix parent + tail of the
-    group, in order: tail is the prefix's amplitude d - 2 as a 1-tuple
-    (empty at d = 1, whose one prefix is empty), c the norm the last
-    amplitude must carry to bring the total to target, and completions
-    the sorted members of that norm fiber.  A free amplitude d - 2 gives
-    children that depend only on the parent's norm, so those groups
-    share one children tuple per norm, built when first needed.
-    start/stop count groups.
-    canonical_only walks only the canonical prefixes, segment by segment
-    (see the module docstring), and keeps only the fiber minimum when
-    the completion leads.
+    A segment is a list of d digit choices, one per position: sorted
+    element indices, read as (re, im) pairs.  Its states are those of
+    norm target whose amplitude i is one of choices i, and the walk is
+    its segments' states, segment by segment.  A prefix is a state's
+    first d - 1 amplitudes, its parent the first d - 2; each segment's
+    parents come in lexicographic order, and start/stop count parents
+    over all segments.  children holds one (tail, c, completions) per
+    choice of amplitude d - 2, in order: tail is that amplitude as a
+    1-tuple (empty at d = 1, whose one prefix is empty), c the norm the
+    last amplitude must carry to bring the total to target, and
+    completions the members of that norm fiber among the last
+    position's choices.  Children depend only on the parent's norm, so
+    a segment's parents share one children tuple per norm, built when
+    first needed.
     """
-    fn, fibers, _, fiber_min = enum_tables(p)
+    fn = enum_tables(p)[0]
     pairs = [divmod(e, p) for e in range(p * p)]
-    fiber_pairs = [tuple(pairs[e] for e in f) for f in fibers]
-    free = range(p * p)
     target %= p
-
-    def children(s, tails):
-        # the prefixes parent + pairs[e] of a parent of norm s
-        norms = [(e, (target - s - fn[e]) % p) for e in tails]
-        return tuple(((pairs[e],), c, fiber_pairs[c]) for e, c in norms)
-
-    by_norm = [None] * p
-
-    def free_children(s):
-        # built on first use: the d = 2 walks need at most one norm
-        if by_norm[s] is None:
-            by_norm[s] = children(s, free)
-        return by_norm[s]
-
-    zero = fiber_pairs[target]
-    if canonical_only:
-        # a zero completion of the zero prefix would leave the zero vector
-        zero = zero[:1] if target else ()
-    if d == 1:
-        segments = [([], (((), target, zero),))]
-    elif canonical_only:
-        leads = [e for e in free if fiber_min[e]]
-        zero_group = (((0, 0),), target, zero), *children(0, leads)
-        segments = [([(0,)] * (d - 2), zero_group)] + [
-            ([(0,)] * k + [leads] + [free] * (d - 3 - k), None)
-            for k in range(d - 3, -1, -1)
-        ]
-    else:
-        segments = [([free] * (d - 2), None)]
     if stop is None:
-        stop = p ** (2 * (d - 1))  # no walk is longer
-    for choices, kids in segments:
+        stop = p ** (2 * (d - 1))  # no walk has more parents
+    for segment in segments:
         if stop <= 0:
             return
-        size = prod(map(len, choices))
+        heads = segment[:-2]
+        size = prod(map(len, heads))
         if start < size:
-            for digits in islice(product(*choices), start, stop):
-                parent = tuple(map(pairs.__getitem__, digits))
-                yield parent, kids or free_children(sum(map(fn.__getitem__, digits)) % p)
+            fibers = [[] for _ in range(p)]
+            for e in segment[-1]:
+                fibers[fn[e]].append(pairs[e])
+            fibers = [tuple(f) for f in fibers]
+            tails = [((pairs[e],), fn[e]) for e in segment[-2]] if d > 1 else [((), 0)]
+            by_norm = [None] * p
+
+            def children(s):
+                kids = []
+                for tail, t in tails:
+                    c = (target - s - t) % p
+                    kids.append((tail, c, fibers[c]))
+                return tuple(kids)
+
+            for digits in islice(product(*heads), start, stop):
+                s = sum(map(fn.__getitem__, digits)) % p
+                if by_norm[s] is None:
+                    by_norm[s] = children(s)
+                yield tuple(map(pairs.__getitem__, digits)), by_norm[s]
         start = max(start - size, 0)
         stop -= size
 
@@ -466,10 +455,11 @@ def iter_norm_class(
     expected = zero_norm_count(p, d) if target == 0 else unit_norm_count(p, d)
     if canonical_only and target:
         expected //= p + 1
-    check_budget(p, d, budget, expected)
+    check_budget(p, p ** (2 * (d - 1)), budget, expected)
+    segments = canonical_segments(p, d) if canonical_only else [[range(p * p)] * d]
     return (
         parent + tail + (last,)
-        for parent, children in walk_prefixes(p, d, target, canonical_only)
+        for parent, children in walk_prefixes(p, d, target, segments)
         for tail, _, completions in children
         for last in completions
     )
@@ -502,12 +492,32 @@ def full_scan_norm_counts(prime: ComplexifiablePrime, d: int) -> dict:
 # -- sampled invariant checks -------------------------------------------------
 
 def sample_unit_amps(prime: ComplexifiablePrime, d: int, rng: random.Random) -> tuple:
-    """Rejection-sample one unit-norm amplitude tuple uniformly."""
+    """One unit-norm amplitude tuple, uniform over the unit sphere, in
+    O(d) draws.
+
+    The first d - 1 amplitudes are uniform and leave the last one the
+    norm c.  For c != 0 it is r z, for z != 0 drawn until t = c / N(z)
+    is a square and r = t**((p+1)/4) its root: each point x of the
+    circle N(x) = c comes from the (p - 1) / 2 values z = x / s with s a
+    nonzero square, so the p + 1 points are equally likely.  The circle
+    N(x) = 0 is the one point 0, so that completion is kept with
+    probability 1 / (p + 1) and the whole draw is repeated otherwise.
+    """
     p = prime.p
     while True:
-        amps = tuple((rng.randrange(p), rng.randrange(p)) for _ in range(d))
-        if sum(fnorm(p, x) for x in amps) % p == 1:
-            return amps
+        head = tuple((rng.randrange(p), rng.randrange(p)) for _ in range(d - 1))
+        c = (1 - sum(fnorm(p, x) for x in head)) % p
+        if not c:
+            if not rng.randrange(p + 1):
+                return head + ((0, 0),)
+            continue
+        while True:
+            z = (rng.randrange(p), rng.randrange(p))
+            if z != (0, 0):
+                t = c * pow(fnorm(p, z), p - 2, p) % p
+                r = pow(t, (p + 1) // 4, p)
+                if r * r % p == t:
+                    return head + ((r * z[0] % p, r * z[1] % p),)
 
 
 def random_phase(prime: ComplexifiablePrime, rng: random.Random):
@@ -525,7 +535,8 @@ def spot_invariants(prime: ComplexifiablePrime, d: int, seed: int) -> bool:
     Verifies on 32 sampled states/elements: conjugation agrees with the
     Frobenius power, field-norm multiplicativity, phase invariance of
     the vector norm, and Hermitian conjugate symmetry of the dot
-    product.  Cheap even at the largest supported p.
+    product.  O(d) draws per sample, so cheap even at the largest
+    supported p.
     """
     p = prime.p
     rng = random.Random(seed)
@@ -568,12 +579,13 @@ def verify(
 
     Every check is recorded in the report as (expected, found): the
     closed-form identities of closed_form_counts and the sampled
-    invariants always, and, when the census's p**(2(D-1)) prefixes fit
-    the budget, the unit and zero spheres and the canonical states
-    counted by convolution, the entanglement census (the only step that
-    uses threads) against the Unentangled and Maximal closed forms and
-    the irreducible total.  The Maximal count has a closed form only for
-    n <= 2; for n >= 3 it is reported in enumerated alone.  Below the
+    invariants always, and, when the census fits the budget, the unit
+    and zero spheres and the canonical states counted by convolution,
+    the entanglement census (the only step that uses threads) against
+    the Unentangled and Maximal closed forms and the irreducible total.
+    The census's own budget check decides: census_tally runs first and
+    refuses before it walks.  The Maximal count has a closed form only
+    for n <= 2; for n >= 3 it is reported in enumerated alone.  Below the
     scan limit the naive full scan's norm histogram is checked too.  The
     zero-norm recurrence raises VerificationFailed, without a report, at
     its first wrong term.  Otherwise the first check whose two values
@@ -589,7 +601,7 @@ def verify(
     rep.checks["spot_invariants"] = True, spot_invariants(prime, d, seed)
 
     try:
-        check_budget(p, d, budget)
+        counts = census_tally(prime, n, budget=budget, threads=threads).class_counts
     except BudgetExceeded as exc:
         rep.notes.append(
             f"enumeration skipped: {exc.required} prefixes exceed budget {budget}"
@@ -600,7 +612,6 @@ def verify(
         rep.enumerated["irreducible"] = count_irreducible(prime, n)
         for key in ("unit_norm", "zero_norm", "irreducible"):
             rep.checks[f"{key}_enumerated"] = getattr(rep, key), rep.enumerated[key]
-        counts = census_tally(prime, n, budget=budget, threads=threads).class_counts
         rep.enumerated["unentangled_irreducible"] = counts["Unentangled"]
         rep.enumerated["maxent_irreducible"] = counts["Maximal"]
         rep.checks["unentangled_enumerated"] = (

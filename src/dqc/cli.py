@@ -1,8 +1,8 @@
 """Command-line interface: verification, tables, Bloch export,
 enumeration and classification.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error,
-3 budget exceeded.  Big integers are always written as decimal
+Exit codes: 0 success, 1 verification mismatch or another package
+error, 2 usage error, 3 budget exceeded.  Big integers are always written as decimal
 strings; log columns are computed from decimal digit counts so no
 value ever passes through a float.
 """
@@ -21,7 +21,13 @@ from itertools import chain
 from . import census
 from .basefield import validate_prime
 from .entangle import census_tally, iter_classified
-from .errors import BudgetExceeded, NotComplexifiable, NotPrime, VerificationFailed
+from .errors import (
+    BudgetExceeded,
+    DqcError,
+    NotComplexifiable,
+    NotPrime,
+    VerificationFailed,
+)
 from .hopf import bloch_export
 from .states import format_amp
 
@@ -385,6 +391,9 @@ def main(argv=None) -> int:
         return 3
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
+    except DqcError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

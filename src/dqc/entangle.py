@@ -21,7 +21,10 @@ The squared-length meaning is kept for every n, but enumeration
 confirms the formula only at n = 2, so census.verify compares the
 Maximal count with a closed form only for n <= 2.  At p=3, n=3 there
 are 257,904 Maximal irreducible states, against the formula's 2,592
-and the 2,160 whose Pauli expectations all vanish.
+and the 2,160 whose Pauli expectations all vanish.  p=7, n=3 is the
+first cell where the purity sum_sq / n is defined at n = 3; there
+2,485,438,368 states are Maximal and 84,418,468,512 have purity 0,
+neither near the formula's 921,984.
 Unentangled and Maximal cannot overlap: a tensor factor of a unit-norm
 state has nonzero field norm t, and its qubit's squared length works
 out to t**2 times the cofactor norm squared, which is nonzero.
@@ -85,10 +88,9 @@ points, chi the Legendre symbol: the line is the points
 t (u, v) / w + s (-v, u) with w = u**2 + v**2, which is nonzero since
 p = 3 mod 4, and their norm is t**2 / w + s**2 w, so s**2 must equal
 (c w - t**2) / w**2.  At c == 0 that is 1 + chi(-t**2), 1 exactly when
-t == 0 (-1 is a non-residue mod p).  The zero prefix keeps only its
-circle's fiber minimum, but its forms are constant in x (h = a = 0).
-So one rule counts every prefix, with all its completions where the
-rule would take the whole circle:
+t == 0 (-1 is a non-residue mod p).  So one rule counts every prefix
+(size is the number of completions, the whole circle in the census's
+walk):
 
     Maximal      the common points of the n lines q + u x0 + v x1 = 0:
                  none, all completions, one line's count, or the one
@@ -107,6 +109,24 @@ Maximal states have sum_sq 0 and Unentangled ones sum_sq n mod p
 (every separable qubit has squared length 1), so Partial and the
 purity-one non-products follow by subtraction.
 
+The census walks a weighted slice of the unit sphere, not one state
+per phase class.  Kind, sum_sq and mask do not change under the global
+phase or under a local phase gate diag(1, u) on any qubit, N(u) = 1.
+Amplitude 0 picks up the global phase g, and amplitude 1 << k the phase
+g u_j, j the qubit that owns bit k, so the phases of these n + 1 held
+amplitudes range independently over the (p+1)**(n+1) elements of that
+group.  A nonzero amplitude's orbit is its whole fiber, so the group
+moves every unit state onto the slice where each held amplitude is 0
+or its fiber minimum, in (p+1)**z ways, z the state's held zeros.
+Counted (p+1)**k times, k its nonzero held amplitudes, each slice state
+stands for the unit states it comes from, and the census divides every
+total by p + 1, the size of a phase class; a remainder raises DqcError.
+The last position, D - 1 at n = 1, is not held: its completions are
+counted on the whole circle.  With h held positions the walk has
+p**(2(D-1) - h) prefixes: p at n = 1, p**3 at n = 2 and
+p**(2(D-1) - (n+1)) from n = 3 on.  That is 343 against the canonical
+walk's 14,707 at p=7 n=2, and 59,049 against 1,195,743 at p=3 n=3.
+
 Purity is the averaged sum of squared expectations sum_sq / n, an
 element of F_p defined whenever p does not divide n.  Product states
 have purity 1.  The census also counts non-product states whose
@@ -122,15 +142,16 @@ from enum import Enum
 from .basefield import ComplexifiablePrime
 from .census import (
     DEFAULT_BUDGET,
-    canonical_group_count,
+    canonical_segments,
     check_budget,
+    enum_tables,
     irreducible_count,
     prefix_blocks,
     run_blocks,
     walk_prefixes,
 )
 from .complexfield import cadd, cmul, cneg, conj
-from .errors import NonRealExpectation, NotUnitNorm, ZeroVector
+from .errors import DqcError, NonRealExpectation, NotUnitNorm, ZeroVector
 from .states import StateVector
 
 
@@ -501,32 +522,56 @@ def _count_unentangled(
     return size if lead is None else 1
 
 
+def census_held(n: int) -> set:
+    """The positions the census holds at 0 or a fiber minimum: 0 and
+    every 1 << k but the last position, D - 1 at n = 1, whose
+    completions stay free (see the module docstring)."""
+    return {0, *(1 << k for k in range(n))} - {(1 << n) - 1}
+
+
+def census_segment(p: int, n: int) -> list:
+    """The census's walk as walk_prefixes' one segment: the unit states
+    whose held amplitudes are 0 or a fiber minimum."""
+    held = census_held(n)
+    zero_or_lead = [0] + enum_tables(p)[3]
+    return [zero_or_lead if i in held else range(p * p) for i in range(1 << n)]
+
+
 def _tally_block(args) -> tuple:
-    """Count the states of one block of canonical parent groups.
+    """Count the weighted states of one block of the census's parents.
 
     Returns (maximal, unentangled, sums, lines): the Maximal and
     Unentangled counts, sums[qs] the completions of prefixes whose
     sum_sq is the constant qs, and lines[(qs, w)] the prefixes whose
     sum_sq is qs + us x0 + vs x1 with w = c (us**2 + vs**2) != 0, which
-    _merge_blocks expands.
+    _merge_blocks expands.  A prefix counts (p + 1)**k times, k its
+    nonzero held amplitudes.
     """
     p, n, start, stop = args
+    d = 1 << n
+    held = census_held(n)
+    held_heads = [i for i in held if i < d - 2]
+    tail_held = d - 2 in held
+    weights = [(p + 1) ** k for k in range(n + 2)]
     points = _line_points(p)
     maximal = unentangled = 0
     sums: dict = {}
     lines: dict = {}
-    for parent, children in walk_prefixes(p, 1 << n, 1, True, start, stop):
+    segments = [census_segment(p, n)]
+    for parent, children in walk_prefixes(p, d, 1, segments, start, stop):
         passes = parent_forms(p, n, parent)
+        k = sum(parent[i] != (0, 0) for i in held_heads)
         for (y,), c, completions in children:
             qs, us, vs, lengths, tests, fixed = finish_forms(p, n, passes, y, c)
+            weight = weights[k + (tail_held and y != (0, 0))]
             size = len(completions)
             w = c * (us * us + vs * vs) % p
             if w:
-                lines[qs, w] = lines.get((qs, w), 0) + 1
+                lines[qs, w] = lines.get((qs, w), 0) + weight
             else:
-                sums[qs] = sums.get(qs, 0) + size
-            maximal += _count_maximal(p, c, size, lengths, points)
-            unentangled += _count_unentangled(p, n, c, size, tests, fixed)
+                sums[qs] = sums.get(qs, 0) + weight * size
+            maximal += weight * _count_maximal(p, c, size, lengths, points)
+            unentangled += weight * _count_unentangled(p, n, c, size, tests, fixed)
     return maximal, unentangled, sums, lines
 
 
@@ -557,20 +602,35 @@ def census_tally(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> CensusTally:
-    """Classify every irreducible n-qubit state by block enumeration.
+    """Classify every irreducible n-qubit state by weighted block enumeration.
 
     Block results merge by addition, so the tally is independent of the
-    thread count and block layout.  Partial and the purity-one
-    non-products follow by subtraction (see the module docstring).
+    thread count and block layout.  Every merged count is p + 1 times a
+    count of irreducible states; a remainder raises DqcError.  Partial
+    and the purity-one non-products follow by subtraction (see the
+    module docstring).
     """
     p = prime.p
     d = 1 << n
-    check_budget(p, d, budget, irreducible_count(p, d))
-    blocks = prefix_blocks(canonical_group_count(p, d), threads)
+    # p choices at each held position, p**2 at each free one; checked
+    # before the walk builds its p**2 tables
+    prefixes = p ** (2 * (d - 1) - len(census_held(n)))
+    check_budget(p, prefixes, budget, irreducible_count(p, d))
+    parents = prefixes // len(census_segment(p, n)[-2])
+    blocks = prefix_blocks(parents, threads)
     args = [(p, n, start, stop) for start, stop in blocks]
     maximal, unentangled, purities = _merge_blocks(
         p, run_blocks(_tally_block, args, threads)
     )
+
+    def unweighted(count):
+        q, r = divmod(count, p + 1)
+        if r:
+            raise DqcError(f"weighted count {count} not divisible by p+1={p + 1}")
+        return q
+
+    maximal, unentangled = unweighted(maximal), unweighted(unentangled)
+    purities = {s: unweighted(k) for s, k in purities.items()}
     partial = sum(purities.values()) - maximal - unentangled
     return CensusTally(
         p=p,
@@ -591,19 +651,19 @@ def iter_classified(
     """(amps, kind, sum_sq, reduced, mask) for every irreducible state, in
     lexicographic amplitude order.
 
-    The budget is checked on the call, as for census_tally.  The stream
-    walks the canonical parent groups like _tally_block, building each
+    The budget is checked on the call and charged p**(2(D-1)), as for
+    every stream.  The stream walks the canonical states, building each
     parent's passes once, each prefix's forms from them, and completing
     those per state.
     """
     p = prime.p
     d = 1 << n
-    check_budget(p, d, budget, irreducible_count(p, d))
+    check_budget(p, p ** (2 * (d - 1)), budget, irreducible_count(p, d))
     n_res = n % p
     inv_n = pow(n_res, p - 2, p) if n_res else None
 
     def rows():
-        for parent, children in walk_prefixes(p, d, 1, True):
+        for parent, children in walk_prefixes(p, d, 1, canonical_segments(p, d)):
             passes = parent_forms(p, n, parent)
             for tail, c, completions in children:
                 forms = finish_forms(p, n, passes, tail[0], c)

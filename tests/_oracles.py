@@ -3,8 +3,8 @@
 Everything here is deliberately written from first principles against
 plain (re, im) tuples: explicit loops over all field elements, literal
 Kronecker-product Pauli matrices, literal phase-orbit minimization.
-None of it reuses the package's enumeration shortcuts, so agreement is
-meaningful.
+None of it but canonical_tally reuses the package's enumeration
+shortcuts, so agreement is meaningful.
 """
 
 from itertools import combinations, product
@@ -167,3 +167,40 @@ def minors_separable_mask(p, n, amps):
         ):
             mask |= 1 << j
     return mask
+
+
+# -- the census's canonical walk -------------------------------------------------
+
+def canonical_tally(p, n):
+    """(maximal, unentangled, purities) over the irreducible n-qubit
+    states, counted on the canonical walk: one state per phase class,
+    no weights.  Unlike the rest of this module it reuses the package's
+    per-prefix counters and block merge; what it checks is the census's
+    weighted walk, which it does not share."""
+    from dqc.census import canonical_segments, walk_prefixes
+    from dqc.entangle import (
+        _count_maximal,
+        _count_unentangled,
+        _line_points,
+        _merge_blocks,
+        finish_forms,
+        parent_forms,
+    )
+
+    d = 1 << n
+    points = _line_points(p)
+    maximal = unentangled = 0
+    sums, lines = {}, {}
+    for parent, children in walk_prefixes(p, d, 1, canonical_segments(p, d)):
+        passes = parent_forms(p, n, parent)
+        for (y,), c, completions in children:
+            qs, us, vs, lengths, tests, fixed = finish_forms(p, n, passes, y, c)
+            size = len(completions)
+            w = c * (us * us + vs * vs) % p
+            if w:
+                lines[qs, w] = lines.get((qs, w), 0) + 1
+            else:
+                sums[qs] = sums.get(qs, 0) + size
+            maximal += _count_maximal(p, c, size, lengths, points)
+            unentangled += _count_unentangled(p, n, c, size, tests, fixed)
+    return _merge_blocks(p, [(maximal, unentangled, sums, lines)])

@@ -33,15 +33,9 @@ from dqc import (
     verify,
     zero_norm_count,
 )
-from dqc.census import (
-    prefix_blocks,
-    random_phase,
-    run_blocks,
-    sample_unit_amps,
-    walk_prefixes,
-)
+from dqc.census import random_phase, sample_unit_amps
 from dqc.cli import main
-from dqc.entangle import EntanglementClass, _merge_blocks, _tally_block
+from dqc.entangle import EntanglementClass
 
 from _oracles import (
     brute_canonical,
@@ -143,40 +137,34 @@ def test_criterion_3_two_qubit_census_p3(report, tally32):
 def test_criterion_4_two_qubit_census_p7(report, tally72):
     tally, elapsed = tally72
     with report(4, "p=7 n=2 census by fiber enumeration: unentangled 1764, "
-                   "maximal 16464; two workers speed up a p=3 n=3 slice") as extra:
-        assert 7 ** 6 == 117649  # prefix count driving the enumeration
+                   "maximal 16464; two workers speed up the p=3 n=3 census") as extra:
         assert tally.class_counts["Unentangled"] == 1764
         assert tally.class_counts["Maximal"] == 16464
         assert tally.irreducible_total == irreducible_count(7, 4) == 102900
         assert elapsed < 300.0  # single-threaded bound
         threaded = census_tally(validate_prime(7), 2, threads=2)
         assert threaded == tally  # thread count never changes results
-        # the speed-up is timed on the first 120000 canonical prefixes of
-        # the p=3 n=3 census, long enough that starting the pool is a
-        # small share of the two-worker run.  Blocks count parent groups:
-        # the zero parent's 3 prefixes, then 1640 + 11693 groups of 9
-        groups = 13334
-        assert sum(
-            len(children) for _, children in walk_prefixes(3, 8, 1, True, 0, groups)
-        ) == 120000
-        blocks = [(3, 3, start, stop) for start, stop in prefix_blocks(groups, 2)]
+        # the speed-up is timed on the whole weighted p=3 n=3 census, 59049
+        # prefixes in 6561 parents, long enough that starting the pool is
+        # a small share of the two-worker run
+        f3 = validate_prime(3)
 
         def best_of_3(threads):
             # one slow run on a shared host must not decide the gate
             times = []
             for _ in range(3):
                 t0 = time.perf_counter()
-                result = run_blocks(_tally_block, blocks, threads)
+                result = census_tally(f3, 3, threads=threads)
                 times.append(time.perf_counter() - t0)
             return result, min(times)
 
         serial, serial_dt = best_of_3(1)
         parallel, parallel_dt = best_of_3(2)
         assert parallel == serial
-        assert sum(_merge_blocks(3, serial)[2].values()) == 360498
+        assert serial.irreducible_total == irreducible_count(3, 8)
         speedup = serial_dt / parallel_dt if parallel_dt else float("inf")
         extra["tail"] = (
-            f"; p=7 single-thread {elapsed:.2f}s; p=3 n=3 slice 1 worker "
+            f"; p=7 single-thread {elapsed:.2f}s; p=3 n=3 census 1 worker "
             f"{serial_dt:.2f}s, 2 workers {parallel_dt:.2f}s "
             f"(speedup {speedup:.2f}x on {os.cpu_count()} cpu)"
         )

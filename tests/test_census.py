@@ -1,4 +1,6 @@
+import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -6,7 +8,7 @@ import pytest
 
 import dqc.census as census
 import dqc.entangle as entangle
-from dqc.census import prefix_blocks
+from dqc.census import prefix_blocks, sample_unit_amps
 from dqc.entangle import iter_classified
 from dqc.hopf import bloch_export
 from dqc import (
@@ -213,7 +215,9 @@ def test_canonical_walk_matches_literal_filter():
                 c = (1 - sum(cnorm(p, x) for x in head)) % p
                 # the zero prefix keeps only the leading fiber minimum
                 want.append((head, c, fibers[c] if any(digits) else fibers[c][:1]))
-            groups = list(census.walk_prefixes(p, d, 1, True))
+            groups = list(
+                census.walk_prefixes(p, d, 1, census.canonical_segments(p, d))
+            )
             walked = [
                 (parent + tail, c, completions)
                 for parent, children in groups
@@ -222,8 +226,6 @@ def test_canonical_walk_matches_literal_filter():
             assert walked == want
             # each group is one parent, the first d - 2 amplitudes
             assert all(len(parent) == max(d - 2, 0) for parent, _ in groups)
-            assert len({parent for parent, _ in groups}) == len(groups)
-            assert census.canonical_group_count(p, d) == len(groups)
 
 
 def test_one_qubit_walks_stay_quadratic():
@@ -231,12 +233,15 @@ def test_one_qubit_walks_stay_quadratic():
     # the children of every parent norm (p**3 entries, about 125 MB at
     # p = 101); the canonical one needs none of them, the full one one
     p = 101
-    for canonical_only, prefixes in ((True, p), (False, p * p)):
+    for segments, prefixes in (
+        (census.canonical_segments(p, 2), p),
+        ([[range(p * p)] * 2], p * p),
+    ):
         tracemalloc.start()
         try:
             walked = sum(
                 len(children)
-                for _, children in census.walk_prefixes(p, 2, 1, canonical_only)
+                for _, children in census.walk_prefixes(p, 2, 1, segments)
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -262,6 +267,23 @@ def test_budget_exceeded_attributes(f7):
         list(iter_irreducible(f7, 2, budget=10))
     with pytest.raises(BudgetExceeded):
         full_scan_norm_counts(f7, 4)  # 7**8 vectors exceed the scan limit
+
+
+def test_census_is_charged_the_prefixes_it_walks(f3, f7):
+    # the weighted walk: p**3 prefixes at n = 2 and p**(2(D-1) - (n+1))
+    # from n = 3 on; at n = 1 its p prefixes are below the p**2 entries of
+    # the tables every walk builds.  verify's census gate is the same charge
+    cells = ((f7, 1, 7**2), (f7, 2, 7**3), (f7, 3, 7**10), (f3, 3, 3**10))
+    for fld, n, charge in cells:
+        with pytest.raises(BudgetExceeded) as exc:
+            entangle.census_tally(fld, n, budget=charge - 1)
+        assert exc.value.required == charge
+        assert exc.value.closed_form == irreducible_count(fld.p, 1 << n)
+    assert entangle.census_tally(f7, 2, budget=7**3).irreducible_total == 102900
+    assert verify(f7, 2, budget=7**3).enumerated["maxent_irreducible"] == 16464
+    rep = verify(f7, 2, budget=7**3 - 1)
+    assert rep.enumerated == {}
+    assert rep.notes[0] == "enumeration skipped: 343 prefixes exceed budget 342"
 
 
 def test_streams_refuse_when_created(f7):
@@ -368,11 +390,11 @@ def test_pool_has_at_most_one_worker_per_block(f3, monkeypatch):
     assert census.run_blocks(abs, [-1, 2, -3], threads=64) == [1, 2, 3]
     assert census.run_blocks(abs, [-1, 2, -3], threads=2) == [1, 2, 3]
     assert sizes == [3, 2]
-    # `dqc classify --p 3 --n 2 --threads 64`: 21 canonical groups, so
-    # 21 blocks and 21 workers, not 64
+    # `dqc classify --p 3 --n 2 --threads 64`: the census walks 9 parents,
+    # so 9 blocks and 9 workers, not 64
     tally = entangle.census_tally(f3, 2, threads=64)
     assert tally.class_counts == {"Maximal": 216, "Partial": 288, "Unentangled": 36}
-    assert sizes[2:] == [21]
+    assert sizes[2:] == [9]
 
 
 def test_verify_budget_skip_keeps_closed_forms(f19):
@@ -386,6 +408,34 @@ def test_verify_budget_skip_keeps_closed_forms(f19):
         "irreducible_product_form": True,
         "spot_invariants": True,
     }
+
+
+def test_sample_unit_amps_is_uniform_in_few_draws(f3):
+    # seeded: at p=3 d=2 each of the 24 unit states is drawn about equally
+    # often (chi-square with 23 degrees of freedom below its 0.999
+    # quantile); at p=10007 every sample is unit-norm and takes O(d)
+    # draws, not the about p of rejection sampling
+    rng = random.Random(29)
+    draws = Counter(sample_unit_amps(f3, 2, rng) for _ in range(24 * 500))
+    assert sorted(draws) == brute_vectors(3, 2, norm=1)
+    assert sum((k - 500) ** 2 / 500 for k in draws.values()) < 49.7
+
+    class CountingRandom(random.Random):
+        calls = 0
+
+        def randrange(self, *args):
+            self.calls += 1
+            return super().randrange(*args)
+
+    big = validate_prime(10007)
+    rng = CountingRandom(31)
+    for d in (1, 2, 4, 8):
+        rng.calls = 0
+        for _ in range(100):
+            amps = sample_unit_amps(big, d, rng)
+            assert len(amps) == d
+            assert sum(a * a + b * b for a, b in amps) % 10007 == 1
+        assert rng.calls < 100 * (2 * d + 8)
 
 
 def test_verify_seed_changes_samples_not_outcome(f7):

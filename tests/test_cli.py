@@ -101,6 +101,21 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     assert err.count("verification failed: p=3 n=1:") == 1
 
 
+def test_package_error_exits_1_without_traceback(capsys, monkeypatch):
+    # a DqcError that is no usage, budget or verification error prints
+    # one line and exits 1: here irreducible_count's divisibility check,
+    # with a sign-flipped unit_norm_count
+    def flipped(p, d):
+        sign = -1 if d % 2 else 1
+        return p ** (d - 1) * (p**d + sign)
+
+    monkeypatch.setattr(census, "unit_norm_count", flipped)
+    code, out, err = run(capsys, "verify", "--p", "3", "--n", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unit sphere size not divisible by p+1 for p=3, d=4\n"
+
+
 def test_enumerate_budget_exit_code(capsys):
     code, out, err = run(
         capsys, "enumerate", "--p", "19", "--n", "3", "--budget", "100"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from dqc import (
     CensusTally,
     Classification,
+    DqcError,
     EntanglementClass,
     NotUnitNorm,
     StateVector,
@@ -28,6 +30,7 @@ from dqc.entangle import (
     _line_points,
     _merge_blocks,
     _tally_block,
+    census_segment,
     classify_last,
     classify_raw,
     finish_forms,
@@ -40,6 +43,7 @@ from _oracles import (
     brute_fiber,
     brute_separable,
     brute_vectors,
+    canonical_tally,
     cnorm,
     matrix_expectation_grid,
     minors_separable_mask,
@@ -156,9 +160,42 @@ def test_hoisted_forms_agree_with_independent_paths(f3):
             checked += 1
 
 
-def test_census_blocks_cover_canonical_prefixes(monkeypatch, f3, f7):
-    # concatenated, census_tally's blocks walk every canonical parent
-    # group once, in order, for any thread count
+def held_weight(p, n, prefix):
+    """(p + 1)**k, k the nonzero amplitudes of prefix at the positions the
+    census holds at 0 or a fiber minimum: 0 and each 1 << k, the last
+    position excluded."""
+    held = {0, *(1 << k for k in range(n))} - {(1 << n) - 1}
+    return (p + 1) ** sum(prefix[i] != (0, 0) for i in held if i < len(prefix))
+
+
+def test_census_walk_is_the_held_slice(f3, f7):
+    # the census walks exactly the unit states whose held amplitudes are
+    # 0 or the smallest element of their fiber: literal filter of every
+    # unit vector at p=3 n <= 2 and p=7 n=1
+    for p, n in ((3, 1), (7, 1), (3, 2)):
+        d = 1 << n
+        held = {0, *(1 << k for k in range(n))} - {d - 1}
+        minima = {(0, 0)} | {brute_fiber(p, c)[0] for c in range(1, p)}
+        want = [
+            amps for amps in brute_vectors(p, d, norm=1)
+            if all(amps[i] in minima for i in held)
+        ]
+        walked = [
+            parent + tail + (x,)
+            for parent, children in walk_prefixes(p, d, 1, [census_segment(p, n)])
+            for tail, _, completions in children
+            for x in completions
+        ]
+        assert walked == want
+        # the weights add up to the whole unit sphere
+        assert sum(held_weight(p, n, amps) for amps in walked) == len(
+            brute_vectors(p, d, norm=1)
+        )
+
+
+def test_census_blocks_cover_weighted_slice(monkeypatch, f3, f7):
+    # concatenated, census_tally's blocks walk every parent of the
+    # weighted slice once, in order, for any thread count
     calls = []
 
     def capture(worker, args_list, threads):
@@ -166,14 +203,15 @@ def test_census_blocks_cover_canonical_prefixes(monkeypatch, f3, f7):
         return [(0, 0, {}, {})] * len(args_list)
 
     monkeypatch.setattr(entangle, "run_blocks", capture)
-    for fld in (f3, f7):
-        whole = list(walk_prefixes(fld.p, 4, 1, True))
+    for fld, n in ((f3, 2), (f7, 2), (f3, 3)):
+        segments = [census_segment(fld.p, n)]
+        whole = list(walk_prefixes(fld.p, 1 << n, 1, segments))
         for threads in range(1, 6):
-            census_tally(fld, 2, threads=threads)
+            census_tally(fld, n, threads=threads)
             walked = [
                 prefix
-                for p, n, start, stop in calls.pop()
-                for prefix in walk_prefixes(p, 1 << n, 1, True, start, stop)
+                for p, m, start, stop in calls.pop()
+                for prefix in walk_prefixes(p, 1 << m, 1, segments, start, stop)
             ]
             assert walked == whole
 
@@ -334,10 +372,47 @@ def test_census_tally_frozen_p7(f7):
     assert tally.purity_hist[2] == 1764
 
 
+def test_census_tally_frozen_p3_n3(f3):
+    # the first n = 3 census: 59049 weighted prefixes, in well under a
+    # second on one worker
+    t0 = time.perf_counter()
+    tally = census_tally(f3, 3)
+    elapsed = time.perf_counter() - t0
+    assert tally.class_counts == {
+        "Unentangled": 216,
+        "Partial": 3328560,
+        "Maximal": 257904,
+    }
+    assert tally.purity_hist == {0: 1312200, 1: 1154736, 2: 1119744}
+    assert tally.purity_one_not_product == 1311984
+    assert elapsed < 0.5
+
+
 def test_census_tally_thread_invariant(f3):
     one = census_tally(f3, 2, threads=1)
-    many = census_tally(f3, 2, threads=3)
-    assert one == many
+    for threads in range(2, 6):
+        assert census_tally(f3, 2, threads=threads) == one
+
+
+def test_census_tally_matches_canonical_oracle(f3, f7, f11):
+    # the weighted walk against the canonical one, which counts one
+    # state per phase class with no weights, in every class and bin
+    for fld in (f3, f7, f11):
+        tally = census_tally(fld, 2)
+        maximal, unentangled, purities = canonical_tally(fld.p, 2)
+        assert tally.class_counts["Maximal"] == maximal
+        assert tally.class_counts["Unentangled"] == unentangled
+        assert tally.purity_hist == purities
+
+
+def test_census_tally_refuses_a_weighted_remainder(f3, monkeypatch):
+    # every merged count must divide by p + 1; a remainder is an error,
+    # never floored
+    monkeypatch.setattr(
+        entangle, "run_blocks", lambda worker, args, threads: [(5, 4, {0: 8}, {})]
+    )
+    with pytest.raises(DqcError, match="not divisible by p\\+1=4"):
+        census_tally(f3, 2)
 
 
 def test_census_tally_matches_per_state_classification(f3):
@@ -457,26 +532,29 @@ def test_circle_counters_match_brute_force_at_every_norm():
 
 
 def test_counted_blocks_match_per_state_on_p3_n3_slice(f3):
-    # block by block over criterion 4's slice of the p=3 n=3 census, the
-    # first 13334 parent groups: leading zeros leave qubits with no
-    # pivot or with tests that do not involve x, and n = 3 gives three
-    # length lines, parallel and crossing.  The oracle completes each
-    # prefix's forms state by state, as iter_classified does; on a
-    # seeded 1% of the prefixes the states are also checked against the
+    # block by block over the census's weighted p=3 n=3 slice, 6561
+    # parents: held zeros leave qubits with no pivot or with tests that
+    # do not involve x, and n = 3 gives three length lines, parallel and
+    # crossing.  The oracle completes each prefix's forms state by state,
+    # as iter_classified does, and weights each state by held_weight; on
+    # a seeded 1% of the prefixes the states are also checked against the
     # Pauli expectations and the minors, independent of the forms.  The
     # blocks count Maximal and Unentangled and a purity histogram; the
     # census reads Partial off them, since every Maximal state has
     # sum_sq 0 and every Unentangled one sum_sq n mod p = 0
     rng = random.Random(17)
     sampled = 0
-    for start, stop in prefix_blocks(13334, 2):
+    segments = [census_segment(3, 3)]
+    for start, stop in prefix_blocks(6561, 2):
         want = Counter()
-        for parent, children in walk_prefixes(3, 8, 1, True, start, stop):
+        for parent, children in walk_prefixes(3, 8, 1, segments, start, stop):
             passes = parent_forms(3, 3, parent)
             for (y,), c, completions in children:
                 forms = finish_forms(3, 3, passes, y, c)
                 raw = [classify_last(3, 3, forms, x) for x in completions]
-                want.update(r[:2] for r in raw)
+                weight = held_weight(3, 3, parent + (y,))
+                for r in raw:
+                    want[r[:2]] += weight
                 if rng.random() < 0.01:
                     for x, r in zip(completions, raw):
                         check_against_independent_paths(f3, 3, parent + (y, x), *r)
