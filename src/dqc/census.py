@@ -438,17 +438,18 @@ def walk_prefixes(
         stop -= size
 
 
-def iter_norm_class(
+def iter_norm_prefixes(
     prime: ComplexifiablePrime,
     d: int,
     target: int,
     budget: int = DEFAULT_BUDGET,
     canonical_only: bool = False,
 ):
-    """Amplitude tuples of every vector of the given norm, in
-    lexicographic order.  canonical_only keeps phase-class minima, which
-    is meaningful for nonzero target norms.  The budget is checked on
-    the call, so an over-budget stream raises before it yields.
+    """(prefix, completions) for every vector of the given norm, in
+    lexicographic order: the vectors are prefix + (x,) for x in
+    completions.  canonical_only keeps phase-class minima, which is
+    meaningful for nonzero target norms.  The budget is checked on the
+    call, so an over-budget stream raises before it yields.
     """
     p = prime.p
     target %= p
@@ -458,9 +459,27 @@ def iter_norm_class(
     check_budget(p, p ** (2 * (d - 1)), budget, expected)
     segments = canonical_segments(p, d) if canonical_only else [[range(p * p)] * d]
     return (
-        parent + tail + (last,)
+        (parent + tail, completions)
         for parent, children in walk_prefixes(p, d, target, segments)
         for tail, _, completions in children
+    )
+
+
+def iter_norm_class(
+    prime: ComplexifiablePrime,
+    d: int,
+    target: int,
+    budget: int = DEFAULT_BUDGET,
+    canonical_only: bool = False,
+):
+    """Amplitude tuples of every vector of the given norm, in
+    lexicographic order: iter_norm_prefixes, state by state.  The budget
+    is checked on the call."""
+    return (
+        prefix + (last,)
+        for prefix, completions in iter_norm_prefixes(
+            prime, d, target, budget, canonical_only
+        )
         for last in completions
     )
 

@@ -154,6 +154,11 @@ from .complexfield import cadd, cmul, cneg, conj
 from .errors import DqcError, NonRealExpectation, NotUnitNorm, ZeroVector
 from .states import StateVector
 
+# A pool starts in about 5 ms and the census takes 5-6 us a prefix, so
+# two workers repay the start only from about 2,000 prefixes; a smaller
+# census runs its blocks inline whatever the thread count
+POOL_MIN_PREFIXES = 2000
+
 
 class EntanglementClass(str, Enum):
     UNENTANGLED = "Unentangled"
@@ -259,7 +264,8 @@ def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
     The prefix is the parent of parent_forms' passes followed by y, and
     c is the field norm of the last amplitude, x (the module docstring
     derives the forms).  O(n): each pass takes y into its last head pair
-    or last column.  Returns (qs, us, vs, lengths, tests, fixed):
+    or last column.  Returns (qs, us, vs, lengths, tests, fixed), which
+    hashes, so that a writer can cache the prefix's rows under it:
     lengths holds each qubit's squared length as (q, u, v), read as
     q + u x0 + v x1 mod p, and (qs, us, vs) their sums; tests holds
     (bit, c0, c1, k0, k1) for a qubit that factors out exactly when
@@ -311,7 +317,7 @@ def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
                     (bit, c0, c1, (a0 * e0 - a1 * e1) % p, (a0 * e1 + a1 * e0) % p)
                 )
         bit <<= 1
-    return qs % p, us % p, vs % p, lengths, tests, fixed
+    return qs % p, us % p, vs % p, tuple(lengths), tuple(tests), fixed
 
 
 def classify_last(p: int, n: int, forms: tuple, x: tuple) -> tuple:
@@ -393,10 +399,12 @@ def purity(psi: StateVector) -> PurityValue:
     exps = pauli_expectations(psi)
     p = psi.field.p
     sum_sq = sum(v * v for v in exps.flat()) % p
-    reduced = None
-    if psi.n % p:
-        reduced = sum_sq * pow(psi.n % p, p - 2, p) % p
-    return PurityValue(sum_sq=sum_sq, n=psi.n, reduced=reduced)
+    return PurityValue(sum_sq=sum_sq, n=psi.n, reduced=reduced_purity(p, psi.n, sum_sq))
+
+
+def reduced_purity(p: int, n: int, sum_sq: int) -> int | None:
+    """The purity sum_sq / n in F_p, or None when p divides n."""
+    return sum_sq * pow(n % p, p - 2, p) % p if n % p else None
 
 
 def separable_qubits(psi: StateVector) -> frozenset:
@@ -605,7 +613,8 @@ def census_tally(
     """Classify every irreducible n-qubit state by weighted block enumeration.
 
     Block results merge by addition, so the tally is independent of the
-    thread count and block layout.  Every merged count is p + 1 times a
+    thread count and block layout; a walk of fewer than
+    POOL_MIN_PREFIXES prefixes starts no pool.  Every merged count is p + 1 times a
     count of irreducible states; a remainder raises DqcError.  Partial
     and the purity-one non-products follow by subtraction (see the
     module docstring).
@@ -616,6 +625,8 @@ def census_tally(
     # before the walk builds its p**2 tables
     prefixes = p ** (2 * (d - 1) - len(census_held(n)))
     check_budget(p, prefixes, budget, irreducible_count(p, d))
+    if prefixes < POOL_MIN_PREFIXES:
+        threads = 1
     parents = prefixes // len(census_segment(p, n)[-2])
     blocks = prefix_blocks(parents, threads)
     args = [(p, n, start, stop) for start, stop in blocks]
@@ -645,32 +656,45 @@ def census_tally(
     )
 
 
-def iter_classified(
+def iter_classified_prefixes(
     prime: ComplexifiablePrime, n: int, budget: int = DEFAULT_BUDGET
 ):
-    """(amps, kind, sum_sq, reduced, mask) for every irreducible state, in
-    lexicographic amplitude order.
+    """(prefix, completions, forms) for every prefix of the irreducible
+    states, in lexicographic amplitude order.
 
-    The budget is checked on the call and charged p**(2(D-1)), as for
-    every stream.  The stream walks the canonical states, building each
-    parent's passes once, each prefix's forms from them, and completing
-    those per state.
+    prefix is a state's first 2**n - 1 amplitudes, completions the last
+    amplitudes that make it irreducible, and forms its finish_forms,
+    which classify_last completes per state.  Each parent's passes are
+    built once.  The budget is checked on the call and charged
+    p**(2(D-1)), as for every stream.
     """
     p = prime.p
     d = 1 << n
     check_budget(p, p ** (2 * (d - 1)), budget, irreducible_count(p, d))
-    n_res = n % p
-    inv_n = pow(n_res, p - 2, p) if n_res else None
 
-    def rows():
+    def prefixes():
         for parent, children in walk_prefixes(p, d, 1, canonical_segments(p, d)):
             passes = parent_forms(p, n, parent)
             for tail, c, completions in children:
-                forms = finish_forms(p, n, passes, tail[0], c)
-                head = parent + tail
-                for x in completions:
-                    kind, sum_sq, mask = classify_last(p, n, forms, x)
-                    reduced = sum_sq * inv_n % p if inv_n is not None else None
-                    yield head + (x,), kind, sum_sq, reduced, mask
+                yield parent + tail, completions, finish_forms(p, n, passes, tail[0], c)
+
+    return prefixes()
+
+
+def iter_classified(
+    prime: ComplexifiablePrime, n: int, budget: int = DEFAULT_BUDGET
+):
+    """(amps, kind, sum_sq, reduced, mask) for every irreducible state, in
+    lexicographic amplitude order: iter_classified_prefixes, completed
+    state by state.  The budget is checked on the call."""
+    p = prime.p
+    prefixes = iter_classified_prefixes(prime, n, budget)
+    reduced = [reduced_purity(p, n, s) for s in range(p)]
+
+    def rows():
+        for prefix, completions, forms in prefixes:
+            for x in completions:
+                kind, sum_sq, mask = classify_last(p, n, forms, x)
+                yield prefix + (x,), kind, sum_sq, reduced[sum_sq], mask
 
     return rows()

@@ -3,10 +3,13 @@
 Everything here is deliberately written from first principles against
 plain (re, im) tuples: explicit loops over all field elements, literal
 Kronecker-product Pauli matrices, literal phase-orbit minimization.
-None of it but canonical_tally reuses the package's enumeration
+None of it but canonical_tally and the row oracles reuses the package's enumeration
 shortcuts, so agreement is meaningful.
 """
 
+import csv
+import io
+import json
 from itertools import combinations, product
 
 
@@ -204,3 +207,69 @@ def canonical_tally(p, n):
             maximal += _count_maximal(p, c, size, lengths, points)
             unentangled += _count_unentangled(p, n, c, size, tests, fixed)
     return _merge_blocks(p, [(maximal, unentangled, sums, lines)])
+
+
+# -- the rows dqc writes -------------------------------------------------------
+
+CLASSIFY_HEADER = [
+    "p", "n", "state", "class", "sum_sq", "reduced_purity", "separable_mask",
+]
+ENUMERATE_HEADER = ["p", "n", "norm_class", "amplitudes"]
+
+
+def state_text(amps):
+    return ";".join(f"{a}+{b}i" for a, b in amps)
+
+
+def classify_rows(cells, limit=None):
+    """The rows of `dqc classify --out` for cells [(p, n)], one per state
+    of the package's per-state stream iter_classified, at most limit per
+    cell.  What they check is the row writer, which they do not share."""
+    from itertools import islice
+
+    from dqc.basefield import validate_prime
+    from dqc.entangle import iter_classified
+
+    return [
+        [
+            p, n, state_text(amps), kind.value, sum_sq,
+            "NA" if reduced is None else reduced,
+            "".join("1" if mask >> j & 1 else "0" for j in range(n)),
+        ]
+        for p, n in cells
+        for amps, kind, sum_sq, reduced, mask in islice(
+            iter_classified(validate_prime(p), n), limit
+        )
+    ]
+
+
+def enumerate_rows(cells, norm_class):
+    """The rows of `dqc enumerate --class norm_class` for cells [(p, n)],
+    one per state of the package's per-state streams."""
+    from dqc.basefield import validate_prime
+    from dqc.census import iter_irreducible, iter_norm_class
+
+    def states(p, n):
+        if norm_class == "irreducible":
+            return iter_irreducible(validate_prime(p), n)
+        return iter_norm_class(
+            validate_prime(p), 1 << n, 1 if norm_class == "unit" else 0
+        )
+
+    return [
+        [p, n, norm_class, state_text(amps)]
+        for p, n in cells
+        for amps in states(p, n)
+    ]
+
+
+def stdlib_written(fmt, header, rows):
+    """What csv.writer writes, header first, or json.dumps(indent=2) of
+    the rows as objects, and a newline."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()

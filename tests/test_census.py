@@ -365,6 +365,11 @@ def test_verify_starts_one_pool(f3, monkeypatch):
         return pool(*args, **kwargs)
 
     monkeypatch.setattr(census, "Pool", counted_pool)
+    # the p=3 n=2 census walks 27 prefixes, too few to start a pool
+    assert verify(f3, 2, threads=2).verified
+    assert starts == []
+    # with no inline threshold it starts one pool, for the census alone
+    monkeypatch.setattr(entangle, "POOL_MIN_PREFIXES", 0)
     assert verify(f3, 2, threads=2).verified
     assert len(starts) == 1
 
@@ -390,9 +395,13 @@ def test_pool_has_at_most_one_worker_per_block(f3, monkeypatch):
     assert census.run_blocks(abs, [-1, 2, -3], threads=64) == [1, 2, 3]
     assert census.run_blocks(abs, [-1, 2, -3], threads=2) == [1, 2, 3]
     assert sizes == [3, 2]
-    # `dqc classify --p 3 --n 2 --threads 64`: the census walks 9 parents,
-    # so 9 blocks and 9 workers, not 64
+    # `dqc classify --p 3 --n 2 --threads 64` runs its 27 prefixes inline;
+    # with no inline threshold the census walks 9 parents, so 9 blocks and
+    # 9 workers, not 64
     tally = entangle.census_tally(f3, 2, threads=64)
+    assert sizes[2:] == []
+    monkeypatch.setattr(entangle, "POOL_MIN_PREFIXES", 0)
+    assert entangle.census_tally(f3, 2, threads=64) == tally
     assert tally.class_counts == {"Maximal": 216, "Partial": 288, "Unentangled": 36}
     assert sizes[2:] == [9]
 

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -15,9 +16,17 @@ import dqc.census as census
 import dqc.cli as cli
 from dqc.basefield import validate_prime
 from dqc.cli import log10_decimal, main, mask_bits
-from dqc.entangle import iter_classified
+from dqc.entangle import iter_classified_prefixes
 from dqc.hopf import bloch_export
 from dqc.states import format_amp
+
+from _oracles import (
+    CLASSIFY_HEADER,
+    ENUMERATE_HEADER,
+    classify_rows,
+    enumerate_rows,
+    stdlib_written,
+)
 
 
 def run(capsys, *argv):
@@ -287,6 +296,7 @@ def test_classify_summary_to_stdout(capsys):
         "{Maximal: 216, Partial: 288, Unentangled: 36}" in out
     )
     assert "p=3 n=2 purity-1-without-factorization: 0" in out
+    assert "p=3 n=2 purity-histogram: {0: 216, 1: 288, 2: 36}" in out
 
 
 def test_classify_rows_to_file(tmp_path, capsys):
@@ -322,40 +332,27 @@ def test_classify_rows_p7_pinned_bytes(tmp_path, capsys):
     )
 
 
-def written(fmt, header, rows):
-    """What csv.writer, or json.dump(indent=2) and a newline, writes."""
-    text = io.StringIO()
-    if fmt == "csv":
-        writer = csv.writer(text, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        json.dump([dict(zip(header, row)) for row in rows], text, indent=2)
-        text.write("\n")
-    return text.getvalue()
-
-
 def test_classify_csv_rows_match_the_stream(tmp_path, capsys, monkeypatch):
-    # each file against csv.writer or json.dump on rows formatted here
-    # from the stream; most runs have several cells, so a table of one
-    # cell that leaks into the next shows
-    header = ["p", "n", "state", "class", "sum_sq", "reduced_purity", "separable_mask"]
+    # each file against csv.writer or json.dumps on rows formatted from
+    # the per-state stream; most runs have several cells, so a table of
+    # one cell that leaks into the next shows
     for fmt in ("csv", "json"):
         for argv, cells, limit in (
             (("--p-list", "3,7", "--n", "1"), [(3, 1), (7, 1)], None),
             (("--p", "3", "--n-max", "2"), [(3, 1), (3, 2)], None),
             # the first p=7 n=2 rows share (class, sum_sq, mask) with p=3
             # n=2 rows, but not their reduced purity
-            (("--p-list", "3,7", "--n", "2"), [(3, 2), (7, 2)], 3000),
+            (("--p-list", "3,7", "--n", "2"), [(3, 2), (7, 2)], 400),
             # p divides n, so reduced_purity is NA
-            (("--p", "3", "--n", "3"), [(3, 3)], 2000),
+            (("--p", "3", "--n", "3"), [(3, 3)], 500),
             # no rows: the header alone, or []
             (("--p-list", "3,7", "--n", "1"), [(3, 1), (7, 1)], 0),
         ):
+            # limit counts prefixes; the rows are their states
             monkeypatch.setattr(
-                cli, "iter_classified",
+                cli, "iter_classified_prefixes",
                 lambda prime, n, budget: islice(
-                    iter_classified(prime, n, budget), limit
+                    iter_classified_prefixes(prime, n, budget), limit
                 ),
             )
             target = tmp_path / "rows.out"
@@ -363,18 +360,15 @@ def test_classify_csv_rows_match_the_stream(tmp_path, capsys, monkeypatch):
                 capsys, "classify", *argv, "--format", fmt, "--out", str(target)
             )
             assert code == 0
-            rows = [
-                [
-                    p, n, ";".join(map(format_amp, amps)), kind.value, sum_sq,
-                    "NA" if reduced is None else reduced, mask_bits(mask, n),
-                ]
-                for p, n in cells
-                for amps, kind, sum_sq, reduced, mask in islice(
-                    iter_classified(validate_prime(p), n), limit
-                )
-            ]
+            rows = []
+            for p, n in cells:
+                states = None
+                if limit is not None:
+                    prefixes = iter_classified_prefixes(validate_prime(p), n)
+                    states = sum(len(c) for _, c, _ in islice(prefixes, limit))
+                rows += classify_rows([(p, n)], states)
             assert any(row[5] == "NA" for row in rows) == (cells == [(3, 3)])
-            expected = written(fmt, header, rows)
+            expected = stdlib_written(fmt, CLASSIFY_HEADER, rows)
             assert target.read_bytes() == expected.encode(), (fmt, argv)
 
     # the other row outputs, against rows built here from the library
@@ -398,11 +392,6 @@ def test_classify_csv_rows_match_the_stream(tmp_path, capsys, monkeypatch):
         for p in (3, 7)
         for b in bloch_export(validate_prime(p))
     ]
-    unit = [
-        [p, 1, "unit", ";".join(map(format_amp, amps))]
-        for p in (3, 7)
-        for amps in census.iter_norm_class(validate_prime(p), 2, 1)
-    ]
     for fmt in ("csv", "json"):
         for argv, header, rows in (
             (
@@ -420,33 +409,144 @@ def test_classify_csv_rows_match_the_stream(tmp_path, capsys, monkeypatch):
             ),
             (
                 ("enumerate", "--p-list", "3,7", "--n", "1"),
-                ["p", "n", "norm_class", "amplitudes"],
-                unit,
+                ENUMERATE_HEADER,
+                enumerate_rows([(3, 1), (7, 1)], "unit"),
             ),
         ):
             code, out, _ = run(capsys, *argv, "--format", fmt)
             assert code == 0
-            assert out == written(fmt, header, rows), (fmt, argv)
+            assert out == stdlib_written(fmt, header, rows), (fmt, argv)
+
+
+def test_state_rows_match_the_stdlib_oracle(capsys, monkeypatch):
+    # the per-prefix blocks of `dqc classify --out` and `dqc enumerate`
+    # against csv.writer and json.dumps over the per-state streams, cell
+    # by cell and in one run of four cells
+    grid = [(p, n) for p in (3, 7) for n in (1, 2)]
+    classified = {cell: classify_rows([cell]) for cell in grid}
+    irreducible = {cell: enumerate_rows([cell], "irreducible") for cell in grid}
+    runs = [
+        (("classify", "--p", str(p), "--n", str(n), "--out", "-"),
+         CLASSIFY_HEADER, classified[p, n])
+        for p, n in grid
+    ]
+    runs += [
+        (("enumerate", "--p", str(p), "--n", str(n), "--class", norm_class),
+         ENUMERATE_HEADER,
+         irreducible[p, n] if norm_class == "irreducible"
+         else enumerate_rows([(p, n)], norm_class))
+        for p, n in grid
+        for norm_class in ("unit", "zero", "irreducible")
+        # 823,200 and 825,601 rows: the CI pins their bytes instead
+        if (p, n, norm_class) not in ((7, 2, "unit"), (7, 2, "zero"))
+    ]
+    cells = ("--p-list", "3,7", "--n-max", "2")
+    runs += [
+        (("classify", *cells, "--out", "-"),
+         CLASSIFY_HEADER, sum((classified[cell] for cell in grid), [])),
+        (("enumerate", *cells, "--class", "irreducible"),
+         ENUMERATE_HEADER, sum((irreducible[cell] for cell in grid), [])),
+    ]
+    for fmt in ("csv", "json"):
+        for argv, header, rows in runs:
+            if fmt == "json" and argv[1:5] == ("--p", "7", "--n", "2"):
+                continue  # the four-cell runs hold these rows; json.dumps is slow
+            code, out, _ = run(capsys, *argv, "--format", fmt)
+            assert code == 0
+            assert out == stdlib_written(fmt, header, rows), (fmt, argv)
+    # no rows at all: the header alone, or []
+    monkeypatch.setattr(cli, "iter_classified_prefixes", lambda *a, **k: iter(()))
+    monkeypatch.setattr(census, "iter_norm_prefixes", lambda *a, **k: iter(()))
+    for fmt in ("csv", "json"):
+        for argv, header in (
+            (("classify", "--p-list", "3,7", "--n", "2", "--out", "-"), CLASSIFY_HEADER),
+            (("enumerate", "--p-list", "3,7", "--n", "2"), ENUMERATE_HEADER),
+        ):
+            code, out, _ = run(capsys, *argv, "--format", fmt)
+            assert code == 0
+            assert out == stdlib_written(fmt, header, []), (fmt, argv)
+
+
+def test_a_full_row_cache_changes_no_byte(capsys, monkeypatch):
+    # the p=7 n=2 walk has 1,231 distinct row keys and the p=3 n=3 walk
+    # 28,547; a cache of one entry is emptied at nearly every prefix
+    argvs = [
+        ("classify", "--p", "7", "--n", "2", "--out", "-"),
+        ("classify", "--p", "7", "--n", "2", "--out", "-", "--format", "json"),
+        ("enumerate", "--p-list", "3,7", "--n", "2", "--class", "zero"),
+    ]
+    whole = [run(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(
+        cli, "iter_classified_prefixes",
+        lambda prime, n, budget: islice(
+            iter_classified_prefixes(prime, n, budget), 20000
+        ),
+    )
+    whole.append(run(capsys, "classify", "--p", "3", "--n", "3", "--out", "-"))
+    argvs.append(("classify", "--p", "3", "--n", "3", "--out", "-"))
+    monkeypatch.setattr(cli, "ROW_CACHE_ENTRIES", 1)
+    for argv, (code, out, _) in zip(argvs, whole):
+        assert code == 0
+        assert run(capsys, *argv) == (0, out, ""), argv
+
+
+def test_row_cache_stays_bounded(monkeypatch):
+    # `dqc classify --p 7 --n 3 --out` on its first 2 * 10**5 prefixes,
+    # which hold 28,602 distinct row keys: the cache never holds more than
+    # its cap.  Over the first 2 * 10**4, under tracemalloc, the capped
+    # writer peaks at about 1.1 MB and an uncapped one at about 3.8 MB.
+    limit, traced = 200_000, 20_000
+    monkeypatch.setattr(
+        cli, "iter_classified_prefixes",
+        lambda prime, n, budget: islice(
+            iter_classified_prefixes(prime, n, budget), limit
+        ),
+    )
+    lines = cli._state_lines
+    sizes, peaks = [], []
+
+    def watched(*args):
+        blocks = lines(*args)
+        for block in blocks:
+            sizes.append(len(blocks.gi_frame.f_locals["cache"]))
+            if len(sizes) == traced:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            yield block
+
+    monkeypatch.setattr(cli, "_state_lines", watched)
+    argv = ["classify", "--p", "7", "--n", "3", "--budget", str(7**14),
+            "--out", os.devnull]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) == limit
+    assert max(sizes) == cli.ROW_CACHE_ENTRIES  # it filled up
+    assert peaks[0] < 2_500_000
 
 
 def test_rows_are_written_as_they_are_drawn(monkeypatch):
-    # before the stream yields state k + 1, the output already ends
-    # with the row of state k: nothing is collected before writing
+    # before the stream yields prefix k + 1, the output already ends
+    # with the last row of prefix k: nothing is collected before writing
     ends = {"csv": ",%s\n", "json": '"amplitudes": "%s"\n  }'}
-    walk = census.iter_irreducible
+    walk = census.iter_norm_prefixes
     for fmt, end in ends.items():
         out = io.StringIO()
         monkeypatch.setattr(sys, "stdout", out)
         shown = []
 
-        def checked(prime, n, budget):
-            for amps in walk(prime, n, budget):
+        def checked(*args, **kwargs):
+            for prefix, completions in walk(*args, **kwargs):
                 if shown:
                     assert out.getvalue().endswith(end % shown[-1]), len(shown)
-                shown.append(";".join(map(format_amp, amps)))
-                yield amps
+                shown.extend(
+                    ";".join(map(format_amp, prefix + (x,))) for x in completions
+                )
+                yield prefix, completions
 
-        monkeypatch.setattr(census, "iter_irreducible", checked)
+        monkeypatch.setattr(census, "iter_norm_prefixes", checked)
         argv = ["enumerate", "--p", "3", "--n", "2", "--class", "irreducible"]
         assert main(argv + ["--format", fmt]) == 0
         assert len(shown) == 540
@@ -472,6 +572,15 @@ def test_summary_thread_invariant(capsys):
     _, one, _ = run(capsys, "classify", "--p", "3", "--n", "2", "--threads", "1")
     _, four, _ = run(capsys, "classify", "--p", "3", "--n", "2", "--threads", "4")
     assert one == four
+    # 59,049 prefixes, enough for two workers to start a pool
+    _, one, _ = run(capsys, "classify", "--p", "3", "--n", "3", "--threads", "1")
+    _, two, _ = run(capsys, "classify", "--p", "3", "--n", "3", "--threads", "2")
+    assert one == two == (
+        "p=3 n=3 irreducible=3586680 "
+        "{Maximal: 257904, Partial: 3328560, Unentangled: 216}\n"
+        "p=3 n=3 purity-1-without-factorization: 1311984\n"
+        "p=3 n=3 purity-histogram: {0: 1312200, 1: 1154736, 2: 1119744}\n"
+    )
 
 
 def test_verify_output_deterministic(capsys):

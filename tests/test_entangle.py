@@ -388,6 +388,22 @@ def test_census_tally_frozen_p3_n3(f3):
     assert elapsed < 0.5
 
 
+def test_small_census_starts_no_pool(f3, f7, monkeypatch):
+    # the weighted walk holds 343 prefixes at p=7 n=2 and 1,331 at p=11
+    # n=2, below POOL_MIN_PREFIXES; 6,859 at p=19 n=2 and 59,049 at p=3
+    # n=3 are above it
+    workers = []
+
+    def capture(worker, args_list, threads):
+        workers.append(threads)
+        return [(0, 0, {}, {})] * len(args_list)
+
+    monkeypatch.setattr(entangle, "run_blocks", capture)
+    for p, n in ((7, 2), (11, 2), (19, 2), (3, 3)):
+        census_tally(validate_prime(p), n, threads=2)
+    assert workers == [1, 1, 2, 2]
+
+
 def test_census_tally_thread_invariant(f3):
     one = census_tally(f3, 2, threads=1)
     for threads in range(2, 6):
