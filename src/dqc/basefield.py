@@ -14,7 +14,7 @@ consequence used throughout: square roots of a residue c are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotComplexifiable, NotPrime
 
@@ -47,11 +47,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ComplexifiablePrime:
+class ComplexifiablePrime(namedtuple("ComplexifiablePrime", "p")):
     """A validated prime modulus p with p % 4 == 3."""
 
-    p: int
+    __slots__ = ()
 
     def centered(self, x: int) -> int:
         """Representative of x in -(p-1)/2 .. (p-1)/2."""

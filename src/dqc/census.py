@@ -69,11 +69,8 @@ children, so blocks of equal parent count carry about equal work.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import islice, product
 from math import prod
-from multiprocessing import Pool
 
 from .basefield import ComplexifiablePrime, validate_prime
 from .complexfield import cadd, cinv, cmul, conj, fnorm, frobenius
@@ -148,6 +145,8 @@ def maxent_to_unentangled_ratio(p: int, n: int) -> Fraction:
     257,904 / 216 = 1,194, the formula's 12)."""
     if n != 2:
         raise DqcError(f"the Maximal/Unentangled ratio holds only at n=2, got n={n}")
+    from fractions import Fraction
+
     return Fraction(p) * Fraction(p + 1, p - 1) ** (n - 1)
 
 
@@ -178,7 +177,6 @@ def zero_norm_by_recurrence(prime: ComplexifiablePrime, d_max: int) -> list:
 
 # -- count report -----------------------------------------------------------
 
-@dataclass
 class CountReport:
     """Closed-form and (when run) enumerated counts for one (p, D) cell.
 
@@ -189,20 +187,14 @@ class CountReport:
     reasons (budget) in human-readable form.
     """
 
-    p: int
-    d: int
-    n: int | None = None
-    total: int = 0
-    zero_norm: int = 0
-    unit_norm: int = 0
-    irreducible: int = 0
-    unentangled_irreducible: int | None = None
-    maxent_irreducible: int | None = None
-    unentangled_unit: int | None = None
-    maxent_unit: int | None = None
-    enumerated: dict = dc_field(default_factory=dict)
-    checks: dict = dc_field(default_factory=dict)
-    notes: list = dc_field(default_factory=list)
+    def __init__(self, p: int, d: int, n: int | None = None, total: int = 0,
+                 zero_norm: int = 0, unit_norm: int = 0, irreducible: int = 0):
+        self.p, self.d, self.n = p, d, n
+        self.total, self.zero_norm, self.unit_norm = total, zero_norm, unit_norm
+        self.irreducible = irreducible
+        self.unentangled_irreducible = self.maxent_irreducible = None
+        self.unentangled_unit = self.maxent_unit = None
+        self.enumerated, self.checks, self.notes = {}, {}, []
 
     @property
     def match_flags(self) -> dict:
@@ -307,12 +299,24 @@ def prefix_blocks(total: int, workers: int) -> list:
     return [(bounds[i], bounds[i + 1]) for i in range(chunks)]
 
 
+def Pool(processes: int):
+    """A multiprocessing.Pool of the given size.
+
+    multiprocessing is imported here, on the first pool start: most runs
+    start no pool, and the import (pickle, socket, selectors) takes
+    about 6 ms.  run_blocks starts its pools through this name.
+    """
+    import multiprocessing
+
+    return multiprocessing.Pool(processes)
+
+
 def run_blocks(worker, args_list: list, threads: int) -> list:
     """Run a top-level worker over per-block argument tuples.
 
-    threads <= 1 executes inline; otherwise a process pool of at most
-    one worker per block is used.  Results come back in block order
-    either way.
+    threads <= 1 executes inline; otherwise census.Pool starts a process
+    pool of at most one worker per block.  Results come back in block
+    order either way.
     """
     if threads <= 1 or len(args_list) <= 1:
         return [worker(a) for a in args_list]

@@ -136,7 +136,7 @@ rather than assuming there are none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .basefield import ComplexifiablePrime
@@ -169,40 +169,32 @@ class EntanglementClass(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class PauliExpectations:
+class PauliExpectations(namedtuple("PauliExpectations", "field n grid")):
     """Per-qubit triples (x, y, z) of Pauli expectations, all in F_p."""
 
-    field: ComplexifiablePrime
-    n: int
-    grid: tuple
+    __slots__ = ()
 
     def flat(self) -> tuple:
         return tuple(v for triple in self.grid for v in triple)
 
 
-@dataclass(frozen=True)
-class PurityValue:
+class PurityValue(namedtuple("PurityValue", "sum_sq n reduced")):
     """sum_sq = sum of squared expectations; reduced = sum_sq / n when
     p does not divide n, else None."""
 
-    sum_sq: int
-    n: int
-    reduced: int | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: EntanglementClass
-    n: int
-    separable_mask: frozenset
+class Classification(namedtuple("Classification", "kind n separable_mask")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        full = len(self.separable_mask) == self.n
-        if (self.kind == EntanglementClass.UNENTANGLED) != full:
+    def __new__(cls, kind: EntanglementClass, n: int, separable_mask: frozenset):
+        full = len(separable_mask) == n
+        if (kind == EntanglementClass.UNENTANGLED) != full:
             raise ValueError("Unentangled must coincide with a full separable mask")
-        if self.kind == EntanglementClass.MAXIMAL and self.separable_mask:
+        if kind == EntanglementClass.MAXIMAL and separable_mask:
             raise ValueError("Maximal states admit no separable qubit")
+        return super().__new__(cls, kind, n, separable_mask)
 
 
 # -- census kernel over amplitude tuples --------------------------------------
@@ -429,8 +421,9 @@ def classify(psi: StateVector) -> Classification:
 
 # -- census -------------------------------------------------------------------
 
-@dataclass
-class CensusTally:
+class CensusTally(namedtuple(
+    "CensusTally", "p n class_counts purity_hist purity_one_not_product"
+)):
     """Counts over all irreducible (canonical unit-norm) n-qubit states.
 
     class_counts are per entanglement class; purity_hist keys are
@@ -440,11 +433,7 @@ class CensusTally:
     irreducible ones scaled by the p + 1 phases.
     """
 
-    p: int
-    n: int
-    class_counts: dict
-    purity_hist: dict
-    purity_one_not_product: int
+    __slots__ = ()
 
     @property
     def irreducible_total(self) -> int:

@@ -16,7 +16,7 @@ upper triangle of the density matrix, which is phase invariant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .basefield import ComplexifiablePrime
 from .census import DEFAULT_BUDGET, iter_irreducible
@@ -25,8 +25,7 @@ from .errors import NotUnitNorm
 from .states import StateVector
 
 
-@dataclass(frozen=True)
-class BlochPoint:
+class BlochPoint(namedtuple("BlochPoint", "x y z ex ey ez degenerate")):
     """A point of the discrete sphere plus a schematic real embedding.
 
     x, y, z are canonical residues satisfying x**2 + y**2 + z**2 == 1
@@ -37,13 +36,7 @@ class BlochPoint:
     for unit-norm input, but kept so the export format is total).
     """
 
-    x: int
-    y: int
-    z: int
-    ex: float
-    ey: float
-    ez: float
-    degenerate: bool
+    __slots__ = ()
 
 
 def _embed(prime: ComplexifiablePrime, x: int, y: int, z: int) -> BlochPoint:

@@ -10,7 +10,7 @@ check it themselves.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .basefield import ComplexifiablePrime
 from .complexfield import GFc, cadd, cmul, conj, fnorm
@@ -37,25 +37,23 @@ def parse_amp(p: int, text: str) -> GFc:
     return (a, b)
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(namedtuple("StateVector", "field n amps")):
     """Amplitude vector of an n-qubit register over F_p**2."""
 
-    field: ComplexifiablePrime
-    n: int
-    amps: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise DqcError(f"qubit count {self.n} outside 1..{MAX_QUBITS}")
-        if len(self.amps) != 1 << self.n:
+    def __new__(cls, field: ComplexifiablePrime, n: int, amps: tuple):
+        if not 1 <= n <= MAX_QUBITS:
+            raise DqcError(f"qubit count {n} outside 1..{MAX_QUBITS}")
+        if len(amps) != 1 << n:
             raise DimensionMismatch(
-                f"{self.n} qubits need {1 << self.n} amplitudes, got {len(self.amps)}"
+                f"{n} qubits need {1 << n} amplitudes, got {len(amps)}"
             )
-        p = self.field.p
-        for x in self.amps:
+        p = field.p
+        for x in amps:
             if x[0] >= p or x[1] >= p or x[0] < 0 or x[1] < 0:
                 raise DqcError(f"amplitude {x} not in canonical range for p={p}")
+        return super().__new__(cls, field, n, amps)
 
     @property
     def dim(self) -> int:

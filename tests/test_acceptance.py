@@ -149,19 +149,26 @@ def test_criterion_4_two_qubit_census_p7(report, tally72):
         # a small share of the two-worker run
         f3 = validate_prime(3)
 
-        def best_of_3(threads):
-            # one slow run on a shared host must not decide the gate
-            times = []
-            for _ in range(3):
-                t0 = time.perf_counter()
-                result = census_tally(f3, 3, threads=threads)
-                times.append(time.perf_counter() - t0)
-            return result, min(times)
+        def timed(threads):
+            t0 = time.perf_counter()
+            result = census_tally(f3, 3, threads=threads)
+            return result, time.perf_counter() - t0
 
-        serial, serial_dt = best_of_3(1)
-        parallel, parallel_dt = best_of_3(2)
-        assert parallel == serial
-        assert serial.irreducible_total == irreducible_count(3, 8)
+        # untimed 2-worker runs for 1.5 s: the first pool start in a process
+        # imports multiprocessing, and on a shared 2-vCPU host the second
+        # CPU reaches full speed a second or more after an idle spell, such
+        # as the one-process tests before this one
+        warm_until = time.perf_counter() + 1.5
+        parallel, _ = timed(2)
+        while time.perf_counter() < warm_until:
+            timed(2)
+        # best of 3, serial and 2-worker runs alternating, so that neither
+        # one slow run nor a change in host speed decides the gate
+        runs = [timed(threads) for _ in range(3) for threads in (1, 2)]
+        assert all(result == parallel for result, _ in runs)
+        assert parallel.irreducible_total == irreducible_count(3, 8)
+        serial_dt = min(dt for _, dt in runs[0::2])
+        parallel_dt = min(dt for _, dt in runs[1::2])
         speedup = serial_dt / parallel_dt if parallel_dt else float("inf")
         extra["tail"] = (
             f"; p=7 single-thread {elapsed:.2f}s; p=3 n=3 census 1 worker "

@@ -374,10 +374,11 @@ def test_census_tally_frozen_p7(f7):
 
 def test_census_tally_frozen_p3_n3(f3):
     # the first n = 3 census: 59049 weighted prefixes, in well under a
-    # second on one worker
-    t0 = time.perf_counter()
+    # second on one worker; that worker is this process, so its CPU time
+    # covers all the work and other tenants of the host do not move it
+    t0 = time.process_time()
     tally = census_tally(f3, 3)
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     assert tally.class_counts == {
         "Unentangled": 216,
         "Partial": 3328560,
