@@ -103,7 +103,7 @@ walk):
                  involves x);
     sum_sq       qs + us x0 + vs x1: all completions at qs when
                  w = c (us**2 + vs**2) is 0, else the key (qs, w) of a
-                 histogram of lines, expanded as the blocks merge.
+                 histogram of lines, expanded when the block's walk ends.
 
 Maximal states have sum_sq 0 and Unentangled ones sum_sq n mod p
 (every separable qubit has squared length 1), so Partial and the
@@ -534,15 +534,15 @@ def census_segment(p: int, n: int) -> list:
     return [zero_or_lead if i in held else range(p * p) for i in range(1 << n)]
 
 
-def _tally_block(args) -> tuple:
+def _tally_block(args) -> list:
     """Count the weighted states of one block of the census's parents.
 
-    Returns (maximal, unentangled, sums, lines): the Maximal and
-    Unentangled counts, sums[qs] the completions of prefixes whose
-    sum_sq is the constant qs, and lines[(qs, w)] the prefixes whose
-    sum_sq is qs + us x0 + vs x1 with w = c (us**2 + vs**2) != 0, which
-    _merge_blocks expands.  A prefix counts (p + 1)**k times, k its
-    nonzero held amplitudes.
+    Returns [maximal, unentangled, purities[0], ..., purities[p - 1]],
+    purities[s] the states of sum_sq s.  A prefix whose sum_sq is
+    qs + us x0 + vs x1 with w = c (us**2 + vs**2) != 0 is kept under the
+    key (qs, w) while the block walks; at its end each key puts
+    1 + chi(w - (s - qs)**2) completions at every sum_sq s.  A prefix
+    counts (p + 1)**k times, k its nonzero held amplitudes.
     """
     p, n, start, stop = args
     d = 1 << n
@@ -552,7 +552,7 @@ def _tally_block(args) -> tuple:
     weights = [(p + 1) ** k for k in range(n + 2)]
     points = _line_points(p)
     maximal = unentangled = 0
-    sums: dict = {}
+    purities = [0] * p
     lines: dict = {}
     segments = [census_segment(p, n)]
     for parent, children in walk_prefixes(p, d, 1, segments, start, stop):
@@ -566,31 +566,13 @@ def _tally_block(args) -> tuple:
             if w:
                 lines[qs, w] = lines.get((qs, w), 0) + weight
             else:
-                sums[qs] = sums.get(qs, 0) + weight * size
+                purities[qs] += weight * size
             maximal += weight * _count_maximal(p, c, size, lengths, points)
             unentangled += weight * _count_unentangled(p, n, c, size, tests, fixed)
-    return maximal, unentangled, sums, lines
-
-
-def _merge_blocks(p: int, results) -> tuple:
-    """(maximal, unentangled, purities) over _tally_block's block results.
-
-    Sums the blocks and expands their lines: a key (qs, w) puts
-    1 + chi(w - (s - qs)**2) completions at sum_sq s.  purities maps
-    each sum_sq that some state has to its number of states.
-    """
-    maximal = unentangled = 0
-    purities = [0] * p
-    points = _line_points(p)
-    for block_maximal, block_unentangled, sums, lines in results:
-        maximal += block_maximal
-        unentangled += block_unentangled
-        for qs, k in sums.items():
-            purities[qs] += k
-        for (qs, w), k in lines.items():
-            for s in range(p):
-                purities[s] += k * points[(w - (s - qs) ** 2) % p]
-    return maximal, unentangled, {s: k for s, k in enumerate(purities) if k}
+    for (qs, w), k in lines.items():
+        for s in range(p):
+            purities[s] += k * points[(w - (s - qs) ** 2) % p]
+    return [maximal, unentangled, *purities]
 
 
 def census_tally(
@@ -601,12 +583,12 @@ def census_tally(
 ) -> CensusTally:
     """Classify every irreducible n-qubit state by weighted block enumeration.
 
-    Block results merge by addition, so the tally is independent of the
-    thread count and block layout; a walk of fewer than
-    POOL_MIN_PREFIXES prefixes starts no pool.  Every merged count is p + 1 times a
-    count of irreducible states; a remainder raises DqcError.  Partial
-    and the purity-one non-products follow by subtraction (see the
-    module docstring).
+    The blocks' lists add column by column, so the tally is independent
+    of the thread count and block layout; a walk of fewer than
+    POOL_MIN_PREFIXES prefixes starts no pool.  Every column sum is
+    p + 1 times a count of irreducible states; a remainder raises
+    DqcError.  Partial and the purity-one non-products follow by
+    subtraction (see the module docstring).
     """
     p = prime.p
     d = 1 << n
@@ -619,19 +601,11 @@ def census_tally(
     parents = prefixes // len(census_segment(p, n)[-2])
     blocks = prefix_blocks(parents, threads)
     args = [(p, n, start, stop) for start, stop in blocks]
-    maximal, unentangled, purities = _merge_blocks(
-        p, run_blocks(_tally_block, args, threads)
-    )
-
-    def unweighted(count):
-        q, r = divmod(count, p + 1)
-        if r:
-            raise DqcError(f"weighted count {count} not divisible by p+1={p + 1}")
-        return q
-
-    maximal, unentangled = unweighted(maximal), unweighted(unentangled)
-    purities = {s: unweighted(k) for s, k in purities.items()}
-    partial = sum(purities.values()) - maximal - unentangled
+    totals = [sum(column) for column in zip(*run_blocks(_tally_block, args, threads))]
+    if any(total % (p + 1) for total in totals):
+        raise DqcError(f"weighted counts {totals} not divisible by p+1={p + 1}")
+    maximal, unentangled, *purities = (total // (p + 1) for total in totals)
+    partial = sum(purities) - maximal - unentangled
     return CensusTally(
         p=p,
         n=n,
@@ -640,8 +614,8 @@ def census_tally(
             EntanglementClass.PARTIAL.value: partial,
             EntanglementClass.MAXIMAL.value: maximal,
         },
-        purity_hist=purities,
-        purity_one_not_product=purities.get(n % p, 0) - unentangled,
+        purity_hist={s: k for s, k in enumerate(purities) if k},
+        purity_one_not_product=purities[n % p] - unentangled,
     )
 
 

@@ -63,11 +63,10 @@ class VerificationFailed(DqcError):
         field_name: the name of the check.
         expected, found: the check's two values, as a closed form and
             the count it was compared with.
-        report: the cell's finished CountReport, or None for a check
-            that no report records (the zero-norm recurrence).
+        report: the cell's finished CountReport, which records the check.
     """
 
-    def __init__(self, field_name: str, expected, found, report=None):
+    def __init__(self, field_name: str, expected, found, report):
         self.field_name = field_name
         self.expected = expected
         self.found = found

@@ -3,13 +3,15 @@
 Everything here is deliberately written from first principles against
 plain (re, im) tuples: explicit loops over all field elements, literal
 Kronecker-product Pauli matrices, literal phase-orbit minimization.
-None of it but canonical_tally and the row oracles reuses the package's enumeration
-shortcuts, so agreement is meaningful.
+Only canonical_tally, which reuses the package's per-prefix forms and
+counters, and the row oracles, which reuse its per-state streams, share
+code with the package, so agreement is meaningful.
 """
 
 import csv
 import io
 import json
+from collections import Counter
 from itertools import combinations, product
 
 
@@ -178,14 +180,16 @@ def canonical_tally(p, n):
     """(maximal, unentangled, purities) over the irreducible n-qubit
     states, counted on the canonical walk: one state per phase class,
     no weights.  Unlike the rest of this module it reuses the package's
-    per-prefix counters and block merge; what it checks is the census's
-    weighted walk, which it does not share."""
+    per-prefix forms and Maximal and Unentangled counters; what it
+    checks is the census's weighted walk, which it does not share.
+    purities maps each sum_sq that some state has to its number of
+    states, read off every completion of the prefix's sum_sq form
+    (qs, us, vs) rather than from the census's count of line points."""
     from dqc.census import canonical_segments, walk_prefixes
     from dqc.entangle import (
         _count_maximal,
         _count_unentangled,
         _line_points,
-        _merge_blocks,
         finish_forms,
         parent_forms,
     )
@@ -193,20 +197,20 @@ def canonical_tally(p, n):
     d = 1 << n
     points = _line_points(p)
     maximal = unentangled = 0
-    sums, lines = {}, {}
+    sums = Counter()
     for parent, children in walk_prefixes(p, d, 1, canonical_segments(p, d)):
         passes = parent_forms(p, n, parent)
         for (y,), c, completions in children:
             qs, us, vs, lengths, tests, fixed = finish_forms(p, n, passes, y, c)
             size = len(completions)
-            w = c * (us * us + vs * vs) % p
-            if w:
-                lines[qs, w] = lines.get((qs, w), 0) + 1
-            else:
-                sums[qs] = sums.get(qs, 0) + size
+            sums[qs, us, vs, completions] += 1
             maximal += _count_maximal(p, c, size, lengths, points)
             unentangled += _count_unentangled(p, n, c, size, tests, fixed)
-    return _merge_blocks(p, [(maximal, unentangled, sums, lines)])
+    purities = Counter()
+    for (qs, us, vs, completions), k in sums.items():
+        for x0, x1 in completions:
+            purities[(qs + us * x0 + vs * x1) % p] += k
+    return maximal, unentangled, dict(sorted(purities.items()))
 
 
 # -- the rows dqc writes -------------------------------------------------------

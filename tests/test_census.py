@@ -131,18 +131,30 @@ def test_maxent_closed_form_only_up_to_two_qubits(f3, monkeypatch):
     assert exc.value.field_name == "maxent_enumerated"
 
 
-def test_zero_norm_recurrence_long_run(f3, f7, monkeypatch):
+def test_zero_norm_recurrence_long_run(f3, f7):
     for fld in (f3, f7):
         seq = zero_norm_by_recurrence(fld, 64)
         assert len(seq) == 64
         assert seq[0] == 1
         assert seq[-1] == zero_norm_count(fld.p, 64)
-    # a wrong closed form fails at its first wrong term, with both values
-    monkeypatch.setattr(census, "zero_norm_count", lambda p, d: p ** (2 * d - 2))
+
+
+def test_verify_records_the_zero_norm_recurrence(f3, monkeypatch):
+    # verify compares every term of the recurrence with the closed form,
+    # as one check of the report
+    assert verify(f3, 2).checks["zero_norm_recurrence"] == ([1, 33, 225, 2241],) * 2
+    # a wrong term fails the cell with both lists and the finished report
+    monkeypatch.setattr(
+        census, "zero_norm_by_recurrence", lambda prime, d: [1, 33, 226, 2241]
+    )
     with pytest.raises(VerificationFailed) as exc:
-        zero_norm_by_recurrence(f3, 4)
-    assert exc.value.field_name == "zero_norm_recurrence[d=2]"
-    assert (exc.value.expected, exc.value.found, exc.value.report) == (9, 33, None)
+        verify(f3, 2)
+    assert exc.value.field_name == "zero_norm_recurrence"
+    assert (exc.value.expected, exc.value.found) == (
+        [1, 33, 225, 2241], [1, 33, 226, 2241]
+    )
+    assert exc.value.report.verified is False
+    assert exc.value.report.enumerated["irreducible"] == 540
 
 
 def test_count_norm_class_matches_closed_forms(f3, f7):
@@ -341,8 +353,8 @@ def test_verify_full_enumeration(f3):
     rep = verify(f3, 2)
     assert rep.verified
     assert list(rep.match_flags) == [
-        "partition_identity", "irreducible_product_form", "spot_invariants",
-        "unit_norm_enumerated", "zero_norm_enumerated", "irreducible_enumerated",
+        "partition_identity", "irreducible_product_form", "zero_norm_recurrence",
+        "spot_invariants", "unit_norm_enumerated", "zero_norm_enumerated", "irreducible_enumerated",
         "unentangled_enumerated", "maxent_enumerated", "census_total",
         "full_scan_histogram",
     ]
@@ -411,10 +423,12 @@ def test_verify_budget_skip_keeps_closed_forms(f19):
     assert rep.verified
     assert "unit_norm" not in rep.enumerated
     assert any("budget" in note for note in rep.notes)
-    # the closed-form identities and the sampled invariants, nothing else
+    # the closed-form identities, the zero-norm recurrence and the
+    # sampled invariants, nothing else
     assert rep.match_flags == {
         "partition_identity": True,
         "irreducible_product_form": True,
+        "zero_norm_recurrence": True,
         "spot_invariants": True,
     }
 

@@ -110,10 +110,36 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     assert err.count("verification failed: p=3 n=1:") == 1
 
 
+def test_verify_writes_a_failed_zero_norm_recurrence(capsys, monkeypatch):
+    monkeypatch.setattr(
+        census, "zero_norm_by_recurrence", lambda prime, d: [1, 33, 226, 2241]
+    )
+    code, out, err = run(capsys, "verify", "--p", "3", "--n", "2")
+    assert code == 1
+    assert "verification failed: p=3 n=2:" in err
+    assert "'zero_norm_recurrence'" in err
+    doc = json.loads(out)
+    assert doc["verified"] is False
+    assert doc["enumerated"]["irreducible"] == "540"
+
+
+def test_counts_beyond_the_int_text_limit(capsys):
+    # 3**16384 has 7,818 digits, beyond the 4,300 that Python 3.11
+    # converts to text by default: tables writes them all, and the
+    # budget message of an enumeration that large prints its prefix count
+    code, out, err = run(capsys, "tables", "--p", "3", "--n", "13")
+    assert code == 0
+    assert list(csv.reader(out.splitlines()))[1][2] == str(3**16384)
+    code, out, err = run(capsys, "enumerate", "--p", "3", "--n", "13")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("budget exceeded: enumeration needs ")
+
+
 def test_package_error_exits_1_without_traceback(capsys, monkeypatch):
-    # a DqcError that is no usage, budget or verification error prints
-    # one line and exits 1: here irreducible_count's divisibility check,
-    # with a sign-flipped unit_norm_count
+    # a DqcError that is no usage or budget error prints one line and
+    # exits 1: here irreducible_count's divisibility check, with a
+    # sign-flipped unit_norm_count
     def flipped(p, d):
         sign = -1 if d % 2 else 1
         return p ** (d - 1) * (p**d + sign)

@@ -28,7 +28,6 @@ from dqc.entangle import (
     _count_maximal,
     _count_unentangled,
     _line_points,
-    _merge_blocks,
     _tally_block,
     census_segment,
     classify_last,
@@ -200,7 +199,7 @@ def test_census_blocks_cover_weighted_slice(monkeypatch, f3, f7):
 
     def capture(worker, args_list, threads):
         calls.append(args_list)
-        return [(0, 0, {}, {})] * len(args_list)
+        return [[0] * (args[0] + 2) for args in args_list]
 
     monkeypatch.setattr(entangle, "run_blocks", capture)
     for fld, n in ((f3, 2), (f7, 2), (f3, 3)):
@@ -397,7 +396,7 @@ def test_small_census_starts_no_pool(f3, f7, monkeypatch):
 
     def capture(worker, args_list, threads):
         workers.append(threads)
-        return [(0, 0, {}, {})] * len(args_list)
+        return [[0] * (args[0] + 2) for args in args_list]
 
     monkeypatch.setattr(entangle, "run_blocks", capture)
     for p, n in ((7, 2), (11, 2), (19, 2), (3, 3)):
@@ -423,13 +422,16 @@ def test_census_tally_matches_canonical_oracle(f3, f7, f11):
 
 
 def test_census_tally_refuses_a_weighted_remainder(f3, monkeypatch):
-    # every merged count must divide by p + 1; a remainder is an error,
-    # never floored
-    monkeypatch.setattr(
-        entangle, "run_blocks", lambda worker, args, threads: [(5, 4, {0: 8}, {})]
-    )
-    with pytest.raises(DqcError, match="not divisible by p\\+1=4"):
-        census_tally(f3, 2)
+    # every column of the summed block lists must divide by p + 1: a
+    # remainder in any one of them is an error, never floored
+    for column in range(5):
+        block = [4, 4, 8, 0, 4]
+        block[column] += 1
+        monkeypatch.setattr(
+            entangle, "run_blocks", lambda worker, args, threads: [block, [0] * 5]
+        )
+        with pytest.raises(DqcError, match="not divisible by p\\+1=4"):
+            census_tally(f3, 2)
 
 
 def test_census_tally_matches_per_state_classification(f3):
@@ -585,11 +587,11 @@ def test_counted_blocks_match_per_state_on_p3_n3_slice(f3):
                 assert sum_sq == 0
             if kind is EntanglementClass.UNENTANGLED:
                 assert sum_sq == 3 % 3
-        assert _merge_blocks(3, [_tally_block((3, 3, start, stop))]) == (
+        assert _tally_block((3, 3, start, stop)) == [
             kinds[EntanglementClass.MAXIMAL],
             kinds[EntanglementClass.UNENTANGLED],
-            dict(sorted(purities.items())),
-        )
+            *(purities[s] for s in range(3)),
+        ]
     assert sampled > 1000
 
 
