@@ -18,15 +18,16 @@ from collections import namedtuple
 
 from .errors import NotComplexifiable, NotPrime
 
-# Witnesses making Miller-Rabin deterministic for all 64-bit integers.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first 13 prime bases is exact below psi_13 (see
+# validate_prime); the first 12 pass psi_12 = 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n < 2**64."""
+    """Miller-Rabin primality test, deterministic for n < psi_13."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -77,11 +78,15 @@ class ComplexifiablePrime(namedtuple("ComplexifiablePrime", "p")):
 def validate_prime(candidate: int) -> ComplexifiablePrime:
     """Validate a modulus and construct its ComplexifiablePrime.
 
-    Raises NotPrime for composites and NotComplexifiable for primes
+    Raises NotPrime for composites and for moduli at or above psi_13,
+    where is_prime is no longer exact, and NotComplexifiable for primes
     with p % 4 != 3 (for those -1 is a square mod p, or p == 2).
     """
     if not isinstance(candidate, int) or isinstance(candidate, bool):
         raise NotPrime(f"modulus must be an integer, got {candidate!r}")
+    psi_13 = 3317044064679887385961981  # the least composite is_prime accepts
+    if candidate >= psi_13:
+        raise NotPrime(f"{candidate} is not below psi_13 = {psi_13}: no exact test")
     if not is_prime(candidate):
         raise NotPrime(f"{candidate} is not prime")
     if candidate % 4 != 3:

@@ -68,7 +68,9 @@ children, so blocks of equal parent count carry about equal work.
 
 from __future__ import annotations
 
+import os
 import random
+from functools import lru_cache
 from itertools import islice, product
 from math import prod
 
@@ -259,9 +261,7 @@ def closed_form_counts(prime: ComplexifiablePrime, d: int) -> CountReport:
 
 # -- enumeration tables ------------------------------------------------------
 
-_TABLE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def enum_tables(p: int):
     """Flat lookup tables over element indices e = re * p + im.
 
@@ -270,9 +270,6 @@ def enum_tables(p: int):
     len(fibers[c]) and leads lists the smallest element of each
     nonzero-norm fiber, in increasing order.
     """
-    cached = _TABLE_CACHE.get(p)
-    if cached is not None:
-        return cached
     fn = [0] * (p * p)
     fibers = [[] for _ in range(p)]
     for a in range(p):
@@ -283,9 +280,7 @@ def enum_tables(p: int):
             fibers[c].append(e)
     fibers = [tuple(f) for f in fibers]
     fiber_sizes = [len(f) for f in fibers]
-    tables = (fn, fibers, fiber_sizes, sorted(f[0] for f in fibers[1:]))
-    _TABLE_CACHE[p] = tables
-    return tables
+    return fn, fibers, fiber_sizes, sorted(f[0] for f in fibers[1:])
 
 
 def prefix_blocks(total: int, workers: int) -> list:
@@ -293,6 +288,13 @@ def prefix_blocks(total: int, workers: int) -> list:
     chunks = min(total, max(1, workers * 4))
     bounds = [total * i // chunks for i in range(chunks + 1)]
     return [(bounds[i], bounds[i + 1]) for i in range(chunks)]
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on, by its affinity where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def Pool(processes: int):

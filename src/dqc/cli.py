@@ -7,9 +7,7 @@ strings; log columns are computed from decimal digit counts so no
 value ever passes through a float.
 
 Row outputs stream: enumerate and classify --out write one block of
-rows per prefix from a bounded cache (_state_lines).  On a 2-vCPU host
-that took `dqc classify --p 7 --n 2 --out /dev/null` from about 0.37 s
-to 0.12 s and `--p 3 --n 3` (219 MB of rows) from about 20 s to 15 s.
+rows per prefix from a bounded cache (_state_lines).
 """
 
 from __future__ import annotations
@@ -21,12 +19,13 @@ import os
 import signal
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from itertools import chain
 
 from . import census
 from .basefield import validate_prime
-from .entangle import census_tally, classify_last, iter_classified_prefixes
-from .entangle import reduced_purity
+from .entangle import EntanglementClass, census_tally, classify_last
+from .entangle import iter_classified_prefixes, reduced_purity
 from .errors import (
     BudgetExceeded,
     DqcError,
@@ -172,59 +171,44 @@ def cmd_bloch(args: argparse.Namespace) -> int:
     return 0
 
 
-# Keys one cell's row cache holds; it is emptied when full, so its memory
-# is bounded whatever the size of the walk.  A key takes about 0.7 KB at
-# n = 2; the 1,231 distinct keys of the p=7 n=2 walk cost 1,710 misses
-# over its 14,707 prefixes at this cap, against 1,231 with no cap.  It
-# serves larger walks badly: p=11 n=2 has 7,391 keys and misses 82,917
-# times in 147,631 prefixes, p=3 n=3 28,547 keys and 1,040,011 misses in
-# 1,195,743.
+# Keys one cell's row cache holds; the key used least recently is
+# dropped when it is full, so its memory is bounded whatever the size of
+# the walk.  A key takes about 0.7 KB at n = 2.  The p=7 n=2 walk misses
+# once per distinct key, 1,231 times over its 14,707 prefixes, and p=11
+# n=2 misses 31,092 times (7,391 keys, 147,631 prefixes).  The n = 3
+# working set does not fit: p=3 n=3 misses 971,042 times (28,547 keys,
+# 1,195,743 prefixes).
 ROW_CACHE_ENTRIES = 512
 
 
-def _state_lines(
-    layout: tuple, p: int, lead: list, prefixes,
-    key=lambda forms, x: (), tail=lambda: (),
-):
+def _state_lines(layout: tuple, p: int, lead: list, prefixes, tail):
     """One text block per prefix: the rows of one cell's states, for
     enumerate and classify.
 
     prefixes yields (prefix, completions, forms).  The row of state
     prefix + (x,) is a head, the lead fields and the prefix's amplitudes
-    ('a+bi' joined by ';'), and a suffix, x and the fields
-    tail(*key(forms, x)).  The suffixes depend on (forms, completions)
-    alone, which repeat across prefixes, so their list is cached under
-    it, at most ROW_CACHE_ENTRIES keys at a time; each suffix string is
-    held once, by (x, key).  The tables belong to this cell: another
-    cell has another lead, and may give a key other fields.
+    ('a+bi' joined by ';'), and a suffix, x and tail(forms, x), the text
+    of the row after its amplitudes.  The suffixes depend on (forms,
+    completions) alone, which repeat across prefixes, so their list is
+    cached under it for the ROW_CACHE_ENTRIES keys used last; the lists
+    share equal suffix strings.  The cache belongs to this cell: another
+    cell has another lead and tail.
     """
     render, seps, _, between = layout
     amp_text = {(a, b): format_amp((a, b)) for a in range(p) for b in range(p)}
     # render only wraps amplitude text: none of it is quoted or escaped
     opening, closing = render(";").split(";")
     lead_text = _fields(layout, lead) + seps[len(lead)] + opening
-    texts = {}
-    cache = {}
+    shared = {}  # each distinct suffix string, held once for every list
 
-    def suffix(forms, x):
-        k = key(forms, x)
-        text = texts.get((x, k))
-        if text is None:
-            rest = tail(*k)
-            text = texts[x, k] = (
-                amp_text[x] + closing + _fields(layout, rest, len(seps) - len(rest))
-            )
-        return text
+    @lru_cache(maxsize=ROW_CACHE_ENTRIES)
+    def suffixes(forms, completions):
+        built = (amp_text[x] + closing + tail(forms, x) for x in completions)
+        return [shared.setdefault(text, text) for text in built]
 
     for prefix, completions, forms in prefixes:
-        block_key = forms, completions
-        suffixes = cache.get(block_key)
-        if suffixes is None:
-            if len(cache) >= ROW_CACHE_ENTRIES:
-                cache.clear()
-            suffixes = cache[block_key] = [suffix(forms, x) for x in completions]
         head = lead_text + ";".join(map(amp_text.__getitem__, prefix)) + ";"
-        yield head + (between + head).join(suffixes)
+        yield head + (between + head).join(suffixes(forms, completions))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -233,17 +217,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     target = 0 if args.norm_class == "zero" else 1
     canonical = args.norm_class == "irreducible"
 
-    def stream(prime, n):
-        return census.iter_norm_prefixes(
+    def lines(prime, n):
+        prefixes = census.iter_norm_prefixes(
             prime, 1 << n, target, budget=args.budget, canonical_only=canonical
+        )
+        return _state_lines(
+            layout, prime.p, [prime.p, n, args.norm_class],
+            ((prefix, completions, None) for prefix, completions in prefixes),
+            lambda forms, x: layout[2],  # the amplitudes end the row
         )
 
     _write_rows(args, header, chain.from_iterable(
-        _state_lines(
-            layout, p, [p, n, args.norm_class],
-            ((prefix, completions, None) for prefix, completions in prefixes),
-        )
-        for p, n, prefixes in _per_cell(args, stream)
+        cell for _, _, cell in _per_cell(args, lines)
     ))
     return 0
 
@@ -252,21 +237,27 @@ def cmd_classify(args: argparse.Namespace) -> int:
     header = ["p", "n", "state", "class", "sum_sq", "reduced_purity", "separable_mask"]
     if args.out is not None:
         layout = _layout(args.format, header)
-        cells = _per_cell(
-            args,
-            lambda prime, n: iter_classified_prefixes(prime, n, budget=args.budget),
-        )
-        _write_rows(args, header, chain.from_iterable(
-            _state_lines(
+
+        def lines(prime, n):
+            p = prime.p
+            prefixes = iter_classified_prefixes(prime, n, budget=args.budget)
+            purity = ["NA" if n % p == 0 else reduced_purity(p, n, s) for s in range(p)]
+            # a row's fields after its amplitudes, by classify_last's result
+            ends = {
+                (kind, s, mask): _fields(
+                    layout, [kind.value, s, purity[s], mask_bits(mask, n)], 3
+                )
+                for kind in EntanglementClass
+                for s in range(p)
+                for mask in range(1 << n)
+            }
+            return _state_lines(
                 layout, p, [p, n], prefixes,
-                lambda forms, x, p=p, n=n: classify_last(p, n, forms, x),
-                lambda kind, sum_sq, mask, p=p, n=n: (
-                    kind.value, sum_sq,
-                    "NA" if n % p == 0 else reduced_purity(p, n, sum_sq),
-                    mask_bits(mask, n),
-                ),
+                lambda forms, x: ends[classify_last(p, n, forms, x)],
             )
-            for p, n, prefixes in cells
+
+        _write_rows(args, header, chain.from_iterable(
+            cell for _, _, cell in _per_cell(args, lines)
         ))
         return 0
 
@@ -311,11 +302,11 @@ def budget(text: str) -> int:
 
 
 def workers(text: str) -> int:
-    """--threads: worker processes, 0 for one per CPU."""
+    """--threads: worker processes, 0 for one per usable CPU."""
     value = int(text)
     if value < 0:
         raise ValueError(text)
-    return value or os.cpu_count() or 1
+    return value or census.usable_cpus()
 
 
 def one_prime(text: str) -> list:

@@ -148,6 +148,7 @@ from .census import (
     irreducible_count,
     prefix_blocks,
     run_blocks,
+    usable_cpus,
     walk_prefixes,
 )
 from .complexfield import cadd, cmul, cneg, conj
@@ -585,10 +586,10 @@ def census_tally(
 
     The blocks' lists add column by column, so the tally is independent
     of the thread count and block layout; a walk of fewer than
-    POOL_MIN_PREFIXES prefixes starts no pool.  Every column sum is
-    p + 1 times a count of irreducible states; a remainder raises
-    DqcError.  Partial and the purity-one non-products follow by
-    subtraction (see the module docstring).
+    POOL_MIN_PREFIXES prefixes starts no pool, a larger one no more
+    workers than usable CPUs.  Every column sum is p + 1 times a count
+    of irreducible states; a remainder raises DqcError.  Partial and
+    purity-one non-products follow by subtraction (module docstring).
     """
     p = prime.p
     d = 1 << n
@@ -596,12 +597,11 @@ def census_tally(
     # before the walk builds its p**2 tables
     prefixes = p ** (2 * (d - 1) - len(census_held(n)))
     check_budget(p, prefixes, budget, irreducible_count(p, d))
-    if prefixes < POOL_MIN_PREFIXES:
-        threads = 1
+    workers = 1 if prefixes < POOL_MIN_PREFIXES else min(threads, usable_cpus())
     parents = prefixes // len(census_segment(p, n)[-2])
-    blocks = prefix_blocks(parents, threads)
+    blocks = prefix_blocks(parents, workers)
     args = [(p, n, start, stop) for start, stop in blocks]
-    totals = [sum(column) for column in zip(*run_blocks(_tally_block, args, threads))]
+    totals = [sum(column) for column in zip(*run_blocks(_tally_block, args, workers))]
     if any(total % (p + 1) for total in totals):
         raise DqcError(f"weighted counts {totals} not divisible by p+1={p + 1}")
     maximal, unentangled, *purities = (total // (p + 1) for total in totals)

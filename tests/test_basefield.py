@@ -5,15 +5,21 @@ from dqc.basefield import is_prime
 
 
 def test_accepts_complexifiable_primes():
-    for p in (3, 7, 11, 19, 23, 31, 43, 2**31 - 1):
+    for p in (3, 7, 11, 19, 23, 31, 43, 2**31 - 1, 2**61 - 1):
         fld = validate_prime(p)
         assert fld.p == p
 
 
 def test_rejects_composites():
-    for bad in (0, 1, 4, 9, 15, 21, 1023):
-        with pytest.raises(NotPrime):
+    # psi_12 = 399165290221 * 798330580441 is the least strong
+    # pseudoprime to the bases 2..37; base 41 exposes it
+    for bad in (0, 1, 4, 9, 15, 21, 1023, 318665857834031151167461):
+        with pytest.raises(NotPrime, match="not prime"):
             validate_prime(bad)
+    # psi_13 passes every base, so no modulus from it up is accepted
+    for big in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(NotPrime, match="psi_13 = 3317044064679887385961981"):
+            validate_prime(big)
     with pytest.raises(NotPrime):
         validate_prime(-7)
     with pytest.raises(NotPrime):

@@ -380,10 +380,11 @@ def test_verify_starts_one_pool(f3, monkeypatch):
     # the p=3 n=2 census walks 27 prefixes, too few to start a pool
     assert verify(f3, 2, threads=2).verified
     assert starts == []
-    # with no inline threshold it starts one pool, for the census alone
+    # with no inline threshold it starts one pool, for the census alone,
+    # where two CPUs are usable
     monkeypatch.setattr(entangle, "POOL_MIN_PREFIXES", 0)
     assert verify(f3, 2, threads=2).verified
-    assert len(starts) == 1
+    assert len(starts) == (census.usable_cpus() > 1)
 
 
 def test_pool_has_at_most_one_worker_per_block(f3, monkeypatch):
@@ -407,15 +408,26 @@ def test_pool_has_at_most_one_worker_per_block(f3, monkeypatch):
     assert census.run_blocks(abs, [-1, 2, -3], threads=64) == [1, 2, 3]
     assert census.run_blocks(abs, [-1, 2, -3], threads=2) == [1, 2, 3]
     assert sizes == [3, 2]
+    # the census runs on no more workers than there are usable CPUs; one
+    # worker runs inline and starts no pool
+    usable = census.usable_cpus()
+
+    def pools(workers):
+        return [workers] if workers > 1 else []
+
+    # `dqc classify --p 3 --n 3 --threads 64` walks 59,049 prefixes
+    entangle.census_tally(f3, 3, threads=64)
+    assert sizes[2:] == pools(min(64, usable))
+    del sizes[2:]
     # `dqc classify --p 3 --n 2 --threads 64` runs its 27 prefixes inline;
     # with no inline threshold the census walks 9 parents, so 9 blocks and
-    # 9 workers, not 64
+    # at most 9 workers, not 64
     tally = entangle.census_tally(f3, 2, threads=64)
     assert sizes[2:] == []
     monkeypatch.setattr(entangle, "POOL_MIN_PREFIXES", 0)
     assert entangle.census_tally(f3, 2, threads=64) == tally
     assert tally.class_counts == {"Maximal": 216, "Partial": 288, "Unentangled": 36}
-    assert sizes[2:] == [9]
+    assert sizes[2:] == pools(min(9, usable))
 
 
 def test_verify_budget_skip_keeps_closed_forms(f19):

@@ -495,7 +495,7 @@ def test_state_rows_match_the_stdlib_oracle(capsys, monkeypatch):
 
 def test_a_full_row_cache_changes_no_byte(capsys, monkeypatch):
     # the p=7 n=2 walk has 1,231 distinct row keys and the p=3 n=3 walk
-    # 28,547; a cache of one entry is emptied at nearly every prefix
+    # 28,547; a cache of one entry drops its key at nearly every prefix
     argvs = [
         ("classify", "--p", "7", "--n", "2", "--out", "-"),
         ("classify", "--p", "7", "--n", "2", "--out", "-", "--format", "json"),
@@ -516,11 +516,36 @@ def test_a_full_row_cache_changes_no_byte(capsys, monkeypatch):
         assert run(capsys, *argv) == (0, out, ""), argv
 
 
+def row_caches(monkeypatch, per_block):
+    """Wrap cli._state_lines so that per_block(suffixes) is called after
+    each block of a cell, suffixes being that cell's row cache."""
+    lines = cli._state_lines
+
+    def watched(*args):
+        blocks = lines(*args)
+        for block in blocks:
+            per_block(blocks.gi_frame.f_locals["suffixes"])
+            yield block
+
+    monkeypatch.setattr(cli, "_state_lines", watched)
+
+
+def test_row_cache_misses_once_per_key_at_p7_n2(monkeypatch):
+    # the p=7 n=2 walk has 1,231 distinct row keys in 14,707 prefixes;
+    # the cache keeps the keys used last, so none is built twice
+    infos = []
+    row_caches(monkeypatch, lambda suffixes: infos.append(suffixes.cache_info()))
+    assert main(["classify", "--p", "7", "--n", "2", "--out", os.devnull]) == 0
+    assert len(infos) == 14707
+    assert infos[-1].misses == 1231
+    assert infos[-1].currsize == cli.ROW_CACHE_ENTRIES
+
+
 def test_row_cache_stays_bounded(monkeypatch):
     # `dqc classify --p 7 --n 3 --out` on its first 2 * 10**5 prefixes,
     # which hold 28,602 distinct row keys: the cache never holds more than
     # its cap.  Over the first 2 * 10**4, under tracemalloc, the capped
-    # writer peaks at about 1.1 MB and an uncapped one at about 3.8 MB.
+    # writer peaks at about 0.9 MB and an uncapped one at about 3.8 MB.
     limit, traced = 200_000, 20_000
     monkeypatch.setattr(
         cli, "iter_classified_prefixes",
@@ -528,19 +553,15 @@ def test_row_cache_stays_bounded(monkeypatch):
             iter_classified_prefixes(prime, n, budget), limit
         ),
     )
-    lines = cli._state_lines
     sizes, peaks = [], []
 
-    def watched(*args):
-        blocks = lines(*args)
-        for block in blocks:
-            sizes.append(len(blocks.gi_frame.f_locals["cache"]))
-            if len(sizes) == traced:
-                peaks.append(tracemalloc.get_traced_memory()[1])
-                tracemalloc.stop()
-            yield block
+    def watched(suffixes):
+        sizes.append(suffixes.cache_info().currsize)
+        if len(sizes) == traced:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
 
-    monkeypatch.setattr(cli, "_state_lines", watched)
+    row_caches(monkeypatch, watched)
     argv = ["classify", "--p", "7", "--n", "3", "--budget", str(7**14),
             "--out", os.devnull]
     tracemalloc.start()
@@ -607,6 +628,11 @@ def test_summary_thread_invariant(capsys):
         "p=3 n=3 purity-1-without-factorization: 1311984\n"
         "p=3 n=3 purity-histogram: {0: 1312200, 1: 1154736, 2: 1119744}\n"
     )
+
+
+def test_threads_zero_is_one_per_usable_cpu():
+    assert cli.workers("0") == census.usable_cpus()
+    assert cli.workers("3") == 3
 
 
 def test_verify_output_deterministic(capsys):

@@ -401,7 +401,8 @@ def test_small_census_starts_no_pool(f3, f7, monkeypatch):
     monkeypatch.setattr(entangle, "run_blocks", capture)
     for p, n in ((7, 2), (11, 2), (19, 2), (3, 3)):
         census_tally(validate_prime(p), n, threads=2)
-    assert workers == [1, 1, 2, 2]
+    pool = min(2, entangle.usable_cpus())
+    assert workers == [1, 1, pool, pool]
 
 
 def test_census_tally_thread_invariant(f3):
