@@ -28,16 +28,17 @@ Enumeration
 States themselves are walked by fiber completion: fix the first D-1
 amplitudes (a "prefix"), compute the residual norm the last amplitude
 must carry, and append each member of that norm fiber.  One walker,
-walk_prefixes, serves every state stream, the entanglement census and
-the Bloch export.  It takes the states to walk as segments: lists of
-per-position digit choices, walked one after another, each in
-lexicographic order.  A full walk is one segment of free choices, so
-it produces every vector once in lexicographic order, from
-p**(2(D-1)) prefixes.
+walk_prefixes, serves every state stream and the entanglement census.
+It takes the states to walk as segments, walked one after another, each
+in lexicographic order: the (re, im) pairs each head position may hold
+and the last position's completions by norm, all from enum_tables,
+built once per p.  A full walk is one segment of free choices, so it
+produces every vector once in lexicographic order, from p**(2(D-1))
+prefixes.
 
 The budget limits prefixes.  check_budget is the one budget decision:
 a walk is charged its prefixes, and never less than the p**2 entries
-of the tables every walk builds.  Each stream calls it when it is
+of the tables every walk reads.  Each stream calls it when it is
 created, before the caller has consumed or written anything, and is
 charged p**(2(D-1)), whatever it filters.  The census is charged the
 prefixes of its weighted walk (see entangle), and verify reads its
@@ -52,7 +53,7 @@ test suite cross-asserts the two on full spheres.  The canonical walk
 (canonical_segments) therefore has D segments, in lexicographic order:
 for k = D-1 down to 0, k leading zeros, a fiber-minimum lead and free
 amplitudes after it.  The first is the zero prefix, whose completion
-leads and keeps its fiber minimum alone.  That is
+leads, so its last entry holds each fiber's minimum alone.  That is
 1 + (p-1) * sum_{t<D-1} p**(2t) prefixes instead of p**(2(D-1)), about
 one in p + 1.
 
@@ -75,7 +76,7 @@ from itertools import islice, product
 from math import prod
 
 from .basefield import ComplexifiablePrime, validate_prime
-from .complexfield import cadd, cinv, cmul, conj, fnorm, frobenius
+from .complexfield import cdot, cinv, cmul, conj, fnorm, frobenius
 from .errors import BudgetExceeded, DqcError, VerificationFailed
 
 DEFAULT_BUDGET = 10**8
@@ -263,24 +264,19 @@ def closed_form_counts(prime: ComplexifiablePrime, d: int) -> CountReport:
 
 @lru_cache(maxsize=None)
 def enum_tables(p: int):
-    """Flat lookup tables over element indices e = re * p + im.
+    """The elements of F_p**2 as (re, im) pairs, built once per p.
 
-    Returns (fnorm_by_index, fibers, fiber_sizes, leads) where fibers[c]
-    is the sorted tuple of element indices of norm c, fiber_sizes[c] =
-    len(fibers[c]) and leads lists the smallest element of each
-    nonzero-norm fiber, in increasing order.
+    Returns (elements, fibers, leads): elements holds all p**2 pairs in
+    lexicographic order, fibers[c] the sorted tuple of those of norm c,
+    and leads the smallest element of each nonzero-norm fiber, in
+    increasing order.  The tables share their pairs.
     """
-    fn = [0] * (p * p)
+    elements = tuple(product(range(p), repeat=2))
     fibers = [[] for _ in range(p)]
-    for a in range(p):
-        for b in range(p):
-            e = a * p + b
-            c = (a * a + b * b) % p
-            fn[e] = c
-            fibers[c].append(e)
-    fibers = [tuple(f) for f in fibers]
-    fiber_sizes = [len(f) for f in fibers]
-    return fn, fibers, fiber_sizes, sorted(f[0] for f in fibers[1:])
+    for x in elements:
+        fibers[(x[0] * x[0] + x[1] * x[1]) % p].append(x)
+    fibers = tuple(map(tuple, fibers))
+    return elements, fibers, tuple(sorted(f[0] for f in fibers[1:]))
 
 
 def prefix_blocks(total: int, workers: int) -> list:
@@ -331,12 +327,12 @@ def norm_histograms(p: int, d: int) -> list:
     histogram is the previous one cyclically convolved with the fiber
     sizes [1, p+1, ..., p+1].  Cost is O(d * p**2) at any size.
     """
-    _, _, fiber_sizes, _ = enum_tables(p)
+    sizes = [len(f) for f in enum_tables(p)[1]]
     hists = [[1] + [0] * (p - 1)]
     for _ in range(d):
         prev = hists[-1]
         hists.append([
-            sum(prev[(c - t) % p] * size for t, size in enumerate(fiber_sizes))
+            sum(prev[(c - t) % p] * size for t, size in enumerate(sizes))
             for c in range(p)
         ])
     return hists
@@ -364,7 +360,7 @@ def count_irreducible(prime: ComplexifiablePrime, n: int) -> int:
 def check_budget(p: int, prefixes: int, budget: int, closed_form: int | None = None):
     """Raise BudgetExceeded (carrying closed_form) when a walk's charge
     exceeds the budget: its prefixes, and never less than the p**2
-    entries of the tables every walk builds."""
+    entries of the tables every walk reads."""
     charge = max(prefixes, p * p)
     if charge > budget:
         raise BudgetExceeded(charge, budget, closed_form)
@@ -374,10 +370,15 @@ def canonical_segments(p: int, d: int) -> list:
     """The canonical walk of dimension d as walk_prefixes' segments: for
     k = d - 1 down to 0, k leading zeros, a fiber-minimum lead and free
     amplitudes after it.  k = d - 1 is the zero prefix, whose completion
-    leads and so keeps its fiber minimum alone."""
-    leads = enum_tables(p)[3]
-    free = range(p * p)
-    return [[(0,)] * k + [leads] + [free] * (d - 1 - k) for k in range(d - 1, -1, -1)]
+    leads and so keeps its fiber minimum alone: its last entry holds the
+    fiber minima by norm."""
+    elements, fibers, leads = enum_tables(p)
+    zero = ((0, 0),)
+    minima = [()] + [f[:1] for f in fibers[1:]]
+    return [[zero] * (d - 1) + [minima]] + [
+        [zero] * k + [leads] + [elements] * (d - 2 - k) + [fibers]
+        for k in range(d - 2, -1, -1)
+    ]
 
 
 def walk_prefixes(
@@ -391,51 +392,44 @@ def walk_prefixes(
     """Yield (parent, children) for parents start..stop-1 of a walk of
     dimension d.
 
-    A segment is a list of d digit choices, one per position: sorted
-    element indices, read as (re, im) pairs.  Its states are those of
-    norm target whose amplitude i is one of choices i, and the walk is
-    its segments' states, segment by segment.  A prefix is a state's
-    first d - 1 amplitudes, its parent the first d - 2; each segment's
-    parents come in lexicographic order, and start/stop count parents
-    over all segments.  children holds one (tail, c, completions) per
-    choice of amplitude d - 2, in order: tail is that amplitude as a
-    1-tuple (empty at d = 1, whose one prefix is empty), c the norm the
-    last amplitude must carry to bring the total to target, and
-    completions the members of that norm fiber among the last
-    position's choices.  Children depend only on the parent's norm, so
-    a segment's parents share one children tuple per norm, built when
-    first needed.
+    A segment is a list of d entries: d - 1 sorted lists of (re, im)
+    pairs, the choices of amplitudes 0..d-2, and last the completions of
+    amplitude d - 1 by norm, completions[c] the sorted choices of norm c
+    (enum_tables' fibers when it is free).  Its states are those of norm
+    target whose amplitude i is one of choices i, and the walk is its
+    segments' states, segment by segment.  A prefix is a state's first
+    d - 1 amplitudes, its parent the first d - 2; each segment's parents
+    come in lexicographic order, and start/stop count parents over all
+    segments.  children holds one (tail, c, completions[c]) per choice
+    of amplitude d - 2, in order: tail is that amplitude as a 1-tuple
+    (empty at d = 1, whose one prefix is empty) and c the norm the last
+    amplitude must carry to bring the total to target.  Children depend
+    only on the parent's norm, so a segment's parents share one children
+    tuple per norm, built when first needed.
     """
-    fn = enum_tables(p)[0]
-    pairs = [divmod(e, p) for e in range(p * p)]
     target %= p
     if stop is None:
         stop = p ** (2 * (d - 1))  # no walk has more parents
     for segment in segments:
         if stop <= 0:
             return
-        heads = segment[:-2]
+        heads, completions = segment[:-2], segment[-1]
         size = prod(map(len, heads))
         if start < size:
-            fibers = [[] for _ in range(p)]
-            for e in segment[-1]:
-                fibers[fn[e]].append(pairs[e])
-            fibers = [tuple(f) for f in fibers]
-            tails = [((pairs[e],), fn[e]) for e in segment[-2]] if d > 1 else [((), 0)]
+            tails = [((), 0)]  # d = 1: one empty prefix
+            if d > 1:
+                tails = [((y,), y[0] * y[0] + y[1] * y[1]) for y in segment[-2]]
             by_norm = [None] * p
-
-            def children(s):
-                kids = []
-                for tail, t in tails:
-                    c = (target - s - t) % p
-                    kids.append((tail, c, fibers[c]))
-                return tuple(kids)
-
-            for digits in islice(product(*heads), start, stop):
-                s = sum(map(fn.__getitem__, digits)) % p
-                if by_norm[s] is None:
-                    by_norm[s] = children(s)
-                yield tuple(map(pairs.__getitem__, digits)), by_norm[s]
+            for parent in islice(product(*heads), start, stop):
+                # the norm left for the last two amplitudes
+                r = (target - sum([a * a + b * b for a, b in parent])) % p
+                if by_norm[r] is None:
+                    kids = []
+                    for tail, t in tails:
+                        c = (r - t) % p
+                        kids.append((tail, c, completions[c]))
+                    by_norm[r] = tuple(kids)
+                yield parent, by_norm[r]
         start = max(start - size, 0)
         stop -= size
 
@@ -459,7 +453,9 @@ def iter_norm_prefixes(
     if canonical_only and target:
         expected //= p + 1
     check_budget(p, p ** (2 * (d - 1)), budget, expected)
-    segments = canonical_segments(p, d) if canonical_only else [[range(p * p)] * d]
+    elements, fibers, _ = enum_tables(p)
+    full = [[elements] * (d - 1) + [fibers]]
+    segments = canonical_segments(p, d) if canonical_only else full
     return (
         (parent + tail, completions)
         for parent, children in walk_prefixes(p, d, target, segments)
@@ -503,10 +499,10 @@ def full_scan_norm_counts(prime: ComplexifiablePrime, d: int) -> dict:
     vectors = p ** (2 * d)
     if vectors > DEFAULT_SCAN_LIMIT:
         raise BudgetExceeded(vectors, DEFAULT_SCAN_LIMIT)
-    fn, _, _, _ = enum_tables(p)
+    norms = [(a * a + b * b) % p for a in range(p) for b in range(p)]
     counts = [0] * p
-    for digits in product(range(p * p), repeat=d):
-        counts[sum(fn[e] for e in digits) % p] += 1
+    for amps in product(norms, repeat=d):
+        counts[sum(amps) % p] += 1
     return {c: counts[c] for c in range(p)}
 
 
@@ -518,10 +514,10 @@ def sample_unit_amps(prime: ComplexifiablePrime, d: int, rng: random.Random) -> 
 
     The first d - 1 amplitudes are uniform and leave the last one the
     norm c.  For c != 0 it is r z, for z != 0 drawn until t = c / N(z)
-    is a square and r = t**((p+1)/4) its root: each point x of the
-    circle N(x) = c comes from the (p - 1) / 2 values z = x / s with s a
-    nonzero square, so the p + 1 points are equally likely.  The circle
-    N(x) = 0 is the one point 0, so that completion is kept with
+    is a square and r its smaller root (prime.sqrt): each point x of the
+    circle N(x) = c comes from the (p - 1) / 2 values z = x / s with
+    1 <= s <= (p - 1) / 2, so the p + 1 points are equally likely.  The
+    circle N(x) = 0 is the one point 0, so that completion is kept with
     probability 1 / (p + 1) and the whole draw is repeated otherwise.
     """
     p = prime.p
@@ -535,10 +531,9 @@ def sample_unit_amps(prime: ComplexifiablePrime, d: int, rng: random.Random) -> 
         while True:
             z = (rng.randrange(p), rng.randrange(p))
             if z != (0, 0):
-                t = c * pow(fnorm(p, z), p - 2, p) % p
-                r = pow(t, (p + 1) // 4, p)
-                if r * r % p == t:
-                    return head + ((r * z[0] % p, r * z[1] % p),)
+                roots = prime.sqrt(c * pow(fnorm(p, z), p - 2, p))
+                if roots:
+                    return head + ((roots[0] * z[0] % p, roots[0] * z[1] % p),)
 
 
 def random_phase(prime: ComplexifiablePrime, rng: random.Random):
@@ -555,9 +550,9 @@ def spot_invariants(prime: ComplexifiablePrime, d: int, seed: int) -> bool:
 
     Verifies on 32 sampled states/elements: conjugation agrees with the
     Frobenius power, field-norm multiplicativity, phase invariance of
-    the vector norm, and Hermitian conjugate symmetry of the dot
-    product.  O(d) draws per sample, so cheap even at the largest
-    supported p.
+    the vector norm, and conjugate symmetry of cdot, the Hermitian
+    product of StateVector.hdot.  O(d) draws per sample, so cheap even
+    at the largest supported p.
     """
     p = prime.p
     rng = random.Random(seed)
@@ -573,13 +568,7 @@ def spot_invariants(prime: ComplexifiablePrime, d: int, seed: int) -> bool:
             return False
         a = sample_unit_amps(prime, d, rng)
         b = sample_unit_amps(prime, d, rng)
-        # hdot(a, b) == conj(hdot(b, a)), amplitudes conjugated on the left
-        ab = (0, 0)
-        ba = (0, 0)
-        for xa, xb in zip(a, b):
-            ab = cadd(p, ab, cmul(p, conj(p, xa), xb))
-            ba = cadd(p, ba, cmul(p, conj(p, xb), xa))
-        if ab != conj(p, ba):
+        if cdot(p, a, b) != conj(p, cdot(p, b, a)):
             return False
         scaled_norm = sum(fnorm(p, cmul(p, x, u)) for x in a) % p
         if scaled_norm != 1:

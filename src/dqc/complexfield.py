@@ -52,6 +52,14 @@ def fnorm(p: int, x: GFc) -> int:
     return (a * a + b * b) % p
 
 
+def cdot(p: int, xs, ys) -> GFc:
+    """Hermitian product sum(conj(x) * y) of two amplitude sequences."""
+    acc = ZERO
+    for x, y in zip(xs, ys):
+        acc = cadd(p, acc, cmul(p, conj(p, x), y))
+    return acc
+
+
 def cinv(p: int, x: GFc) -> GFc:
     """Multiplicative inverse conj(x) / fnorm(x); defined for any x != 0."""
     n = fnorm(p, x)

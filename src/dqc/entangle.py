@@ -529,10 +529,12 @@ def census_held(n: int) -> set:
 
 def census_segment(p: int, n: int) -> list:
     """The census's walk as walk_prefixes' one segment: the unit states
-    whose held amplitudes are 0 or a fiber minimum."""
+    whose held amplitudes are 0 or a fiber minimum.  The last position
+    is never held, so its completions are the whole fibers."""
     held = census_held(n)
-    zero_or_lead = [0] + enum_tables(p)[3]
-    return [zero_or_lead if i in held else range(p * p) for i in range(1 << n)]
+    elements, fibers, leads = enum_tables(p)
+    heads = [((0, 0), *leads) if i in held else elements for i in range((1 << n) - 1)]
+    return heads + [fibers]
 
 
 def _tally_block(args) -> list:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .basefield import ComplexifiablePrime
-from .census import DEFAULT_BUDGET, iter_irreducible
+from .census import DEFAULT_BUDGET, check_budget
 from .complexfield import cmul, conj, fnorm, phase_group
 from .errors import NotUnitNorm
 from .states import StateVector
@@ -102,18 +102,21 @@ def fingerprint(psi: StateVector) -> tuple:
     return tuple(out)
 
 
-def bloch_export(prime: ComplexifiablePrime, budget: int = DEFAULT_BUDGET) -> list:
+def bloch_export(prime: ComplexifiablePrime, budget: int = DEFAULT_BUDGET):
     """Bloch points of every irreducible (canonical unit-norm) 1-qubit
-    state, sorted by (x, y, z).
+    state, sorted by (x, y, z), as a generator.
 
-    The states are census.iter_irreducible's canonical walk, so the
-    export is budgeted like every walk: it is charged p**2 prefixes, and
-    under the default budget of 10**8 p above 10**4 raises
-    BudgetExceeded.  Produces exactly p(p - 1) distinct points.
+    The Hopf map takes the p(p - 1) canonical states one to one onto the
+    sphere X**2 + Y**2 + Z**2 == 1, so the points are read off it: the
+    roots z of 1 - x**2 - y**2 for each x and y.  The budget is checked
+    on the call and charged the canonical walk's p**2 prefixes, so under
+    the default budget of 10**8 p above 10**4 raises BudgetExceeded.
     """
-    points = [
-        hopf_map_1q(StateVector(prime, 1, amps))
-        for amps in iter_irreducible(prime, 1, budget=budget)
-    ]
-    points.sort(key=lambda b: (b.x, b.y, b.z))
-    return points
+    p = prime.p
+    check_budget(p, p * p, budget, p * (p - 1))
+    return (
+        _embed(prime, x, y, z)
+        for x in range(p)
+        for y in range(p)
+        for z in prime.sqrt(1 - x * x - y * y)
+    )

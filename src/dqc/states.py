@@ -13,7 +13,7 @@ import re
 from collections import namedtuple
 
 from .basefield import ComplexifiablePrime
-from .complexfield import GFc, cadd, cmul, conj, fnorm
+from .complexfield import GFc, cdot, cmul, fnorm
 from .errors import DimensionMismatch, DqcError
 
 # Hard cap on vector length; enumeration budgets bite far earlier.
@@ -86,11 +86,7 @@ class StateVector(namedtuple("StateVector", "field n amps")):
         vectors of norm 0 are orthogonal to themselves.
         """
         self._check_compatible(other)
-        p = self.field.p
-        acc = (0, 0)
-        for x, y in zip(self.amps, other.amps):
-            acc = cadd(p, acc, cmul(p, conj(p, x), y))
-        return acc
+        return cdot(self.field.p, self.amps, other.amps)
 
     def vnorm(self) -> int:
         """Field norm of the vector: sum of amplitude norms, in F_p."""

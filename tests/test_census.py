@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -240,27 +241,54 @@ def test_canonical_walk_matches_literal_filter():
             assert all(len(parent) == max(d - 2, 0) for parent, _ in groups)
 
 
+def traced_peak(fn):
+    """(fn(), the peak of the memory it allocated, in bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_one_qubit_walks_stay_quadratic():
     # a 1-qubit walk visits p**2 prefixes at most, so it must not build
     # the children of every parent norm (p**3 entries, about 125 MB at
     # p = 101); the canonical one needs none of them, the full one one
     p = 101
+    elements, fibers, _ = census.enum_tables(p)
     for segments, prefixes in (
         (census.canonical_segments(p, 2), p),
-        ([[range(p * p)] * 2], p * p),
+        ([[elements, fibers]], p * p),
     ):
-        tracemalloc.start()
-        try:
-            walked = sum(
-                len(children)
-                for _, children in census.walk_prefixes(p, 2, 1, segments)
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        walked, peak = traced_peak(lambda: sum(
+            len(children)
+            for _, children in census.walk_prefixes(p, 2, 1, segments)
+        ))
         assert walked == prefixes
         assert peak < 20_000_000
-    assert len(bloch_export(validate_prime(211))) == 211 * 210
+    assert len(list(bloch_export(validate_prime(211)))) == 211 * 210
+
+
+def test_walks_build_no_tables_of_their_own():
+    # the p = 503 n = 1 census walks 503 prefixes from the cached tables,
+    # so it must not rebuild p**2 entries of them (28 MB once) per walk
+    f503 = validate_prime(503)
+    census.enum_tables(503)
+    tally, peak = traced_peak(lambda: entangle.census_tally(f503, 1))
+    assert tally.irreducible_total == irreducible_count(503, 2)
+    assert peak < 1_000_000
+
+
+def test_bloch_export_streams():
+    # the export yields its points one by one: a list of all p(p - 1)
+    # would hold about 100 MB at p = 503.  Its first 25,000 points, one
+    # tenth, show any growth per point; a traced full drain takes 10 s
+    count, peak = traced_peak(
+        lambda: sum(1 for _ in islice(bloch_export(validate_prime(503)), 25_000))
+    )
+    assert count == 25_000
+    assert peak < 1_000_000
 
 
 def test_iter_counts_agree_with_counters(f3):

@@ -128,7 +128,7 @@ def test_fingerprint_shape(f3):
 
 def test_bloch_export_sizes_and_order():
     for p in (3, 7, 11):
-        points = bloch_export(validate_prime(p))
+        points = list(bloch_export(validate_prime(p)))
         assert len(points) == p * (p - 1)
         # the export walks canonical states by the fiber-min filter; the
         # literal lex-min-of-class test must select the same states
@@ -151,4 +151,4 @@ def test_bloch_export_is_budgeted():
     assert exc.value.required == 10007**2
     with pytest.raises(BudgetExceeded):
         bloch_export(validate_prime(7), budget=48)
-    assert len(bloch_export(validate_prime(7), budget=49)) == 42
+    assert len(list(bloch_export(validate_prime(7), budget=49))) == 42
