@@ -62,13 +62,15 @@ amplitudes, so that a consumer can do the parent's work once (the
 census kernel builds its forms that way); walk_prefixes' start and stop
 count parents, not prefixes.  Parallelism is the census tally's alone:
 it splits its walk's parents into contiguous blocks, one pool per
-tally, and block results merge by addition, so counts are identical for
-any split.  Every parent of the census's walk has the same number of
-children, so blocks of equal parent count carry about equal work.
+tally (one block and no pool on one worker), and block results merge by
+addition, so counts are identical for any split.  Every parent of the
+census's walk has the same number of children, so blocks of equal
+parent count carry about equal work.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 from functools import lru_cache
@@ -269,19 +271,28 @@ def enum_tables(p: int):
     Returns (elements, fibers, leads): elements holds all p**2 pairs in
     lexicographic order, fibers[c] the sorted tuple of those of norm c,
     and leads the smallest element of each nonzero-norm fiber, in
-    increasing order.  The tables share their pairs.
+    increasing order.  The tables share their pairs.  The cyclic garbage
+    collector is paused while they are built: the p**2 new tuples would
+    set off collections that find nothing to free.
     """
-    elements = tuple(product(range(p), repeat=2))
-    fibers = [[] for _ in range(p)]
-    for x in elements:
-        fibers[(x[0] * x[0] + x[1] * x[1]) % p].append(x)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        elements = tuple(product(range(p), repeat=2))
+        fibers = [[] for _ in range(p)]
+        for x in elements:
+            fibers[(x[0] * x[0] + x[1] * x[1]) % p].append(x)
+    finally:
+        if collecting:
+            gc.enable()
     fibers = tuple(map(tuple, fibers))
     return elements, fibers, tuple(sorted(f[0] for f in fibers[1:]))
 
 
 def prefix_blocks(total: int, workers: int) -> list:
-    """Static contiguous split of range(total) into at most 4*workers blocks."""
-    chunks = min(total, max(1, workers * 4))
+    """Static contiguous split of range(total): one block for one worker,
+    which runs it inline, else at most 4*workers blocks."""
+    chunks = min(total, 1 if workers <= 1 else workers * 4)
     bounds = [total * i // chunks for i in range(chunks + 1)]
     return [(bounds[i], bounds[i + 1]) for i in range(chunks)]
 

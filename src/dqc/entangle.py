@@ -109,23 +109,54 @@ Maximal states have sum_sq 0 and Unentangled ones sum_sq n mod p
 (every separable qubit has squared length 1), so Partial and the
 purity-one non-products follow by subtraction.
 
-The census walks a weighted slice of the unit sphere, not one state
-per phase class.  Kind, sum_sq and mask do not change under the global
-phase or under a local phase gate diag(1, u) on any qubit, N(u) = 1.
-Amplitude 0 picks up the global phase g, and amplitude 1 << k the phase
-g u_j, j the qubit that owns bit k, so the phases of these n + 1 held
-amplitudes range independently over the (p+1)**(n+1) elements of that
-group.  A nonzero amplitude's orbit is its whole fiber, so the group
-moves every unit state onto the slice where each held amplitude is 0
-or its fiber minimum, in (p+1)**z ways, z the state's held zeros.
-Counted (p+1)**k times, k its nonzero held amplitudes, each slice state
-stands for the unit states it comes from, and the census divides every
-total by p + 1, the size of a phase class; a remainder raises DqcError.
-The last position, D - 1 at n = 1, is not held: its completions are
-counted on the whole circle.  With h held positions the walk has
-p**(2(D-1) - h) prefixes: p at n = 1, p**3 at n = 2 and
-p**(2(D-1) - (n+1)) from n = 3 on.  That is 343 against the canonical
-walk's 14,707 at p=7 n=2, and 59,049 against 1,195,743 at p=3 n=3.
+The census walks weighted slices of the unit sphere, not one state per
+phase class.  Kind, sum_sq and mask do not change under a local unitary
+on any qubit.  A group G of them moves every unit state onto a slice,
+and a slice state s stands for |G| / #{g in G : g s in the slice} unit
+states: over an orbit these weights add up to its size.  The census
+divides every total by p + 1, the size of a phase class; a remainder
+raises DqcError.  The walk splits the sphere into three sets by the top
+qubit's first pair (x_0, x_{D/2}), r = N(x_0) + N(x_{D/2}), and gives
+each set a slice and a weight rule; gamma_r is the fiber minimum of
+norm r.
+
+    Generic pair, r != 0.  The unitary group U(2) over F_p[i], of order
+    p (p**2 - 1)(p + 1), is transitive on each sphere N(x) + N(y) = r of
+    p**3 - p pairs, and the stabilizer of (gamma_r, 0) is diag(1, u):
+    Witt's theorem for Hermitian forms (D. E. Taylor, The Geometry of
+    the Classical Groups, 1992), the counterpart over F_p[i] of the
+    generalized Schmidt form over C (Acin et al., PRL 85, 1560, 2000).
+    G is U(2) on the top qubit, which holds the global phase, and a
+    phase gate diag(1, u) on each other qubit, p (p-1) (p+1)**(n+1)
+    elements.  The slice has (x_0, x_{D/2}) = (gamma_r, 0) and holds
+    each position 1 << k, k < n - 1, at 0 or a fiber minimum, and
+    D/2 + 1 too unless it is the last position: its phase is the
+    stabilizer's u times the gate phase of the qubit of bit 0, so the
+    held phases range independently over the (p+1)**n elements that
+    the stabilizer and the gates make.  A slice state with k nonzero
+    held amplitudes weighs p (p-1) (p+1)**(k+1).  At n = 1 the set is
+    the one state (gamma_1, 0).
+
+    Isotropic pair, r == 0 with a nonzero pair, so that both amplitudes
+    are nonzero (only 0 has norm 0).  G is the torus: the global phase
+    g and diag(1, u_j) on every qubit j, (p+1)**(n+1) elements.
+    Amplitude 0 takes the phase g and amplitude 1 << k the phase g u_j,
+    j the qubit that owns bit k, so the phases of these n + 1 held
+    amplitudes range independently, and a nonzero amplitude's orbit is
+    its whole fiber.  The slice holds each at 0 or a fiber minimum, so
+    (x_0, x_{D/2}) = (gamma_r, gamma_{-r}), one segment per r != 0, and
+    a slice state weighs (p+1)**k, k its nonzero held amplitudes.
+
+    Zero pair, x_0 = x_{D/2} = 0: the torus slice and weight again.
+
+The last position is never held: its completions are counted on the
+whole circle (at n = 1 it is x_{D/2}, at 0).  The isotropic pair is not
+gauged to one representative, since its stabilizer in U(2) has order p
+and mixes the halves, so the weights would depend on the state.  With
+f = D - n - 2 free positions below the last in the torus sets, the walk
+has 1 prefix at n = 1 and p**(n + 2f) + (p-1) p**(n + 2f - 1 - [n > 2])
+from n = 2 on: 91 against the canonical walk's 14,707 at p=7 n=2,
+24,057 against 1,195,743 at p=3 n=3, and 45,294,865 at p=7 n=3.
 
 Purity is the averaged sum of squared expectations sum_sq / n, an
 element of F_p defined whenever p does not divide n.  Product states
@@ -138,6 +169,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from math import prod
 
 from .basefield import ComplexifiablePrime
 from .census import (
@@ -520,21 +552,52 @@ def _count_unentangled(
     return size if lead is None else 1
 
 
-def census_held(n: int) -> set:
-    """The positions the census holds at 0 or a fiber minimum: 0 and
-    every 1 << k but the last position, D - 1 at n = 1, whose
-    completions stay free (see the module docstring)."""
-    return {0, *(1 << k for k in range(n))} - {(1 << n) - 1}
+def census_prefixes(p: int, n: int) -> int:
+    """Prefixes of census_segments' walk, from the shape of its slices
+    rather than its tables, so that the budget is checked before they are
+    built.  Below position D - 1, the torus sets fix positions 0 and D/2,
+    hold the positions 1 << k, k < n - 1 (p choices each), and leave
+    free = D - n - 2 positions (p**2 each), over p choices of the pair:
+    the zero pair and the p - 1 isotropic ones.  The generic set takes
+    p - 1 pairs and, from n = 3 on, holds one free position more,
+    D/2 + 1."""
+    if n == 1:
+        return 1
+    free = (1 << n) - n - 2
+    extra = n > 2
+    return p ** (n + 2 * free) + (p - 1) * p ** (n - 1 + 2 * free - extra)
 
 
-def census_segment(p: int, n: int) -> list:
-    """The census's walk as walk_prefixes' one segment: the unit states
-    whose held amplitudes are 0 or a fiber minimum.  The last position
-    is never held, so its completions are the whole fibers."""
-    held = census_held(n)
+def census_segments(p: int, n: int) -> list:
+    """The census's walk as (segment, held, scale) triples, one
+    walk_prefixes segment each, split by the top qubit's first pair
+    (x_0, x_{D/2}) (module docstring): the generic pairs (gamma_r, 0),
+    then one segment per isotropic pair (gamma_r, gamma_{-r}), then the
+    zero pair.  A prefix of the segment stands for scale * (p + 1)**k
+    unit states, k its nonzero amplitudes at the positions in held, which
+    are 0 or a fiber minimum.  The last position is never held."""
     elements, fibers, leads = enum_tables(p)
-    heads = [((0, 0), *leads) if i in held else elements for i in range((1 << n) - 1)]
-    return heads + [fibers]
+    zero = ((0, 0),)
+    generic_scale = p * (p - 1) * (p + 1)
+    if n == 1:
+        # the last position is x_{D/2}, at 0: the one state (gamma_1, 0)
+        return [([fibers[1][:1], [zero] + [()] * (p - 1)], set(), generic_scale)]
+    d = 1 << n
+    half = d >> 1
+    shared = {1 << k for k in range(n - 1)}
+
+    def segment(first, top, held):
+        choices = [zero + leads if i in held else elements for i in range(d - 1)]
+        choices[0], choices[half] = first, top
+        return choices + [fibers]
+
+    # diag(1, u), the stabilizer of (gamma_r, 0), holds D/2 + 1 as well
+    generic = shared | ({half + 1} - {d - 1})
+    torus = shared | {0, half}
+    return [(segment(leads, zero, generic), generic, generic_scale)] + [
+        (segment(fibers[r][:1], fibers[-r % p][:1], torus), torus, 1)
+        for r in range(1, p)
+    ] + [(segment(zero, zero, torus), torus, 1)]
 
 
 def _tally_block(args) -> list:
@@ -545,33 +608,35 @@ def _tally_block(args) -> list:
     qs + us x0 + vs x1 with w = c (us**2 + vs**2) != 0 is kept under the
     key (qs, w) while the block walks; at its end each key puts
     1 + chi(w - (s - qs)**2) completions at every sum_sq s.  A prefix
-    counts (p + 1)**k times, k its nonzero held amplitudes.
+    counts its segment's weight, scale * (p + 1)**k (census_segments);
+    start and stop count parents over all segments, as in walk_prefixes.
     """
     p, n, start, stop = args
     d = 1 << n
-    held = census_held(n)
-    held_heads = [i for i in held if i < d - 2]
-    tail_held = d - 2 in held
-    weights = [(p + 1) ** k for k in range(n + 2)]
     points = _line_points(p)
     maximal = unentangled = 0
     purities = [0] * p
     lines: dict = {}
-    segments = [census_segment(p, n)]
-    for parent, children in walk_prefixes(p, d, 1, segments, start, stop):
-        passes = parent_forms(p, n, parent)
-        k = sum(parent[i] != (0, 0) for i in held_heads)
-        for (y,), c, completions in children:
-            qs, us, vs, lengths, tests, fixed = finish_forms(p, n, passes, y, c)
-            weight = weights[k + (tail_held and y != (0, 0))]
-            size = len(completions)
-            w = c * (us * us + vs * vs) % p
-            if w:
-                lines[qs, w] = lines.get((qs, w), 0) + weight
-            else:
-                purities[qs] += weight * size
-            maximal += weight * _count_maximal(p, c, size, lengths, points)
-            unentangled += weight * _count_unentangled(p, n, c, size, tests, fixed)
+    for segment, held, scale in census_segments(p, n):
+        held_heads = [i for i in held if i < d - 2]
+        tail_held = d - 2 in held
+        weights = [scale * (p + 1) ** k for k in range(len(held) + 1)]
+        for parent, children in walk_prefixes(p, d, 1, [segment], start, stop):
+            passes = parent_forms(p, n, parent)
+            k = sum(parent[i] != (0, 0) for i in held_heads)
+            for (y,), c, completions in children:
+                qs, us, vs, lengths, tests, fixed = finish_forms(p, n, passes, y, c)
+                weight = weights[k + (tail_held and y != (0, 0))]
+                size = len(completions)
+                w = c * (us * us + vs * vs) % p
+                if w:
+                    lines[qs, w] = lines.get((qs, w), 0) + weight
+                else:
+                    purities[qs] += weight * size
+                maximal += weight * _count_maximal(p, c, size, lengths, points)
+                unentangled += weight * _count_unentangled(p, n, c, size, tests, fixed)
+        size = prod(map(len, segment[:-2]))
+        start, stop = max(start - size, 0), stop - size
     for (qs, w), k in lines.items():
         for s in range(p):
             purities[s] += k * points[(w - (s - qs) ** 2) % p]
@@ -594,13 +659,10 @@ def census_tally(
     purity-one non-products follow by subtraction (module docstring).
     """
     p = prime.p
-    d = 1 << n
-    # p choices at each held position, p**2 at each free one; checked
-    # before the walk builds its p**2 tables
-    prefixes = p ** (2 * (d - 1) - len(census_held(n)))
-    check_budget(p, prefixes, budget, irreducible_count(p, d))
+    prefixes = census_prefixes(p, n)
+    check_budget(p, prefixes, budget, irreducible_count(p, 1 << n))
     workers = 1 if prefixes < POOL_MIN_PREFIXES else min(threads, usable_cpus())
-    parents = prefixes // len(census_segment(p, n)[-2])
+    parents = sum(prod(map(len, s[:-2])) for s, _, _ in census_segments(p, n))
     blocks = prefix_blocks(parents, workers)
     args = [(p, n, start, stop) for start, stop in blocks]
     totals = [sum(column) for column in zip(*run_blocks(_tally_block, args, workers))]

@@ -174,6 +174,45 @@ def minors_separable_mask(p, n, amps):
     return mask
 
 
+# -- local unitaries -------------------------------------------------------------
+
+def unitary_group(p):
+    """Every 2x2 unitary over F_p[i], as rows ((a, b), (c, d)) whose two
+    columns have norm 1 and Hermitian product 0: a scan of all p**8
+    matrices.  Use only at p=3."""
+    return [
+        ((a, b), (c, d))
+        for a, b, c, d in product(celems(p), repeat=4)
+        if (cnorm(p, a) + cnorm(p, c)) % p == 1
+        and (cnorm(p, b) + cnorm(p, d)) % p == 1
+        and cadd(p, cmul(p, cconj(p, a), b), cmul(p, cconj(p, c), d)) == (0, 0)
+    ]
+
+
+def apply_pair(p, g, x, y):
+    """g (x, y) for a 2x2 matrix g given by its rows."""
+    (a, b), (c, d) = g
+    return (
+        cadd(p, cmul(p, a, x), cmul(p, b, y)),
+        cadd(p, cmul(p, c, x), cmul(p, d, y)),
+    )
+
+
+def local_gauge(p, n, g, phases, amps):
+    """amps after g on the top qubit, whose bit is n - 1, and the phase
+    gate diag(1, u) for each u of phases on qubits 1..n-1 in turn (qubit
+    j owns bit n - 1 - j)."""
+    d = 1 << n
+    half = d >> 1
+    out = list(amps)
+    for i in range(half):
+        out[i], out[i + half] = apply_pair(p, g, amps[i], amps[i + half])
+    for j, u in enumerate(phases, 1):
+        m = 1 << (n - 1 - j)
+        out = [cmul(p, x, u) if i & m else x for i, x in enumerate(out)]
+    return tuple(out)
+
+
 # -- the census's canonical walk -------------------------------------------------
 
 def canonical_tally(p, n):

@@ -1,8 +1,10 @@
+import gc
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from math import prod
 from types import SimpleNamespace
 
 import pytest
@@ -270,6 +272,19 @@ def test_one_qubit_walks_stay_quadratic():
     assert len(list(bloch_export(validate_prime(211)))) == 211 * 210
 
 
+def test_enum_tables_restores_the_collector():
+    # the build pauses the cyclic collector and leaves it as it found it
+    build = census.enum_tables.__wrapped__
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert build(11) == census.enum_tables(11)
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 def test_walks_build_no_tables_of_their_own():
     # the p = 503 n = 1 census walks 503 prefixes from the cached tables,
     # so it must not rebuild p**2 entries of them (28 MB once) per walk
@@ -310,20 +325,29 @@ def test_budget_exceeded_attributes(f7):
 
 
 def test_census_is_charged_the_prefixes_it_walks(f3, f7):
-    # the weighted walk: p**3 prefixes at n = 2 and p**(2(D-1) - (n+1))
-    # from n = 3 on; at n = 1 its p prefixes are below the p**2 entries of
-    # the tables every walk builds.  verify's census gate is the same charge
-    cells = ((f7, 1, 7**2), (f7, 2, 7**3), (f7, 3, 7**10), (f3, 3, 3**10))
+    # the gauged walk: 1 prefix at n = 1, (p-1) p + p**2 at n = 2 and
+    # p**(n + 2f) + (p-1) p**(n + 2f - 2), f = D - n - 2, from n = 3 on; at
+    # n = 1 it is charged the p**2 entries of the tables every walk reads.
+    # The charge is the segments' prefix count.  verify's census gate is
+    # the same charge
+    cells = ((f7, 1, 7**2), (f7, 2, 91), (f7, 3, 45_294_865), (f3, 3, 24_057))
     for fld, n, charge in cells:
         with pytest.raises(BudgetExceeded) as exc:
             entangle.census_tally(fld, n, budget=charge - 1)
         assert exc.value.required == charge
         assert exc.value.closed_form == irreducible_count(fld.p, 1 << n)
-    assert entangle.census_tally(f7, 2, budget=7**3).irreducible_total == 102900
-    assert verify(f7, 2, budget=7**3).enumerated["maxent_irreducible"] == 16464
-    rep = verify(f7, 2, budget=7**3 - 1)
+    for p in (3, 7, 11, 19):
+        for n in (1, 2, 3):
+            walked = sum(
+                prod(map(len, segment[:-1]))
+                for segment, _, _ in entangle.census_segments(p, n)
+            )
+            assert walked == entangle.census_prefixes(p, n)
+    assert entangle.census_tally(f7, 2, budget=91).irreducible_total == 102900
+    assert verify(f7, 2, budget=91).enumerated["maxent_irreducible"] == 16464
+    rep = verify(f7, 2, budget=90)
     assert rep.enumerated == {}
-    assert rep.notes[0] == "enumeration skipped: 343 prefixes exceed budget 342"
+    assert rep.notes[0] == "enumeration skipped: 91 prefixes exceed budget 90"
 
 
 def test_streams_refuse_when_created(f7):
@@ -349,6 +373,8 @@ def test_prefix_blocks_partition():
                 assert b == c
                 assert a < b
             assert len(blocks) <= 4 * workers
+            # one worker runs inline, as one block
+            assert workers > 1 or blocks == [(0, total)]
 
 
 def test_closed_form_counts_flags(f3):
@@ -405,7 +431,7 @@ def test_verify_starts_one_pool(f3, monkeypatch):
         return pool(*args, **kwargs)
 
     monkeypatch.setattr(census, "Pool", counted_pool)
-    # the p=3 n=2 census walks 27 prefixes, too few to start a pool
+    # the p=3 n=2 census walks 15 prefixes, too few to start a pool
     assert verify(f3, 2, threads=2).verified
     assert starts == []
     # with no inline threshold it starts one pool, for the census alone,
@@ -443,19 +469,19 @@ def test_pool_has_at_most_one_worker_per_block(f3, monkeypatch):
     def pools(workers):
         return [workers] if workers > 1 else []
 
-    # `dqc classify --p 3 --n 3 --threads 64` walks 59,049 prefixes
+    # `dqc classify --p 3 --n 3 --threads 64` walks 24,057 prefixes
     entangle.census_tally(f3, 3, threads=64)
     assert sizes[2:] == pools(min(64, usable))
     del sizes[2:]
-    # `dqc classify --p 3 --n 2 --threads 64` runs its 27 prefixes inline;
-    # with no inline threshold the census walks 9 parents, so 9 blocks and
-    # at most 9 workers, not 64
+    # `dqc classify --p 3 --n 2 --threads 64` runs its 15 prefixes inline;
+    # with no inline threshold the census walks 15 parents, so at most 15
+    # blocks and 15 workers, not 64
     tally = entangle.census_tally(f3, 2, threads=64)
     assert sizes[2:] == []
     monkeypatch.setattr(entangle, "POOL_MIN_PREFIXES", 0)
     assert entangle.census_tally(f3, 2, threads=64) == tally
     assert tally.class_counts == {"Maximal": 216, "Partial": 288, "Unentangled": 36}
-    assert sizes[2:] == pools(min(9, usable))
+    assert sizes[2:] == pools(min(15, usable))
 
 
 def test_verify_budget_skip_keeps_closed_forms(f19):

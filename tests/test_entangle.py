@@ -29,7 +29,7 @@ from dqc.entangle import (
     _count_unentangled,
     _line_points,
     _tally_block,
-    census_segment,
+    census_segments,
     classify_last,
     classify_raw,
     finish_forms,
@@ -38,14 +38,19 @@ from dqc.entangle import (
 )
 
 from _oracles import (
+    apply_pair,
     brute_canonical,
     brute_fiber,
+    brute_phases,
     brute_separable,
     brute_vectors,
     canonical_tally,
+    celems,
     cnorm,
+    local_gauge,
     matrix_expectation_grid,
     minors_separable_mask,
+    unitary_group,
 )
 
 
@@ -159,42 +164,153 @@ def test_hoisted_forms_agree_with_independent_paths(f3):
             checked += 1
 
 
-def held_weight(p, n, prefix):
-    """(p + 1)**k, k the nonzero amplitudes of prefix at the positions the
-    census holds at 0 or a fiber minimum: 0 and each 1 << k, the last
-    position excluded."""
-    held = {0, *(1 << k for k in range(n))} - {(1 << n) - 1}
-    return (p + 1) ** sum(prefix[i] != (0, 0) for i in held if i < len(prefix))
+def gauge_positions(n):
+    """(generic, torus): the positions the census holds at 0 or a fiber
+    minimum in the generic set, 1 << k for k < n - 1 and D/2 + 1 unless it
+    is the last, and in the isotropic and zero sets, 0 and every 1 << k but
+    the last position."""
+    d = 1 << n
+    shared = {1 << k for k in range(n - 1)}
+    below_last = set(range(d - 1))
+    generic = shared | ({d // 2 + 1} & below_last)
+    return generic, shared | ({0, d // 2} & below_last)
+
+
+def gauged_slices(p, n):
+    """The census's slices, a literal filter of every unit vector each:
+    the generic pairs (gamma_r, 0), the isotropic pair (gamma_r, gamma_-r)
+    for r = 1..p-1 and the zero pair (x_0, x_{D/2}), gamma_r the smallest
+    element of norm r, with each held position 0 or a fiber minimum.
+    Empty slices (all but the generic one at n = 1) are left out."""
+    d = 1 << n
+    half = d // 2
+    gamma = [None] + [brute_fiber(p, r)[0] for r in range(1, p)]
+    minima = {(0, 0), *gamma[1:]}
+    generic, torus = gauge_positions(n)
+    units = brute_vectors(p, d, norm=1)
+
+    def literal(pair, held):
+        return [
+            a for a in units
+            if pair(a[0], a[half]) and all(a[i] in minima for i in held)
+        ]
+
+    slices = [literal(lambda x, y: x in gamma[1:] and y == (0, 0), generic)]
+    slices += [
+        literal(lambda x, y, r=r: (x, y) == (gamma[r], gamma[-r % p]), torus)
+        for r in range(1, p)
+    ]
+    slices.append(literal(lambda x, y: x == y == (0, 0), torus))
+    return [s for s in slices if s]
+
+
+def slice_weight(p, n, amps):
+    """The unit states a slice state stands for, by the rule of its set:
+    p (p-1) (p+1)**(k+1) for a generic pair, (p+1)**k otherwise, k its
+    nonzero held amplitudes."""
+    generic, torus = gauge_positions(n)
+    half = (1 << n) // 2
+    if amps[half] == (0, 0) and amps[0] != (0, 0):
+        k = sum(amps[i] != (0, 0) for i in generic)
+        return p * (p - 1) * (p + 1) ** (k + 1)
+    return (p + 1) ** sum(amps[i] != (0, 0) for i in torus)
 
 
 def test_census_walk_is_the_held_slice(f3, f7):
-    # the census walks exactly the unit states whose held amplitudes are
-    # 0 or the smallest element of their fiber: literal filter of every
-    # unit vector at p=3 n <= 2 and p=7 n=1
+    # each census segment walks exactly its slice, a literal filter of
+    # every unit vector at p=3 n <= 2 and p=7 n=1.  Its weights add up to
+    # the unit vectors of its set, and at p=3 each slice state's weight is
+    # |G| / #{g in G : g s in the slices}, found by applying every g: G is
+    # the top qubit's U(2) for a generic pair and its diagonal unitaries
+    # (the torus of the other two sets) otherwise, with a phase gate on
+    # each other qubit
+    unitaries = unitary_group(3)
+    diagonal = [g for g in unitaries if g[0][1] == g[1][0] == (0, 0)]
+    phases = brute_phases(3)
     for p, n in ((3, 1), (7, 1), (3, 2)):
         d = 1 << n
-        held = {0, *(1 << k for k in range(n))} - {d - 1}
-        minima = {(0, 0)} | {brute_fiber(p, c)[0] for c in range(1, p)}
-        want = [
-            amps for amps in brute_vectors(p, d, norm=1)
-            if all(amps[i] in minima for i in held)
-        ]
+        half = d // 2
+        segments = census_segments(p, n)
         walked = [
-            parent + tail + (x,)
-            for parent, children in walk_prefixes(p, d, 1, [census_segment(p, n)])
-            for tail, _, completions in children
-            for x in completions
+            [
+                parent + tail + (x,)
+                for parent, children in walk_prefixes(p, d, 1, [segment])
+                for tail, _, completions in children
+                for x in completions
+            ]
+            for segment, _, _ in segments
         ]
-        assert walked == want
-        # the weights add up to the whole unit sphere
-        assert sum(held_weight(p, n, amps) for amps in walked) == len(
-            brute_vectors(p, d, norm=1)
+        assert walked == gauged_slices(p, n)
+        units = brute_vectors(p, d, norm=1)
+        for states, (_, held, scale) in zip(walked, segments):
+            rule = [
+                scale * (p + 1) ** sum(a[i] != (0, 0) for i in held)
+                for a in states
+            ]
+            assert rule == [slice_weight(p, n, a) for a in states]
+            # the set the slice stands for: the generic pairs, or the pair
+            # norms (N(x_0), N(x_{D/2})) of the segment's first state
+            if states[0][half] == (0, 0) and states[0][0] != (0, 0):
+                members = [
+                    a for a in units
+                    if (cnorm(p, a[0]) + cnorm(p, a[half])) % p
+                ]
+            else:
+                norms = cnorm(p, states[0][0]), cnorm(p, states[0][half])
+                members = [
+                    a for a in units
+                    if (cnorm(p, a[0]), cnorm(p, a[half])) == norms
+                ]
+            assert sum(rule) == len(members)
+        if p == 3:
+            slices = {a for states in walked for a in states}
+            for states in walked:
+                for a in states:
+                    generic = a[half] == (0, 0) and a[0] != (0, 0)
+                    group = unitaries if generic else diagonal
+                    size = len(group) * len(phases) ** (n - 1)
+                    hits = sum(
+                        local_gauge(3, n, g, us, a) in slices
+                        for g in group
+                        for us in itertools.product(phases, repeat=n - 1)
+                    )
+                    assert size % hits == 0
+                    assert size // hits == slice_weight(3, n, a)
+
+
+def test_u2_orbits_on_pairs_at_p3():
+    # the group fact the generic gauge rests on, by enumeration: U(2) over
+    # F_3[i] has p (p**2 - 1) (p + 1) = 96 elements; each sphere
+    # N(x) + N(y) = r != 0 is one orbit of p**3 - p pairs, and the pair
+    # (gamma_r, 0) has stabilizer diag(1, u); the nonzero isotropic pairs
+    # are one orbit of (p**2 - 1)(p + 1)
+    p = 3
+    group = unitary_group(p)
+    assert len(group) == p * (p * p - 1) * (p + 1) == 96
+    zero = (0, 0)
+    pairs = [(x, y) for x in celems(p) for y in celems(p)]
+    for r in range(1, p):
+        gamma = brute_fiber(p, r)[0]
+        sphere = {(x, y) for x, y in pairs if (cnorm(p, x) + cnorm(p, y)) % p == r}
+        assert len(sphere) == p**3 - p
+        assert {apply_pair(p, g, gamma, zero) for g in group} == sphere
+        stabilizer = [
+            g for g in group if apply_pair(p, g, gamma, zero) == (gamma, zero)
+        ]
+        assert sorted(stabilizer) == sorted(
+            (((1, 0), zero), (zero, u)) for u in brute_phases(p)
         )
+    isotropic = [
+        pair for pair in pairs
+        if pair != (zero, zero) and (cnorm(p, pair[0]) + cnorm(p, pair[1])) % p == 0
+    ]
+    assert len(isotropic) == (p * p - 1) * (p + 1)
+    assert {apply_pair(p, g, *isotropic[0]) for g in group} == set(isotropic)
 
 
 def test_census_blocks_cover_weighted_slice(monkeypatch, f3, f7):
     # concatenated, census_tally's blocks walk every parent of the
-    # weighted slice once, in order, for any thread count
+    # weighted slices once, in order, for any thread count
     calls = []
 
     def capture(worker, args_list, threads):
@@ -203,7 +319,7 @@ def test_census_blocks_cover_weighted_slice(monkeypatch, f3, f7):
 
     monkeypatch.setattr(entangle, "run_blocks", capture)
     for fld, n in ((f3, 2), (f7, 2), (f3, 3)):
-        segments = [census_segment(fld.p, n)]
+        segments = [segment for segment, _, _ in census_segments(fld.p, n)]
         whole = list(walk_prefixes(fld.p, 1 << n, 1, segments))
         for threads in range(1, 6):
             census_tally(fld, n, threads=threads)
@@ -372,7 +488,7 @@ def test_census_tally_frozen_p7(f7):
 
 
 def test_census_tally_frozen_p3_n3(f3):
-    # the first n = 3 census: 59049 weighted prefixes, in well under a
+    # the first n = 3 census: 24,057 weighted prefixes, in well under a
     # second on one worker; that worker is this process, so its CPU time
     # covers all the work and other tenants of the host do not move it
     t0 = time.process_time()
@@ -389,9 +505,9 @@ def test_census_tally_frozen_p3_n3(f3):
 
 
 def test_small_census_starts_no_pool(f3, f7, monkeypatch):
-    # the weighted walk holds 343 prefixes at p=7 n=2 and 1,331 at p=11
-    # n=2, below POOL_MIN_PREFIXES; 6,859 at p=19 n=2 and 59,049 at p=3
-    # n=3 are above it
+    # the gauged walk holds 91 prefixes at p=7 n=2, 231 at p=11 n=2 and
+    # 703 at p=19 n=2, below POOL_MIN_PREFIXES; 3,655 at p=43 n=2 and
+    # 24,057 at p=3 n=3 are above it
     workers = []
 
     def capture(worker, args_list, threads):
@@ -399,10 +515,10 @@ def test_small_census_starts_no_pool(f3, f7, monkeypatch):
         return [[0] * (args[0] + 2) for args in args_list]
 
     monkeypatch.setattr(entangle, "run_blocks", capture)
-    for p, n in ((7, 2), (11, 2), (19, 2), (3, 3)):
+    for p, n in ((7, 2), (11, 2), (19, 2), (43, 2), (3, 3)):
         census_tally(validate_prime(p), n, threads=2)
     pool = min(2, entangle.usable_cpus())
-    assert workers == [1, 1, pool, pool]
+    assert workers == [1, 1, 1, pool, pool]
 
 
 def test_census_tally_thread_invariant(f3):
@@ -552,30 +668,32 @@ def test_circle_counters_match_brute_force_at_every_norm():
 
 
 def test_counted_blocks_match_per_state_on_p3_n3_slice(f3):
-    # block by block over the census's weighted p=3 n=3 slice, 6561
-    # parents: held zeros leave qubits with no pivot or with tests that
-    # do not involve x, and n = 3 gives three length lines, parallel and
-    # crossing.  The oracle completes each prefix's forms state by state,
-    # as iter_classified does, and weights each state by held_weight; on
-    # a seeded 1% of the prefixes the states are also checked against the
-    # Pauli expectations and the minors, independent of the forms.  The
+    # block by block over the census's weighted p=3 n=3 slices, 2,673
+    # parents in four segments (the generic pairs, two isotropic pairs,
+    # the zero pair) whose bounds the blocks cross: held zeros leave
+    # qubits with no pivot or with tests that do not involve x, and n = 3
+    # gives three length lines, parallel and crossing.  The oracle
+    # completes each prefix's forms state by state, as iter_classified
+    # does, and weights each state by slice_weight; on a seeded 2.5% of
+    # the prefixes the states are also checked against the Pauli
+    # expectations and the minors, independent of the forms.  The
     # blocks count Maximal and Unentangled and a purity histogram; the
     # census reads Partial off them, since every Maximal state has
     # sum_sq 0 and every Unentangled one sum_sq n mod p = 0
     rng = random.Random(17)
     sampled = 0
-    segments = [census_segment(3, 3)]
-    for start, stop in prefix_blocks(6561, 2):
+    segments = [segment for segment, _, _ in census_segments(3, 3)]
+    for start, stop in prefix_blocks(2673, 2):
         want = Counter()
         for parent, children in walk_prefixes(3, 8, 1, segments, start, stop):
             passes = parent_forms(3, 3, parent)
             for (y,), c, completions in children:
                 forms = finish_forms(3, 3, passes, y, c)
                 raw = [classify_last(3, 3, forms, x) for x in completions]
-                weight = held_weight(3, 3, parent + (y,))
+                weight = slice_weight(3, 3, parent + (y,))
                 for r in raw:
                     want[r[:2]] += weight
-                if rng.random() < 0.01:
+                if rng.random() < 0.025:
                     for x, r in zip(completions, raw):
                         check_against_independent_paths(f3, 3, parent + (y, x), *r)
                         sampled += 1
