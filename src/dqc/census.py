@@ -530,17 +530,19 @@ def sample_unit_amps(prime: ComplexifiablePrime, d: int, rng: random.Random) -> 
     1 <= s <= (p - 1) / 2, so the p + 1 points are equally likely.  The
     circle N(x) = 0 is the one point 0, so that completion is kept with
     probability 1 / (p + 1) and the whole draw is repeated otherwise.
+    Each element of F_p[i] is one draw, divmod(randrange(p**2), p).
     """
     p = prime.p
+    pp = p * p
     while True:
-        head = tuple((rng.randrange(p), rng.randrange(p)) for _ in range(d - 1))
+        head = tuple(divmod(rng.randrange(pp), p) for _ in range(d - 1))
         c = (1 - sum(fnorm(p, x) for x in head)) % p
         if not c:
             if not rng.randrange(p + 1):
                 return head + ((0, 0),)
             continue
         while True:
-            z = (rng.randrange(p), rng.randrange(p))
+            z = divmod(rng.randrange(pp), p)
             if z != (0, 0):
                 roots = prime.sqrt(c * pow(fnorm(p, z), p - 2, p))
                 if roots:
@@ -551,7 +553,7 @@ def random_phase(prime: ComplexifiablePrime, rng: random.Random):
     """A random norm-1 scalar: z / conj(z) for random z != 0."""
     p = prime.p
     while True:
-        z = (rng.randrange(p), rng.randrange(p))
+        z = divmod(rng.randrange(p * p), p)
         if z != (0, 0):
             return cmul(p, z, cinv(p, conj(p, z)))
 
@@ -566,10 +568,11 @@ def spot_invariants(prime: ComplexifiablePrime, d: int, seed: int) -> bool:
     at the largest supported p.
     """
     p = prime.p
+    pp = p * p
     rng = random.Random(seed)
     for _ in range(32):
-        x = (rng.randrange(p), rng.randrange(p))
-        y = (rng.randrange(p), rng.randrange(p))
+        x = divmod(rng.randrange(pp), p)
+        y = divmod(rng.randrange(pp), p)
         if conj(p, x) != frobenius(p, x):
             return False
         if fnorm(p, cmul(p, x, y)) != fnorm(p, x) * fnorm(p, y) % p:

@@ -143,20 +143,26 @@ norm r.
     Amplitude 0 takes the phase g and amplitude 1 << k the phase g u_j,
     j the qubit that owns bit k, so the phases of these n + 1 held
     amplitudes range independently, and a nonzero amplitude's orbit is
-    its whole fiber.  The slice holds each at 0 or a fiber minimum, so
-    (x_0, x_{D/2}) = (gamma_r, gamma_{-r}), one segment per r != 0, and
-    a slice state weighs (p+1)**k, k its nonzero held amplitudes.
+    its whole fiber.  Holding each at 0 or a fiber minimum puts
+    (x_0, x_{D/2}) at some (gamma_r, gamma_{-r}); the slice takes r = 1
+    only, and a slice state weighs (p-1) (p+1)**k, k its nonzero held
+    amplitudes.  The factor p - 1 stands for the other norms r.  U(2)
+    on the top qubit is transitive on the nonzero isotropic pairs v
+    (Witt's theorem again) and maps the unit states A_v whose top pair
+    is v onto A_{gv}, keeping kind, sum_sq and mask, so every A_v has
+    the same tally.  The torus slice of (gamma_r, gamma_{-r}) stands for
+    the (p+1)**2 sets A_v with N(x_0) = r and N(x_{D/2}) = -r, so the
+    p - 1 norms r give equal totals.  The stabilizer of an isotropic
+    pair, of order p, is not used, so no weight depends on the state.
 
-    Zero pair, x_0 = x_{D/2} = 0: the torus slice and weight again.
+    Zero pair, x_0 = x_{D/2} = 0: the torus slice and weight again, (p+1)**k.
 
 The last position is never held: its completions are counted on the
-whole circle (at n = 1 it is x_{D/2}, at 0).  The isotropic pair is not
-gauged to one representative, since its stabilizer in U(2) has order p
-and mixes the halves, so the weights would depend on the state.  With
-f = D - n - 2 free positions below the last in the torus sets, the walk
-has 1 prefix at n = 1 and p**(n + 2f) + (p-1) p**(n + 2f - 1 - [n > 2])
-from n = 2 on: 91 against the canonical walk's 14,707 at p=7 n=2,
-24,057 against 1,195,743 at p=3 n=3, and 45,294,865 at p=7 n=3.
+whole circle (at n = 1 it is x_{D/2}, at 0).  With f = D - n - 2 free
+positions below the last in the torus sets, the walk has 1 prefix at
+n = 1 and 2 p**(n - 1 + 2f) + (p-1) p**(n - 1 + 2f - [n > 2]) from
+n = 2 on: 56 against the canonical walk's 14,707 at p=7 n=2, 17,496
+against 1,195,743 at p=3 n=3, and 16,470,860 at p=7 n=3.
 
 Purity is the averaged sum of squared expectations sum_sq / n, an
 element of F_p defined whenever p does not divide n.  Product states
@@ -187,10 +193,11 @@ from .complexfield import cadd, cmul, cneg, conj
 from .errors import DqcError, NonRealExpectation, NotUnitNorm, ZeroVector
 from .states import StateVector
 
-# A pool starts in about 5 ms and the census takes 5-6 us a prefix, so
-# two workers repay the start only from about 2,000 prefixes; a smaller
-# census runs its blocks inline whatever the thread count
-POOL_MIN_PREFIXES = 2000
+# A pool starts and joins in 9-15 ms on a 2-vCPU host, so two workers
+# first beat one at about 4,000 prefixes (p=59 n=2, 3,540 prefixes: 31.9
+# ms inline, 40.4 ms on two; p=67 n=2, 4,556: 52.9 and 49.3 ms); a
+# smaller census runs its blocks inline whatever the thread count
+POOL_MIN_PREFIXES = 4000
 
 
 class EntanglementClass(str, Enum):
@@ -557,25 +564,26 @@ def census_prefixes(p: int, n: int) -> int:
     rather than its tables, so that the budget is checked before they are
     built.  Below position D - 1, the torus sets fix positions 0 and D/2,
     hold the positions 1 << k, k < n - 1 (p choices each), and leave
-    free = D - n - 2 positions (p**2 each), over p choices of the pair:
-    the zero pair and the p - 1 isotropic ones.  The generic set takes
+    free = D - n - 2 positions (p**2 each), over two pairs: the zero pair
+    and the isotropic pair (gamma_1, gamma_{-1}).  The generic set takes
     p - 1 pairs and, from n = 3 on, holds one free position more,
     D/2 + 1."""
     if n == 1:
         return 1
     free = (1 << n) - n - 2
     extra = n > 2
-    return p ** (n + 2 * free) + (p - 1) * p ** (n - 1 + 2 * free - extra)
+    return 2 * p ** (n - 1 + 2 * free) + (p - 1) * p ** (n - 1 + 2 * free - extra)
 
 
 def census_segments(p: int, n: int) -> list:
     """The census's walk as (segment, held, scale) triples, one
     walk_prefixes segment each, split by the top qubit's first pair
     (x_0, x_{D/2}) (module docstring): the generic pairs (gamma_r, 0),
-    then one segment per isotropic pair (gamma_r, gamma_{-r}), then the
-    zero pair.  A prefix of the segment stands for scale * (p + 1)**k
-    unit states, k its nonzero amplitudes at the positions in held, which
-    are 0 or a fiber minimum.  The last position is never held."""
+    then the isotropic pair (gamma_1, gamma_{-1}), which stands for all
+    p - 1 isotropic norms, then the zero pair.  A prefix of the segment
+    stands for scale * (p + 1)**k unit states, k its nonzero amplitudes at
+    the positions in held, which are 0 or a fiber minimum.  The last
+    position is never held."""
     elements, fibers, leads = enum_tables(p)
     zero = ((0, 0),)
     generic_scale = p * (p - 1) * (p + 1)
@@ -594,10 +602,11 @@ def census_segments(p: int, n: int) -> list:
     # diag(1, u), the stabilizer of (gamma_r, 0), holds D/2 + 1 as well
     generic = shared | ({half + 1} - {d - 1})
     torus = shared | {0, half}
-    return [(segment(leads, zero, generic), generic, generic_scale)] + [
-        (segment(fibers[r][:1], fibers[-r % p][:1], torus), torus, 1)
-        for r in range(1, p)
-    ] + [(segment(zero, zero, torus), torus, 1)]
+    return [
+        (segment(leads, zero, generic), generic, generic_scale),
+        (segment(fibers[1][:1], fibers[p - 1][:1], torus), torus, p - 1),
+        (segment(zero, zero, torus), torus, 1),
+    ]
 
 
 def _tally_block(args) -> list:

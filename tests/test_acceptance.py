@@ -144,10 +144,10 @@ def test_criterion_4_two_qubit_census_p7(report, tally72):
         assert elapsed < 300.0  # single-threaded bound
         threaded = census_tally(validate_prime(7), 2, threads=2)
         assert threaded == tally  # thread count never changes results
-        # the speed-up is timed on the whole weighted p=3 n=3 census, 24,057
-        # prefixes in 2,673 parents, about 0.15 s on one worker, so that
-        # starting the pool (about 5 ms) is a small share of the two-worker
-        # run
+        # the speed-up is timed on the whole weighted p=3 n=3 census, 17,496
+        # prefixes in 1,944 parents, 0.07-0.1 s on one worker; starting and
+        # joining the pool (9-15 ms) is about a fifth of the two-worker
+        # run, so the margin over the gate is thin on a contended host
         f3 = validate_prime(3)
 
         def timed(threads):

@@ -619,7 +619,7 @@ def test_summary_thread_invariant(capsys):
     _, one, _ = run(capsys, "classify", "--p", "3", "--n", "2", "--threads", "1")
     _, four, _ = run(capsys, "classify", "--p", "3", "--n", "2", "--threads", "4")
     assert one == four
-    # 24,057 prefixes, enough for two workers to start a pool
+    # 17,496 prefixes, enough for two workers to start a pool
     _, one, _ = run(capsys, "classify", "--p", "3", "--n", "3", "--threads", "1")
     _, two, _ = run(capsys, "classify", "--p", "3", "--n", "3", "--threads", "2")
     assert one == two == (

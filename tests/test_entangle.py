@@ -120,14 +120,25 @@ def kernel_cases(f3, f7):
             yield bell(fld).tensor(a)
 
 
-def check_against_independent_paths(fld, n, amps, kind, sum_sq, mask):
+def independent_invariants(fld, n, amps):
+    """(kind, sum_sq, mask) from the Pauli expectations and the 2x2
+    minors, without the census kernel."""
     p = fld.p
     psi = StateVector(fld, n, amps)
     lengths = [sum(v * v for v in t) % p for t in pauli_expectations(psi).grid]
-    assert sum_sq == sum(lengths) % p
-    assert mask == minors_separable_mask(p, n, amps)
-    assert (kind is EntanglementClass.UNENTANGLED) == (mask == (1 << n) - 1)
-    assert (kind is EntanglementClass.MAXIMAL) == (not any(lengths))
+    mask = minors_separable_mask(p, n, amps)
+    unentangled = mask == (1 << n) - 1
+    maximal = not any(lengths)
+    assert not (unentangled and maximal)
+    if unentangled:
+        kind = EntanglementClass.UNENTANGLED
+    else:
+        kind = EntanglementClass.MAXIMAL if maximal else EntanglementClass.PARTIAL
+    return kind, sum(lengths) % p, mask
+
+
+def check_against_independent_paths(fld, n, amps, kind, sum_sq, mask):
+    assert (kind, sum_sq, mask) == independent_invariants(fld, n, amps)
 
 
 def test_kernel_agrees_with_independent_paths(f3, f7):
@@ -178,10 +189,10 @@ def gauge_positions(n):
 
 def gauged_slices(p, n):
     """The census's slices, a literal filter of every unit vector each:
-    the generic pairs (gamma_r, 0), the isotropic pair (gamma_r, gamma_-r)
-    for r = 1..p-1 and the zero pair (x_0, x_{D/2}), gamma_r the smallest
-    element of norm r, with each held position 0 or a fiber minimum.
-    Empty slices (all but the generic one at n = 1) are left out."""
+    the generic pairs (gamma_r, 0), the isotropic pair (gamma_1, gamma_-1)
+    and the zero pair (x_0, x_{D/2}), gamma_r the smallest element of
+    norm r, with each held position 0 or a fiber minimum.  Empty slices
+    (all but the generic one at n = 1) are left out."""
     d = 1 << n
     half = d // 2
     gamma = [None] + [brute_fiber(p, r)[0] for r in range(1, p)]
@@ -195,25 +206,35 @@ def gauged_slices(p, n):
             if pair(a[0], a[half]) and all(a[i] in minima for i in held)
         ]
 
-    slices = [literal(lambda x, y: x in gamma[1:] and y == (0, 0), generic)]
-    slices += [
-        literal(lambda x, y, r=r: (x, y) == (gamma[r], gamma[-r % p]), torus)
-        for r in range(1, p)
+    slices = [
+        literal(lambda x, y: x in gamma[1:] and y == (0, 0), generic),
+        literal(lambda x, y: (x, y) == (gamma[1], gamma[-1]), torus),
+        literal(lambda x, y: x == y == (0, 0), torus),
     ]
-    slices.append(literal(lambda x, y: x == y == (0, 0), torus))
     return [s for s in slices if s]
+
+
+def pair_set(p, n, amps):
+    """The set of the top qubit's first pair (x_0, x_{D/2}): generic when
+    its norm is nonzero, isotropic when it is zero but the pair is not."""
+    x, y = amps[0], amps[(1 << n) // 2]
+    if (cnorm(p, x) + cnorm(p, y)) % p:
+        return "generic"
+    return "zero" if x == y == (0, 0) else "isotropic"
 
 
 def slice_weight(p, n, amps):
     """The unit states a slice state stands for, by the rule of its set:
-    p (p-1) (p+1)**(k+1) for a generic pair, (p+1)**k otherwise, k its
-    nonzero held amplitudes."""
+    p (p-1) (p+1)**(k+1) for a generic pair, (p-1) (p+1)**k for the
+    isotropic pair, which stands for the p - 1 isotropic norms, and
+    (p+1)**k for the zero pair, k its nonzero held amplitudes."""
     generic, torus = gauge_positions(n)
-    half = (1 << n) // 2
-    if amps[half] == (0, 0) and amps[0] != (0, 0):
+    kind = pair_set(p, n, amps)
+    if kind == "generic":
         k = sum(amps[i] != (0, 0) for i in generic)
         return p * (p - 1) * (p + 1) ** (k + 1)
-    return (p + 1) ** sum(amps[i] != (0, 0) for i in torus)
+    scale = p - 1 if kind == "isotropic" else 1
+    return scale * (p + 1) ** sum(amps[i] != (0, 0) for i in torus)
 
 
 def test_census_walk_is_the_held_slice(f3, f7):
@@ -223,13 +244,14 @@ def test_census_walk_is_the_held_slice(f3, f7):
     # |G| / #{g in G : g s in the slices}, found by applying every g: G is
     # the top qubit's U(2) for a generic pair and its diagonal unitaries
     # (the torus of the other two sets) otherwise, with a phase gate on
-    # each other qubit
+    # each other qubit.  The isotropic slice holds one of the p - 1
+    # isotropic norms, so its weight is p - 1 times its torus weight
+    # (test_isotropic_pairs_have_equal_tallies)
     unitaries = unitary_group(3)
     diagonal = [g for g in unitaries if g[0][1] == g[1][0] == (0, 0)]
     phases = brute_phases(3)
     for p, n in ((3, 1), (7, 1), (3, 2)):
         d = 1 << n
-        half = d // 2
         segments = census_segments(p, n)
         walked = [
             [
@@ -248,26 +270,15 @@ def test_census_walk_is_the_held_slice(f3, f7):
                 for a in states
             ]
             assert rule == [slice_weight(p, n, a) for a in states]
-            # the set the slice stands for: the generic pairs, or the pair
-            # norms (N(x_0), N(x_{D/2})) of the segment's first state
-            if states[0][half] == (0, 0) and states[0][0] != (0, 0):
-                members = [
-                    a for a in units
-                    if (cnorm(p, a[0]) + cnorm(p, a[half])) % p
-                ]
-            else:
-                norms = cnorm(p, states[0][0]), cnorm(p, states[0][half])
-                members = [
-                    a for a in units
-                    if (cnorm(p, a[0]), cnorm(p, a[half])) == norms
-                ]
-            assert sum(rule) == len(members)
+            kind = pair_set(p, n, states[0])
+            assert {pair_set(p, n, a) for a in states} == {kind}
+            assert sum(rule) == sum(pair_set(p, n, a) == kind for a in units)
         if p == 3:
             slices = {a for states in walked for a in states}
             for states in walked:
                 for a in states:
-                    generic = a[half] == (0, 0) and a[0] != (0, 0)
-                    group = unitaries if generic else diagonal
+                    kind = pair_set(p, n, a)
+                    group = unitaries if kind == "generic" else diagonal
                     size = len(group) * len(phases) ** (n - 1)
                     hits = sum(
                         local_gauge(3, n, g, us, a) in slices
@@ -275,7 +286,35 @@ def test_census_walk_is_the_held_slice(f3, f7):
                         for us in itertools.product(phases, repeat=n - 1)
                     )
                     assert size % hits == 0
-                    assert size // hits == slice_weight(3, n, a)
+                    scale = p - 1 if kind == "isotropic" else 1
+                    assert scale * size // hits == slice_weight(3, n, a)
+
+
+def test_isotropic_pairs_have_equal_tallies(f3, f7):
+    # the fact the isotropic scale p - 1 rests on: U(2) on the top qubit
+    # is transitive on the nonzero isotropic pairs v = (x_0, x_{D/2}) and
+    # keeps kind, sum_sq and mask, so the unit states A_v whose top pair is
+    # v have one Counter of (kind, sum_sq, mask) for every v.  At p=3 n=2
+    # over all 32 pairs, the invariants from the Pauli expectations and
+    # the minors, not the census kernel; at p=7 n=2 over all 384 pairs,
+    # by classify_raw
+    for fld, invariants in (
+        (f3, independent_invariants),
+        (f7, lambda fld, n, amps: classify_raw(fld.p, n, amps)),
+    ):
+        p = fld.p
+        pairs = [(x, y) for x in celems(p) for y in celems(p)]
+        isotropic = [
+            (x, y) for x, y in pairs
+            if (x, y) != ((0, 0), (0, 0)) and (cnorm(p, x) + cnorm(p, y)) % p == 0
+        ]
+        assert len(isotropic) == (p * p - 1) * (p + 1)
+        rest = [(a, b) for a, b in pairs if (cnorm(p, a) + cnorm(p, b)) % p == 1]
+        tallies = {
+            frozenset(Counter(invariants(fld, 2, (x, a, y, b)) for a, b in rest).items())
+            for x, y in isotropic
+        }
+        assert len(tallies) == 1
 
 
 def test_u2_orbits_on_pairs_at_p3():
@@ -488,7 +527,7 @@ def test_census_tally_frozen_p7(f7):
 
 
 def test_census_tally_frozen_p3_n3(f3):
-    # the first n = 3 census: 24,057 weighted prefixes, in well under a
+    # the first n = 3 census: 17,496 weighted prefixes, in well under a
     # second on one worker; that worker is this process, so its CPU time
     # covers all the work and other tenants of the host do not move it
     t0 = time.process_time()
@@ -505,9 +544,9 @@ def test_census_tally_frozen_p3_n3(f3):
 
 
 def test_small_census_starts_no_pool(f3, f7, monkeypatch):
-    # the gauged walk holds 91 prefixes at p=7 n=2, 231 at p=11 n=2 and
-    # 703 at p=19 n=2, below POOL_MIN_PREFIXES; 3,655 at p=43 n=2 and
-    # 24,057 at p=3 n=3 are above it
+    # the gauged walk holds 56 prefixes at p=7 n=2, 132 at p=11 n=2, 380
+    # at p=19 n=2 and 3,540 at p=59 n=2, below POOL_MIN_PREFIXES; 4,556 at
+    # p=67 n=2 and 17,496 at p=3 n=3 are above it
     workers = []
 
     def capture(worker, args_list, threads):
@@ -515,10 +554,10 @@ def test_small_census_starts_no_pool(f3, f7, monkeypatch):
         return [[0] * (args[0] + 2) for args in args_list]
 
     monkeypatch.setattr(entangle, "run_blocks", capture)
-    for p, n in ((7, 2), (11, 2), (19, 2), (43, 2), (3, 3)):
+    for p, n in ((7, 2), (11, 2), (19, 2), (59, 2), (67, 2), (3, 3)):
         census_tally(validate_prime(p), n, threads=2)
     pool = min(2, entangle.usable_cpus())
-    assert workers == [1, 1, 1, pool, pool]
+    assert workers == [1, 1, 1, 1, pool, pool]
 
 
 def test_census_tally_thread_invariant(f3):
@@ -668,8 +707,8 @@ def test_circle_counters_match_brute_force_at_every_norm():
 
 
 def test_counted_blocks_match_per_state_on_p3_n3_slice(f3):
-    # block by block over the census's weighted p=3 n=3 slices, 2,673
-    # parents in four segments (the generic pairs, two isotropic pairs,
+    # block by block over the census's weighted p=3 n=3 slices, 1,944
+    # parents in three segments (the generic pairs, the isotropic pair,
     # the zero pair) whose bounds the blocks cross: held zeros leave
     # qubits with no pivot or with tests that do not involve x, and n = 3
     # gives three length lines, parallel and crossing.  The oracle
@@ -683,7 +722,7 @@ def test_counted_blocks_match_per_state_on_p3_n3_slice(f3):
     rng = random.Random(17)
     sampled = 0
     segments = [segment for segment, _, _ in census_segments(3, 3)]
-    for start, stop in prefix_blocks(2673, 2):
+    for start, stop in prefix_blocks(1944, 2):
         want = Counter()
         for parent, children in walk_prefixes(3, 8, 1, segments, start, stop):
             passes = parent_forms(3, 3, parent)
