@@ -19,9 +19,9 @@ Counting
 The zero-norm, unit-norm and irreducible counts depend only on how
 many elements each norm fiber holds, so they are read from norm
 histograms: the D-fold cyclic convolution of the fiber sizes
-[1, p+1, ..., p+1], built from the enumeration tables in O(D * p**2)
-steps.  They take no budget.  The naive full scan, which walks every
-vector, is the independent oracle for the histograms.
+[1, p+1, ..., p+1], in O(D * p) steps with no table.  They take no
+budget.  The naive full scan, which walks every vector, is the
+independent oracle for the histograms.
 
 Enumeration
 -----------
@@ -31,14 +31,13 @@ must carry, and append each member of that norm fiber.  One walker,
 walk_prefixes, serves every state stream and the entanglement census.
 It takes the states to walk as segments, walked one after another, each
 in lexicographic order: the (re, im) pairs each head position may hold
-and the last position's completions by norm, all from enum_tables,
-built once per p.  A full walk is one segment of free choices, so it
-produces every vector once in lexicographic order, from p**(2(D-1))
-prefixes.
+and the last position's completions by norm, from enum_tables, built
+once per p, or sized where they are only counted.  A full walk is one
+segment of free choices: every vector once, from p**(2(D-1)) prefixes.
 
 The budget limits prefixes.  check_budget is the one budget decision:
 a walk is charged its prefixes, and never less than the p**2 entries
-of the tables every walk reads.  Each stream calls it when it is
+of enum_tables, read or not.  Each stream calls it when it is
 created, before the caller has consumed or written anything, and is
 charged p**(2(D-1)), whatever it filters.  The census is charged the
 prefixes of its weighted walk (see entangle), and verify reads its
@@ -265,15 +264,25 @@ def closed_form_counts(prime: ComplexifiablePrime, d: int) -> CountReport:
 # -- enumeration tables ------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def fiber_minima(p: int) -> tuple:
+    """fiber_minima(p)[c] is the smallest (re, im) pair of norm c: the
+    first a with c - a**2 a square (0 counts) and its smaller root."""
+    root = {b * b % p: b for b in range(p // 2 + 1)}
+    return tuple(
+        next((a, root[(c - a * a) % p]) for a in range(p) if (c - a * a) % p in root)
+        for c in range(p)
+    )
+
+
+@lru_cache(maxsize=None)
 def enum_tables(p: int):
     """The elements of F_p**2 as (re, im) pairs, built once per p.
 
     Returns (elements, fibers, leads): elements holds all p**2 pairs in
     lexicographic order, fibers[c] the sorted tuple of those of norm c,
-    and leads the smallest element of each nonzero-norm fiber, in
-    increasing order.  The tables share their pairs.  The cyclic garbage
-    collector is paused while they are built: the p**2 new tuples would
-    set off collections that find nothing to free.
+    and leads the sorted fiber minima of the nonzero norms.  The cyclic
+    garbage collector is paused while they are built: the p**2 new
+    tuples would set off collections that find nothing to free.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -285,8 +294,7 @@ def enum_tables(p: int):
     finally:
         if collecting:
             gc.enable()
-    fibers = tuple(map(tuple, fibers))
-    return elements, fibers, tuple(sorted(f[0] for f in fibers[1:]))
+    return elements, tuple(map(tuple, fibers)), tuple(sorted(fiber_minima(p)[1:]))
 
 
 def prefix_blocks(total: int, workers: int) -> list:
@@ -334,18 +342,14 @@ def run_blocks(worker, args_list: list, threads: int) -> list:
 def norm_histograms(p: int, d: int) -> list:
     """hists[m][c] is the number of m-vectors of norm c, for m = 0..d.
 
-    A vector's norm is the sum of its amplitudes' norms, so each
-    histogram is the previous one cyclically convolved with the fiber
-    sizes [1, p+1, ..., p+1].  Cost is O(d * p**2) at any size.
+    A vector's norm is the sum of its amplitudes' norms, so the cyclic
+    convolution of a histogram h with the fiber sizes [1, p+1, ..., p+1]
+    gives the next, h[c] + (p + 1) (sum(h) - h[c]), in O(p).
     """
-    sizes = [len(f) for f in enum_tables(p)[1]]
     hists = [[1] + [0] * (p - 1)]
     for _ in range(d):
-        prev = hists[-1]
-        hists.append([
-            sum(prev[(c - t) % p] * size for t, size in enumerate(sizes))
-            for c in range(p)
-        ])
+        total = (p + 1) * sum(hists[-1])
+        hists.append([total - p * h for h in hists[-1]])
     return hists
 
 
@@ -371,21 +375,19 @@ def count_irreducible(prime: ComplexifiablePrime, n: int) -> int:
 def check_budget(p: int, prefixes: int, budget: int, closed_form: int | None = None):
     """Raise BudgetExceeded (carrying closed_form) when a walk's charge
     exceeds the budget: its prefixes, and never less than the p**2
-    entries of the tables every walk reads."""
+    entries of enum_tables, read or not."""
     charge = max(prefixes, p * p)
     if charge > budget:
         raise BudgetExceeded(charge, budget, closed_form)
 
 
 def canonical_segments(p: int, d: int) -> list:
-    """The canonical walk of dimension d as walk_prefixes' segments: for
-    k = d - 1 down to 0, k leading zeros, a fiber-minimum lead and free
-    amplitudes after it.  k = d - 1 is the zero prefix, whose completion
-    leads and so keeps its fiber minimum alone: its last entry holds the
-    fiber minima by norm."""
+    """The canonical walk of dimension d as walk_prefixes' segments, for
+    k = d - 1 down to 0 (module docstring); at k = d - 1, the zero
+    prefix, the last entry holds each norm's fiber minimum alone."""
     elements, fibers, leads = enum_tables(p)
     zero = ((0, 0),)
-    minima = [()] + [f[:1] for f in fibers[1:]]
+    minima = [()] + [(m,) for m in fiber_minima(p)[1:]]
     return [[zero] * (d - 1) + [minima]] + [
         [zero] * k + [leads] + [elements] * (d - 2 - k) + [fibers]
         for k in range(d - 2, -1, -1)
@@ -406,17 +408,18 @@ def walk_prefixes(
     A segment is a list of d entries: d - 1 sorted lists of (re, im)
     pairs, the choices of amplitudes 0..d-2, and last the completions of
     amplitude d - 1 by norm, completions[c] the sorted choices of norm c
-    (enum_tables' fibers when it is free).  Its states are those of norm
-    target whose amplitude i is one of choices i, and the walk is its
-    segments' states, segment by segment.  A prefix is a state's first
-    d - 1 amplitudes, its parent the first d - 2; each segment's parents
-    come in lexicographic order, and start/stop count parents over all
-    segments.  children holds one (tail, c, completions[c]) per choice
-    of amplitude d - 2, in order: tail is that amplitude as a 1-tuple
-    (empty at d = 1, whose one prefix is empty) and c the norm the last
-    amplitude must carry to bring the total to target.  Children depend
-    only on the parent's norm, so a segment's parents share one children
-    tuple per norm, built when first needed.
+    (the fibers when it is free; sized where only counted).  Its
+    states are those of norm target whose amplitude i is one of choices
+    i, and the walk is its segments' states, in order.  A prefix is a
+    state's first d - 1 amplitudes, its parent the first d - 2; each
+    segment's parents come in lexicographic order, and start/stop count
+    parents over all segments.  children holds one (tail, c,
+    completions[c]) per choice of amplitude d - 2, in order: tail is
+    that amplitude as a 1-tuple (empty at d = 1, whose one prefix is
+    empty) and c the norm the last amplitude must carry to bring the
+    total to target.  Children depend only on the parent's norm, so a
+    segment's parents share one children tuple per norm, built when
+    first needed.
     """
     target %= p
     if stop is None:

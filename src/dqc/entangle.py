@@ -89,8 +89,7 @@ t (u, v) / w + s (-v, u) with w = u**2 + v**2, which is nonzero since
 p = 3 mod 4, and their norm is t**2 / w + s**2 w, so s**2 must equal
 (c w - t**2) / w**2.  At c == 0 that is 1 + chi(-t**2), 1 exactly when
 t == 0 (-1 is a non-residue mod p).  So one rule counts every prefix
-(size is the number of completions, the whole circle in the census's
-walk):
+(size is its number of completions, a range in the census's walk):
 
     Maximal      the common points of the n lines q + u x0 + v x1 = 0:
                  none, all completions, one line's count, or the one
@@ -158,11 +157,8 @@ norm r.
     Zero pair, x_0 = x_{D/2} = 0: the torus slice and weight again, (p+1)**k.
 
 The last position is never held: its completions are counted on the
-whole circle (at n = 1 it is x_{D/2}, at 0).  With f = D - n - 2 free
-positions below the last in the torus sets, the walk has 1 prefix at
-n = 1 and 2 p**(n - 1 + 2f) + (p-1) p**(n - 1 + 2f - [n > 2]) from
-n = 2 on: 56 against the canonical walk's 14,707 at p=7 n=2, 17,496
-against 1,195,743 at p=3 n=3, and 16,470,860 at p=7 n=3.
+whole circle (at n = 1 it is x_{D/2}, at 0).  census_prefixes counts
+the walk: 56 prefixes at p=7 n=2, 17,496 at p=3 n=3.
 
 Purity is the averaged sum of squared expectations sum_sq / n, an
 element of F_p defined whenever p does not divide n.  Product states
@@ -183,6 +179,7 @@ from .census import (
     canonical_segments,
     check_budget,
     enum_tables,
+    fiber_minima,
     irreducible_count,
     prefix_blocks,
     run_blocks,
@@ -560,14 +557,11 @@ def _count_unentangled(
 
 
 def census_prefixes(p: int, n: int) -> int:
-    """Prefixes of census_segments' walk, from the shape of its slices
-    rather than its tables, so that the budget is checked before they are
-    built.  Below position D - 1, the torus sets fix positions 0 and D/2,
-    hold the positions 1 << k, k < n - 1 (p choices each), and leave
-    free = D - n - 2 positions (p**2 each), over two pairs: the zero pair
-    and the isotropic pair (gamma_1, gamma_{-1}).  The generic set takes
-    p - 1 pairs and, from n = 3 on, holds one free position more,
-    D/2 + 1."""
+    """Prefixes of census_segments' walk, from the shape of its slices,
+    so that the budget is checked before the walk.  Below D - 1 the torus
+    sets, over the zero and the isotropic pair, hold 1 << k, k < n - 1
+    (p choices each), and leave free = D - n - 2 positions (p**2 each);
+    the generic set takes p - 1 pairs and holds D/2 + 1 from n = 3 on."""
     if n == 1:
         return 1
     free = (1 << n) - n - 2
@@ -578,33 +572,36 @@ def census_prefixes(p: int, n: int) -> int:
 def census_segments(p: int, n: int) -> list:
     """The census's walk as (segment, held, scale) triples, one
     walk_prefixes segment each, split by the top qubit's first pair
-    (x_0, x_{D/2}) (module docstring): the generic pairs (gamma_r, 0),
-    then the isotropic pair (gamma_1, gamma_{-1}), which stands for all
-    p - 1 isotropic norms, then the zero pair.  A prefix of the segment
-    stands for scale * (p + 1)**k unit states, k its nonzero amplitudes at
-    the positions in held, which are 0 or a fiber minimum.  The last
-    position is never held."""
-    elements, fibers, leads = enum_tables(p)
+    (x_0, x_{D/2}): the generic pairs (gamma_r, 0), then the isotropic
+    pair (gamma_1, gamma_{-1}), which stands for all p - 1 isotropic
+    norms, then the zero pair.  A prefix of the segment stands for
+    scale * (p + 1)**k unit states, k its nonzero amplitudes at the
+    positions in held, which are 0 or a fiber minimum.  Below n = 3 no
+    position is free, so no p**2 table is read."""
+    minima = fiber_minima(p)
     zero = ((0, 0),)
     generic_scale = p * (p - 1) * (p + 1)
+    circles = [range(1)] + [range(p + 1 if n > 1 else 0)] * (p - 1)
     if n == 1:
         # the last position is x_{D/2}, at 0: the one state (gamma_1, 0)
-        return [([fibers[1][:1], [zero] + [()] * (p - 1)], set(), generic_scale)]
+        return [([minima[1:2], circles], set(), generic_scale)]
     d = 1 << n
     half = d >> 1
     shared = {1 << k for k in range(n - 1)}
+    leads = tuple(sorted(minima[1:]))
+    elements = enum_tables(p)[0] if n > 2 else None
 
     def segment(first, top, held):
         choices = [zero + leads if i in held else elements for i in range(d - 1)]
         choices[0], choices[half] = first, top
-        return choices + [fibers]
+        return choices + [circles]
 
     # diag(1, u), the stabilizer of (gamma_r, 0), holds D/2 + 1 as well
     generic = shared | ({half + 1} - {d - 1})
     torus = shared | {0, half}
     return [
         (segment(leads, zero, generic), generic, generic_scale),
-        (segment(fibers[1][:1], fibers[p - 1][:1], torus), torus, p - 1),
+        (segment(minima[1:2], minima[p - 1:], torus), torus, p - 1),
         (segment(zero, zero, torus), torus, 1),
     ]
 

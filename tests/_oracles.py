@@ -44,6 +44,20 @@ def brute_phases(p):
     return brute_fiber(p, 1)
 
 
+def convolved_histograms(sizes, d):
+    """hists[m][c], m = 0..d: the m-fold cyclic convolution of the fiber
+    sizes, sizes[t] the elements of norm t, by the literal double sum
+    over both norms, O(d * p**2)."""
+    p = len(sizes)
+    hists = [[1] + [0] * (p - 1)]
+    for _ in range(d):
+        prev = hists[-1]
+        hists.append([
+            sum(prev[(c - t) % p] * sizes[t] for t in range(p)) for c in range(p)
+        ])
+    return hists
+
+
 def brute_vectors(p, d, norm=None):
     """All amplitude tuples of dimension d, optionally norm-filtered."""
     out = []

@@ -24,6 +24,7 @@ from dqc import (
     full_scan_norm_counts,
     irreducible_count,
     irreducible_product_form,
+    is_prime,
     iter_irreducible,
     iter_norm_class,
     maxent_irreducible_count,
@@ -43,6 +44,7 @@ from _oracles import (
     brute_vectors,
     canonical_prefix_digits,
     cnorm,
+    convolved_histograms,
 )
 
 
@@ -185,6 +187,30 @@ def test_norm_histogram_matches_full_scan():
             d += 1
 
 
+def test_norm_histograms_match_the_literal_convolution():
+    # the O(p) step h'[c] = h[c] + (p + 1)(S - h[c]) against the O(p**2)
+    # convolution over the sizes of enum_tables' fibers
+    for p in (3, 7, 11, 19):
+        sizes = [len(f) for f in census.enum_tables(p)[1]]
+        assert census.norm_histograms(p, 8) == convolved_histograms(sizes, 8)
+
+
+def test_fiber_sizes_and_minima_against_the_tables():
+    # the fact counting rests on: the fiber of norm 0 is {0} and every
+    # other has p + 1 elements; fiber_minima, built from square roots, is
+    # each fiber's first element, and leads the sorted nonzero ones.
+    # Built unmemoized, so the session's table cache keeps no large p
+    primes = [p for p in range(3, 200, 4) if is_prime(p)]
+    assert len(primes) == 24
+    for p in primes:
+        elements, fibers, leads = census.enum_tables.__wrapped__(p)
+        assert [len(f) for f in fibers] == [1] + [p + 1] * (p - 1)
+        assert fibers[0] == ((0, 0),)
+        minima = census.fiber_minima(p)
+        assert minima == tuple(f[0] for f in fibers)
+        assert leads == tuple(sorted(minima[1:]))
+
+
 def test_counters_match_closed_forms_on_grid():
     for p in (3, 7, 11, 19, 23, 31):
         prime = validate_prime(p)
@@ -293,6 +319,22 @@ def test_walks_build_no_tables_of_their_own():
     tally, peak = traced_peak(lambda: entangle.census_tally(f503, 1))
     assert tally.irreducible_total == irreducible_count(503, 2)
     assert peak < 1_000_000
+
+
+def test_two_qubit_counts_build_no_tables():
+    # below n = 3 the census walks fiber minima and sized completions and
+    # the counters convolve fiber sizes, so neither builds enum_tables'
+    # p**2 pairs (0.46-0.54 MB traced when they did)
+    f83 = validate_prime(83)
+    for run in (
+        lambda: entangle.census_tally(f83, 2).irreducible_total,
+        lambda: verify(f83, 2).enumerated["irreducible"],
+    ):
+        census.enum_tables.cache_clear()
+        total, peak = traced_peak(run)
+        assert total == irreducible_count(83, 4)
+        assert census.enum_tables.cache_info().currsize == 0
+        assert peak < 100_000
 
 
 def test_bloch_export_streams():

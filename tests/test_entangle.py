@@ -23,7 +23,13 @@ from dqc import (
     validate_prime,
 )
 import dqc.entangle as entangle
-from dqc.census import iter_irreducible, prefix_blocks, sample_unit_amps, walk_prefixes
+from dqc.census import (
+    enum_tables,
+    iter_irreducible,
+    prefix_blocks,
+    sample_unit_amps,
+    walk_prefixes,
+)
 from dqc.entangle import (
     _count_maximal,
     _count_unentangled,
@@ -239,7 +245,9 @@ def slice_weight(p, n, amps):
 
 def test_census_walk_is_the_held_slice(f3, f7):
     # each census segment walks exactly its slice, a literal filter of
-    # every unit vector at p=3 n <= 2 and p=7 n=1.  Its weights add up to
+    # every unit vector at p=3 n <= 2 and p=7 n=1; the census only counts
+    # its last position's completions, so they are sized, and are expanded
+    # here to the members of their norm fiber.  Its weights add up to
     # the unit vectors of its set, and at p=3 each slice state's weight is
     # |G| / #{g in G : g s in the slices}, found by applying every g: G is
     # the top qubit's U(2) for a generic pair and its diagonal unitaries
@@ -253,15 +261,15 @@ def test_census_walk_is_the_held_slice(f3, f7):
     for p, n in ((3, 1), (7, 1), (3, 2)):
         d = 1 << n
         segments = census_segments(p, n)
-        walked = [
-            [
-                parent + tail + (x,)
-                for parent, children in walk_prefixes(p, d, 1, [segment])
-                for tail, _, completions in children
-                for x in completions
-            ]
-            for segment, _, _ in segments
-        ]
+        fibers = enum_tables(p)[1]
+        walked = []
+        for segment, _, _ in segments:
+            states = []
+            for parent, children in walk_prefixes(p, d, 1, [segment]):
+                for tail, c, completions in children:
+                    assert len(completions) == len(fibers[c])
+                    states += [parent + tail + (x,) for x in fibers[c]]
+            walked.append(states)
         assert walked == gauged_slices(p, n)
         units = brute_vectors(p, d, norm=1)
         for states, (_, held, scale) in zip(walked, segments):
@@ -718,15 +726,19 @@ def test_counted_blocks_match_per_state_on_p3_n3_slice(f3):
     # expectations and the minors, independent of the forms.  The
     # blocks count Maximal and Unentangled and a purity histogram; the
     # census reads Partial off them, since every Maximal state has
-    # sum_sq 0 and every Unentangled one sum_sq n mod p = 0
+    # sum_sq 0 and every Unentangled one sum_sq n mod p = 0.  The census's
+    # completions are sized, so the states take the members of the fiber
     rng = random.Random(17)
     sampled = 0
+    fibers = enum_tables(3)[1]
     segments = [segment for segment, _, _ in census_segments(3, 3)]
     for start, stop in prefix_blocks(1944, 2):
         want = Counter()
         for parent, children in walk_prefixes(3, 8, 1, segments, start, stop):
             passes = parent_forms(3, 3, parent)
             for (y,), c, completions in children:
+                assert len(completions) == len(fibers[c])
+                completions = fibers[c]
                 forms = finish_forms(3, 3, passes, y, c)
                 raw = [classify_last(3, 3, forms, x) for x in completions]
                 weight = slice_weight(3, 3, parent + (y,))
