@@ -57,9 +57,9 @@ leads, so its last entry holds each fiber's minimum alone.  That is
 one in p + 1.
 
 The walk yields prefixes in groups that share a parent, their first D-2
-amplitudes, so that a consumer can do the parent's work once (the
-census kernel builds its forms that way); walk_prefixes' start and stop
-count parents, not prefixes.  Parallelism is the census tally's alone:
+amplitudes, so that a consumer can do the parent's work once (census
+forms, row text), and the row streams keep the groups; walk_prefixes'
+start and stop count parents, not prefixes.  Parallelism is the census tally's alone:
 it splits its walk's parents into contiguous blocks, one pool per
 tally (one block and no pool on one worker), and block results merge by
 addition, so counts are identical for any split.  Every parent of the
@@ -455,12 +455,11 @@ def iter_norm_prefixes(
     budget: int = DEFAULT_BUDGET,
     canonical_only: bool = False,
 ):
-    """(prefix, completions) for every vector of the given norm, in
-    lexicographic order: the vectors are prefix + (x,) for x in
-    completions.  canonical_only keeps phase-class minima, which is
-    meaningful for nonzero target norms.  The budget is checked on the
-    call, so an over-budget stream raises before it yields.
-    """
+    """(parent, children) per parent of the vectors of the given norm,
+    d >= 2, in lexicographic order: children holds (y, completions) per
+    prefix parent + (y,), whose vectors are parent + (y, x), x in
+    completions.  canonical_only keeps phase-class minima (for nonzero
+    target norms).  The budget is checked on the call, before any yield."""
     p = prime.p
     target %= p
     expected = zero_norm_count(p, d) if target == 0 else unit_norm_count(p, d)
@@ -471,9 +470,8 @@ def iter_norm_prefixes(
     full = [[elements] * (d - 1) + [fibers]]
     segments = canonical_segments(p, d) if canonical_only else full
     return (
-        (parent + tail, completions)
+        (parent, [(y, completions) for (y,), _, completions in children])
         for parent, children in walk_prefixes(p, d, target, segments)
-        for tail, _, completions in children
     )
 
 
@@ -484,14 +482,15 @@ def iter_norm_class(
     budget: int = DEFAULT_BUDGET,
     canonical_only: bool = False,
 ):
-    """Amplitude tuples of every vector of the given norm, in
+    """Amplitude tuples of every vector of the given norm, d >= 2, in
     lexicographic order: iter_norm_prefixes, state by state.  The budget
     is checked on the call."""
     return (
-        prefix + (last,)
-        for prefix, completions in iter_norm_prefixes(
+        parent + (y, last)
+        for parent, children in iter_norm_prefixes(
             prime, d, target, budget, canonical_only
         )
+        for y, completions in children
         for last in completions
     )
 

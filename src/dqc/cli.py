@@ -7,7 +7,7 @@ strings; log columns are computed from decimal digit counts so no
 value ever passes through a float.
 
 Row outputs stream: enumerate and classify --out write one block of
-rows per prefix from a bounded cache (_state_lines).
+rows per prefix, a parent at a time, from a bounded cache (_state_lines).
 """
 
 from __future__ import annotations
@@ -181,34 +181,35 @@ def cmd_bloch(args: argparse.Namespace) -> int:
 ROW_CACHE_ENTRIES = 512
 
 
-def _state_lines(layout: tuple, p: int, lead: list, prefixes, tail):
-    """One text block per prefix: the rows of one cell's states, for
-    enumerate and classify.
+def _state_lines(layout: tuple, p: int, lead: list, groups, tail):
+    """One text block per prefix, at most p + 1 rows (a parent may hold
+    a whole cell), for enumerate and classify: groups yields (parent,
+    children), children (y, completions, *forms) per prefix parent + (y,).
 
-    prefixes yields (prefix, completions, forms).  The row of state
-    prefix + (x,) is a head, the lead fields and the prefix's amplitudes
-    ('a+bi' joined by ';'), and a suffix, x and tail(forms, x), the text
-    of the row after its amplitudes.  The suffixes depend on (forms,
-    completions) alone, which repeat across prefixes, so their list is
-    cached under it for the ROW_CACHE_ENTRIES keys used last; the lists
-    share equal suffix strings.  The cache belongs to this cell: another
-    cell has another lead and tail.
+    The row of state parent + (y, x) is a head, the lead fields and the
+    amplitudes ('a+bi;' each, the parent's joined once), and a suffix, x
+    and tail(x, *forms).  Suffix lists depend on (completions, *forms)
+    alone, which repeat across prefixes, so they are cached for the
+    ROW_CACHE_ENTRIES keys used last and share equal strings.  The cache
+    belongs to this cell: another cell has another lead and tail.
     """
     render, seps, _, between = layout
-    amp_text = {(a, b): format_amp((a, b)) for a in range(p) for b in range(p)}
+    amp_text = {(a, b): format_amp((a, b)) + ";" for a in range(p) for b in range(p)}
     # render only wraps amplitude text: none of it is quoted or escaped
     opening, closing = render(";").split(";")
     lead_text = _fields(layout, lead) + seps[len(lead)] + opening
     shared = {}  # each distinct suffix string, held once for every list
 
     @lru_cache(maxsize=ROW_CACHE_ENTRIES)
-    def suffixes(forms, completions):
-        built = (amp_text[x] + closing + tail(forms, x) for x in completions)
+    def suffixes(completions, *forms):  # x's text is its entry less the ';'
+        built = (amp_text[x][:-1] + closing + tail(x, *forms) for x in completions)
         return [shared.setdefault(text, text) for text in built]
 
-    for prefix, completions, forms in prefixes:
-        head = lead_text + ";".join(map(amp_text.__getitem__, prefix)) + ";"
-        yield head + (between + head).join(suffixes(forms, completions))
+    for parent, children in groups:
+        text = lead_text + "".join(map(amp_text.__getitem__, parent))
+        for y, *key in children:
+            head = text + amp_text[y]
+            yield head + (between + head).join(suffixes(*key))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -218,13 +219,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     canonical = args.norm_class == "irreducible"
 
     def lines(prime, n):
-        prefixes = census.iter_norm_prefixes(
+        groups = census.iter_norm_prefixes(
             prime, 1 << n, target, budget=args.budget, canonical_only=canonical
         )
         return _state_lines(
-            layout, prime.p, [prime.p, n, args.norm_class],
-            ((prefix, completions, None) for prefix, completions in prefixes),
-            lambda forms, x: layout[2],  # the amplitudes end the row
+            layout, prime.p, [prime.p, n, args.norm_class], groups,
+            lambda x: layout[2],  # the amplitudes end the row
         )
 
     _write_rows(args, header, chain.from_iterable(
@@ -240,7 +240,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
         def lines(prime, n):
             p = prime.p
-            prefixes = iter_classified_prefixes(prime, n, budget=args.budget)
+            groups = iter_classified_prefixes(prime, n, budget=args.budget)
             purity = ["NA" if n % p == 0 else reduced_purity(p, n, s) for s in range(p)]
             # a row's fields after its amplitudes, by classify_last's result
             ends = {
@@ -252,8 +252,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 for mask in range(1 << n)
             }
             return _state_lines(
-                layout, p, [p, n], prefixes,
-                lambda forms, x: ends[classify_last(p, n, forms, x)],
+                layout, p, [p, n], groups,
+                lambda x, forms: ends[classify_last(p, n, forms, x)],
             )
 
         _write_rows(args, header, chain.from_iterable(

@@ -692,26 +692,26 @@ def census_tally(
 def iter_classified_prefixes(
     prime: ComplexifiablePrime, n: int, budget: int = DEFAULT_BUDGET
 ):
-    """(prefix, completions, forms) for every prefix of the irreducible
-    states, in lexicographic amplitude order.
-
-    prefix is a state's first 2**n - 1 amplitudes, completions the last
-    amplitudes that make it irreducible, and forms its finish_forms,
-    which classify_last completes per state.  Each parent's passes are
-    built once.  The budget is checked on the call and charged
-    p**(2(D-1)), as for every stream.
-    """
+    """(parent, children) per parent, a state's first 2**n - 2
+    amplitudes, of the irreducible states, in lexicographic order:
+    children holds (y, completions, forms) per prefix parent + (y,), the
+    last amplitudes that make it irreducible and its finish_forms, which
+    classify_last completes per state.  A parent's passes are built
+    once, its children's forms in one list.  The budget is checked on
+    the call and charged p**(2(D-1)), as for every stream."""
     p = prime.p
     d = 1 << n
     check_budget(p, p ** (2 * (d - 1)), budget, irreducible_count(p, d))
 
-    def prefixes():
+    def groups():
         for parent, children in walk_prefixes(p, d, 1, canonical_segments(p, d)):
             passes = parent_forms(p, n, parent)
-            for tail, c, completions in children:
-                yield parent + tail, completions, finish_forms(p, n, passes, tail[0], c)
+            yield parent, [
+                (y, completions, finish_forms(p, n, passes, y, c))
+                for (y,), c, completions in children
+            ]
 
-    return prefixes()
+    return groups()
 
 
 def iter_classified(
@@ -721,13 +721,14 @@ def iter_classified(
     lexicographic amplitude order: iter_classified_prefixes, completed
     state by state.  The budget is checked on the call."""
     p = prime.p
-    prefixes = iter_classified_prefixes(prime, n, budget)
+    groups = iter_classified_prefixes(prime, n, budget)
     reduced = [reduced_purity(p, n, s) for s in range(p)]
 
     def rows():
-        for prefix, completions, forms in prefixes:
-            for x in completions:
-                kind, sum_sq, mask = classify_last(p, n, forms, x)
-                yield prefix + (x,), kind, sum_sq, reduced[sum_sq], mask
+        for parent, children in groups:
+            for y, completions, forms in children:
+                for x in completions:
+                    kind, sum_sq, mask = classify_last(p, n, forms, x)
+                    yield parent + (y, x), kind, sum_sq, reduced[sum_sq], mask
 
     return rows()

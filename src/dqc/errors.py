@@ -19,7 +19,7 @@ class DivisionByZero(DqcError, ZeroDivisionError):
 
 
 class DimensionMismatch(DqcError):
-    """Operands live over different moduli or different qubit counts."""
+    """Moduli or qubit counts differ, or a state has the wrong qubit count."""
 
 
 class NotUnitNorm(DqcError):

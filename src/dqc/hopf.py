@@ -21,7 +21,7 @@ from collections import namedtuple
 from .basefield import ComplexifiablePrime
 from .census import DEFAULT_BUDGET, check_budget
 from .complexfield import cmul, conj, fnorm, phase_group
-from .errors import NotUnitNorm
+from .errors import DimensionMismatch, NotUnitNorm
 from .states import StateVector
 
 
@@ -50,7 +50,7 @@ def _embed(prime: ComplexifiablePrime, x: int, y: int, z: int) -> BlochPoint:
 def hopf_map_1q(psi: StateVector) -> BlochPoint:
     """Map a unit-norm 1-qubit state to its discrete sphere point."""
     if psi.n != 1:
-        raise NotUnitNorm(f"Hopf map defined for 1 qubit, got n={psi.n}")
+        raise DimensionMismatch(f"Hopf map defined for 1 qubit, got n={psi.n}")
     if not psi.is_unit():
         raise NotUnitNorm(f"state has norm {psi.vnorm()}, need 1")
     p = psi.field.p

@@ -1,9 +1,10 @@
 import gc
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import prod
 from types import SimpleNamespace
 
@@ -235,6 +236,70 @@ def test_iter_norm_class_matches_brute_force(f3):
         got = list(iter_norm_class(f3, 2, target))
         want = brute_vectors(3, 2, norm=target)
         assert got == want  # same set, same lexicographic order
+
+
+def stream_digest(rows):
+    """(count, sha256) of rows whose first item is a state: its
+    amplitudes' residues as bytes, the other items by repr."""
+    h = hashlib.sha256()
+    count = 0
+    while chunk := list(islice(rows, 4096)):
+        count += len(chunk)
+        amps = chain.from_iterable(row[0] for row in chunk)
+        h.update(bytes(chain.from_iterable(amps)))
+        h.update(repr([row[1:] for row in chunk]).encode())
+    return count, h.hexdigest()
+
+
+# stream_digest of each per-state stream, its states or rows in order:
+# (p, d, target) for iter_norm_class, (p, n) for iter_irreducible and
+# iter_classified
+PINNED_STREAMS = {
+    "norm": {
+        (3, 2, 0): (33, "a5e56a6c1c4772c30a86f8b55f76d6855283234943c25ee863960eaea70a554c"),
+        (3, 2, 1): (24, "4104ac20660d74ec54c93c244386d6970783876c3e24715fd647ab2e732a5cd0"),
+        (3, 4, 0): (2241, "af4e00d00acd206b429dac1cf8ff479d8106b635aaafc902f0f18ae4af34e9b8"),
+        (3, 4, 1): (2160, "6dc0311c4b75d0ef265b4eb3de412233893ec3a1e98364b27ea93d6b1dc6ae9b"),
+        (7, 2, 0): (385, "df4e64c4758c05c8402d7cf68bd14c066be672f5d39891d448cd42de1854bc01"),
+        (7, 2, 1): (336, "0591d69250f65f4c26e90236445058501483c78c48cfa486cfd44eff40beca0b"),
+        (7, 4, 0): (825601, "deeba5c1b8f15e0da04d791a6143ad12bdde108ccbe13af37e8951af9a2201a1"),
+        (7, 4, 1): (823200, "6755c1012a618f9056ad918f9b16bd305b34e9ca1ad030e18fb5f8f1bb087588"),
+    },
+    "irreducible": {
+        (3, 1): (6, "5290e3fafa14edaf45f833541ad221a0d951627056bcf002906f6b1fa441e8db"),
+        (3, 2): (540, "cce0717ddc69381854e74f8e101bc4d898f31fcf4de0b58c1316d860c1426176"),
+        (7, 1): (42, "03acfd751f66514a2d16907cdf2c97b32fdd7e31d55405ea6db397ca9fc559a9"),
+        (7, 2): (102900, "5dbde7b02270a6949e7dc00feeaf9f0088db6dc59f3aea2e756f3c4b107884aa"),
+    },
+    "classified": {
+        (3, 1): (6, "6f37521863ff8b26ba2bfa282d4a35518b4cb065a3f9d5a0fb7d9a301173373c"),
+        (3, 2): (540, "b56d5bb83c37aafeb2dc2e7665a6fde087b4e9f790d1077a708117f5eaa1c767"),
+        (7, 1): (42, "71dd2bad771e9fd4877ddfe13fc7b0710e7e5ba7e0bdea9b7d4340a707e061f8"),
+        (7, 2): (102900, "644d48ff3f3dd17ba653b06a959e308d5e52859985b7f577faf8cc42f0fe4ba7"),
+    },
+}
+
+
+def test_per_state_streams_keep_their_items_and_order():
+    # the row streams yield one group per parent; the per-state streams
+    # built on them must still give every state, in the same order
+    got = {"norm": {}, "irreducible": {}, "classified": {}}
+    for p in (3, 7):
+        fld = validate_prime(p)
+        for d in (2, 4):
+            for target in (0, 1):
+                got["norm"][p, d, target] = stream_digest(
+                    (amps,) for amps in iter_norm_class(fld, d, target)
+                )
+        for n in (1, 2):
+            got["irreducible"][p, n] = stream_digest(
+                (amps,) for amps in iter_irreducible(fld, n)
+            )
+            got["classified"][p, n] = stream_digest(
+                (amps, kind.value, *rest)
+                for amps, kind, *rest in iter_classified(fld, n)
+            )
+    assert got == PINNED_STREAMS
 
 
 def test_iter_canonical_matches_literal_filter(f3, f7):

@@ -367,14 +367,16 @@ def test_classify_csv_rows_match_the_stream(tmp_path, capsys, monkeypatch):
             (("--p-list", "3,7", "--n", "1"), [(3, 1), (7, 1)], None),
             (("--p", "3", "--n-max", "2"), [(3, 1), (3, 2)], None),
             # the first p=7 n=2 rows share (class, sum_sq, mask) with p=3
-            # n=2 rows, but not their reduced purity
-            (("--p-list", "3,7", "--n", "2"), [(3, 2), (7, 2)], 400),
-            # p divides n, so reduced_purity is NA
-            (("--p", "3", "--n", "3"), [(3, 3)], 500),
+            # n=2 rows, but not their reduced purity; 11 parents are 448
+            # p=7 n=2 prefixes
+            (("--p-list", "3,7", "--n", "2"), [(3, 2), (7, 2)], 11),
+            # p divides n, so reduced_purity is NA; 58 parents are 507
+            # prefixes
+            (("--p", "3", "--n", "3"), [(3, 3)], 58),
             # no rows: the header alone, or []
             (("--p-list", "3,7", "--n", "1"), [(3, 1), (7, 1)], 0),
         ):
-            # limit counts prefixes; the rows are their states
+            # limit counts parents; the rows are their prefixes' states
             monkeypatch.setattr(
                 cli, "iter_classified_prefixes",
                 lambda prime, n, budget: islice(
@@ -390,8 +392,12 @@ def test_classify_csv_rows_match_the_stream(tmp_path, capsys, monkeypatch):
             for p, n in cells:
                 states = None
                 if limit is not None:
-                    prefixes = iter_classified_prefixes(validate_prime(p), n)
-                    states = sum(len(c) for _, c, _ in islice(prefixes, limit))
+                    groups = iter_classified_prefixes(validate_prime(p), n)
+                    states = sum(
+                        len(completions)
+                        for _, children in islice(groups, limit)
+                        for _, completions, _ in children
+                    )
                 rows += classify_rows([(p, n)], states)
             assert any(row[5] == "NA" for row in rows) == (cells == [(3, 3)])
             expected = stdlib_written(fmt, CLASSIFY_HEADER, rows)
@@ -495,7 +501,8 @@ def test_state_rows_match_the_stdlib_oracle(capsys, monkeypatch):
 
 def test_a_full_row_cache_changes_no_byte(capsys, monkeypatch):
     # the p=7 n=2 walk has 1,231 distinct row keys and the p=3 n=3 walk
-    # 28,547; a cache of one entry drops its key at nearly every prefix
+    # 28,547; a cache of one entry drops its key at nearly every prefix.
+    # p=3 n=3 runs over its first 2,224 parents, 20,001 prefixes
     argvs = [
         ("classify", "--p", "7", "--n", "2", "--out", "-"),
         ("classify", "--p", "7", "--n", "2", "--out", "-", "--format", "json"),
@@ -505,7 +512,7 @@ def test_a_full_row_cache_changes_no_byte(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "iter_classified_prefixes",
         lambda prime, n, budget: islice(
-            iter_classified_prefixes(prime, n, budget), 20000
+            iter_classified_prefixes(prime, n, budget), 2224
         ),
     )
     whole.append(run(capsys, "classify", "--p", "3", "--n", "3", "--out", "-"))
@@ -542,11 +549,12 @@ def test_row_cache_misses_once_per_key_at_p7_n2(monkeypatch):
 
 
 def test_row_cache_stays_bounded(monkeypatch):
-    # `dqc classify --p 7 --n 3 --out` on its first 2 * 10**5 prefixes,
-    # which hold 28,602 distinct row keys: the cache never holds more than
-    # its cap.  Over the first 2 * 10**4, under tracemalloc, the capped
-    # writer peaks at about 0.9 MB and an uncapped one at about 3.8 MB.
-    limit, traced = 200_000, 20_000
+    # `dqc classify --p 7 --n 3 --out` on its first 4,084 parents, whose
+    # 200,025 prefixes hold 28,602 distinct row keys: the cache never
+    # holds more than its cap.  Over the first 2 * 10**4 prefixes, under
+    # tracemalloc, the capped writer peaks at about 0.9 MB and an
+    # uncapped one at about 3.8 MB.
+    limit, prefixes, traced = 4084, 200_025, 20_000
     monkeypatch.setattr(
         cli, "iter_classified_prefixes",
         lambda prime, n, budget: islice(
@@ -569,14 +577,41 @@ def test_row_cache_stays_bounded(monkeypatch):
         assert main(argv) == 0
     finally:
         tracemalloc.stop()
-    assert len(sizes) == limit
+    assert len(sizes) == prefixes  # one block per prefix
     assert max(sizes) == cli.ROW_CACHE_ENTRIES  # it filled up
     assert peaks[0] < 2_500_000
 
 
+def test_blocks_hold_one_prefix(monkeypatch):
+    # the writer yields one block per prefix, at most p + 1 rows, even
+    # where a parent holds many prefixes: at p=43 n=1 the canonical
+    # walk's second parent holds 42 and the full walk's one parent all
+    # p**2; at p=7 n=2 each parent holds up to 49
+    lines = cli._state_lines
+    rows = []
+
+    def watched(layout, p, lead, groups, tail):
+        for block in lines(layout, p, lead, groups, tail):
+            rows.append(block.count(layout[2]))  # every row ends so
+            assert rows[-1] <= p + 1, (p, lead, rows[-1])
+            yield block
+
+    monkeypatch.setattr(cli, "_state_lines", watched)
+    for argv, p, blocks, states in (
+        (("classify", "--p", "43", "--n", "1", "--out", os.devnull), 43, 43, 1806),
+        (("enumerate", "--p", "43", "--n", "1", "--out", os.devnull),
+         43, 43 * 43, 43**3 - 43),
+        (("classify", "--p", "7", "--n", "2", "--out", os.devnull), 7, 14707, 102900),
+    ):
+        for fmt in ("csv", "json"):
+            rows.clear()
+            assert main([*argv, "--format", fmt]) == 0
+            assert (len(rows), sum(rows), max(rows)) == (blocks, states, p + 1), argv
+
+
 def test_rows_are_written_as_they_are_drawn(monkeypatch):
-    # before the stream yields prefix k + 1, the output already ends
-    # with the last row of prefix k: nothing is collected before writing
+    # before the stream yields group k + 1, the output already ends with
+    # the last row of group k: nothing is collected before writing
     ends = {"csv": ",%s\n", "json": '"amplitudes": "%s"\n  }'}
     walk = census.iter_norm_prefixes
     for fmt, end in ends.items():
@@ -585,13 +620,15 @@ def test_rows_are_written_as_they_are_drawn(monkeypatch):
         shown = []
 
         def checked(*args, **kwargs):
-            for prefix, completions in walk(*args, **kwargs):
+            for parent, children in walk(*args, **kwargs):
                 if shown:
                     assert out.getvalue().endswith(end % shown[-1]), len(shown)
                 shown.extend(
-                    ";".join(map(format_amp, prefix + (x,))) for x in completions
+                    ";".join(map(format_amp, parent + (y, x)))
+                    for y, completions in children
+                    for x in completions
                 )
-                yield prefix, completions
+                yield parent, children
 
         monkeypatch.setattr(census, "iter_norm_prefixes", checked)
         argv = ["enumerate", "--p", "3", "--n", "2", "--class", "irreducible"]

@@ -4,6 +4,7 @@ import pytest
 
 from dqc import (
     BudgetExceeded,
+    DimensionMismatch,
     NotUnitNorm,
     StateVector,
     bloch_export,
@@ -42,7 +43,7 @@ def test_hopf_frozen_examples(f3):
 def test_hopf_requires_unit_single_qubit(f3):
     with pytest.raises(NotUnitNorm):
         hopf_map_1q(vec(f3, (1, 1), (1, 0)))  # norm 0
-    with pytest.raises(NotUnitNorm):
+    with pytest.raises(DimensionMismatch):
         hopf_map_1q(vec(f3, (1, 0), (0, 0), (0, 0), (0, 0)))  # 2 qubits
 
 
