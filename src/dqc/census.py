@@ -166,13 +166,10 @@ def zero_norm_by_recurrence(prime: ComplexifiablePrime, d_max: int) -> list:
     verify compares the terms with the closed form zero_norm_count.
     """
     p = prime.p
-    out = []
-    z = 1  # dimension 1: only the zero vector
-    for d in range(1, d_max + 1):
-        if d > 1:
-            z = z + (p + 1) * (p ** (2 * (d - 1)) - z)
-        out.append(z)
-    return out
+    out = [1]  # dimension 1: only the zero vector
+    for d in range(1, d_max):
+        out.append(out[-1] + (p + 1) * (p ** (2 * d) - out[-1]))
+    return out[:d_max]
 
 
 # -- count report -----------------------------------------------------------
@@ -460,6 +457,8 @@ def iter_norm_prefixes(
     prefix parent + (y,), whose vectors are parent + (y, x), x in
     completions.  canonical_only keeps phase-class minima (for nonzero
     target norms).  The budget is checked on the call, before any yield."""
+    if d < 2:
+        raise DqcError(f"dimension must be >= 2, got {d}")
     p = prime.p
     target %= p
     expected = zero_norm_count(p, d) if target == 0 else unit_norm_count(p, d)

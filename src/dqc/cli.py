@@ -7,7 +7,8 @@ strings; log columns are computed from decimal digit counts so no
 value ever passes through a float.
 
 Row outputs stream: enumerate and classify --out write one block of
-rows per prefix, a parent at a time, from a bounded cache (_state_lines).
+rows per prefix, a parent at a time, from a bounded cache (_state_lines)
+whose misses build the rows of a prefix's whole circle at once.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import signal
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 
 from . import census
 from .basefield import validate_prime
-from .entangle import EntanglementClass, census_tally, classify_last
+from .entangle import EntanglementClass, census_tally, classify_completions
 from .entangle import iter_classified_prefixes, reduced_purity
 from .errors import (
     BudgetExceeded,
@@ -54,7 +55,7 @@ def _sink(out: str):
     if out == "-":
         yield sys.stdout
     else:
-        with open(out, "w", encoding="utf-8") as sink:
+        with open(out, "w", encoding="utf-8", buffering=1 << 16) as sink:
             yield sink
 
 
@@ -184,12 +185,13 @@ ROW_CACHE_ENTRIES = 512
 def _state_lines(layout: tuple, p: int, lead: list, groups, tail):
     """One text block per prefix, at most p + 1 rows (a parent may hold
     a whole cell), for enumerate and classify: groups yields (parent,
-    children), children (y, completions, *forms) per prefix parent + (y,).
+    children), children (y, completions, forms) per prefix parent + (y,).
 
     The row of state parent + (y, x) is a head, the lead fields and the
-    amplitudes ('a+bi;' each, the parent's joined once), and a suffix, x
-    and tail(x, *forms).  Suffix lists depend on (completions, *forms)
-    alone, which repeat across prefixes, so they are cached for the
+    amplitudes ('a+bi;' each, the parent's joined once), and a suffix,
+    x's text and its end, from tail(completions, forms), which gives a
+    prefix's row ends in order.  Suffix lists depend on that key alone,
+    which repeats across prefixes, so they are cached for the
     ROW_CACHE_ENTRIES keys used last and share equal strings.  The cache
     belongs to this cell: another cell has another lead and tail.
     """
@@ -197,19 +199,21 @@ def _state_lines(layout: tuple, p: int, lead: list, groups, tail):
     amp_text = {(a, b): format_amp((a, b)) + ";" for a in range(p) for b in range(p)}
     # render only wraps amplitude text: none of it is quoted or escaped
     opening, closing = render(";").split(";")
+    x_text = {x: text[:-1] + closing for x, text in amp_text.items()}
     lead_text = _fields(layout, lead) + seps[len(lead)] + opening
     shared = {}  # each distinct suffix string, held once for every list
 
     @lru_cache(maxsize=ROW_CACHE_ENTRIES)
-    def suffixes(completions, *forms):  # x's text is its entry less the ';'
-        built = (amp_text[x][:-1] + closing + tail(x, *forms) for x in completions)
+    def suffixes(completions, forms):
+        ends = tail(completions, forms)
+        built = map(str.__add__, map(x_text.__getitem__, completions), ends)
         return [shared.setdefault(text, text) for text in built]
 
     for parent, children in groups:
         text = lead_text + "".join(map(amp_text.__getitem__, parent))
-        for y, *key in children:
+        for y, completions, forms in children:
             head = text + amp_text[y]
-            yield head + (between + head).join(suffixes(*key))
+            yield head + (between + head).join(suffixes(completions, forms))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -219,12 +223,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     canonical = args.norm_class == "irreducible"
 
     def lines(prime, n):
-        groups = census.iter_norm_prefixes(
-            prime, 1 << n, target, budget=args.budget, canonical_only=canonical
+        groups = (  # the writer's (y, completions, forms), with no forms
+            (parent, [(y, completions, None) for y, completions in children])
+            for parent, children in census.iter_norm_prefixes(
+                prime, 1 << n, target, budget=args.budget, canonical_only=canonical
+            )
         )
         return _state_lines(
             layout, prime.p, [prime.p, n, args.norm_class], groups,
-            lambda x: layout[2],  # the amplitudes end the row
+            lambda completions, _: repeat(layout[2]),  # the amplitudes end a row
         )
 
     _write_rows(args, header, chain.from_iterable(
@@ -242,7 +249,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             p = prime.p
             groups = iter_classified_prefixes(prime, n, budget=args.budget)
             purity = ["NA" if n % p == 0 else reduced_purity(p, n, s) for s in range(p)]
-            # a row's fields after its amplitudes, by classify_last's result
+            # a row's fields after its amplitudes, by its (kind, sum_sq, mask)
             ends = {
                 (kind, s, mask): _fields(
                     layout, [kind.value, s, purity[s], mask_bits(mask, n)], 3
@@ -253,7 +260,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
             }
             return _state_lines(
                 layout, p, [p, n], groups,
-                lambda x, forms: ends[classify_last(p, n, forms, x)],
+                lambda completions, forms: map(
+                    ends.__getitem__, classify_completions(p, n, forms, completions)
+                ),
             )
 
         _write_rows(args, header, chain.from_iterable(

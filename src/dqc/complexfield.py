@@ -95,17 +95,9 @@ def norm_fiber(prime: ComplexifiablePrime, c: int) -> list:
     preimages.  Cost is O(p) square roots, each one modular
     exponentiation, so O(p log p) in all.
     """
-    p = prime.p
-    c %= p
-    if c == 0:
+    if c % prime.p == 0:
         return [ZERO]
-    out = []
-    for a in range(p):
-        rem = (c - a * a) % p
-        for b in prime.sqrt(rem):
-            out.append((a, b))
-    out.sort()
-    return out
+    return sorted((a, b) for a in range(prime.p) for b in prime.sqrt(c - a * a))
 
 
 @lru_cache(maxsize=32)

@@ -66,16 +66,14 @@ The dependence test of the head columns runs once per prefix.  If they
 hold a pivot (c_k, e_k) and pass, the last column passes exactly when
 c_k x == a e_k, again affine in x; if none is nonzero the last column
 is the pivot or zero and the qubit factors out whatever x is.
-These forms are built once per prefix and classify_last completes
-them in O(n) per state.
+These forms are built once per prefix, and classify_completions
+completes them over the prefix's circle in O(n) per state.
 
-The forms are built one level up as well.  The prefixes sharing a
+The forms are built one level up as well: the prefixes sharing a
 parent, their first D - 2 amplitudes, differ only in amplitude D - 2,
-which enters each qubit's pass only as its final pair: the b-entry of
-(D - 2 - m, D - 2) for m > 1, the a-entry of the last column for
-m = 1.  parent_forms runs every pass up to that pair once per parent
-and finish_forms completes it per prefix in O(n); classify_raw
-composes the three.
+so parent_forms runs every pass up to it once per parent and
+finish_forms completes it per prefix in O(n) (parent_forms says where
+it enters); classify_raw composes the three.
 
 The census counts the completions instead of classifying them.  The
 last amplitude runs over the circle N(x) = c, which has p + 1 points
@@ -206,13 +204,14 @@ class EntanglementClass(str, Enum):
         return self.value
 
 
+# (Unentangled, Partial, Maximal) for the kernel's locals: an enum lookup costs 0.2 us
+_KINDS = tuple(EntanglementClass)
+
+
 class PauliExpectations(namedtuple("PauliExpectations", "field n grid")):
     """Per-qubit triples (x, y, z) of Pauli expectations, all in F_p."""
 
     __slots__ = ()
-
-    def flat(self) -> tuple:
-        return tuple(v for triple in self.grid for v in triple)
 
 
 class PurityValue(namedtuple("PurityValue", "sum_sq n reduced")):
@@ -287,8 +286,8 @@ def parent_forms(p: int, n: int, parent: tuple) -> tuple:
 
 
 def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
-    """Per-prefix forms of the kernel, which classify_last completes
-    and the census counts.
+    """Per-prefix forms of the kernel, which classify_completions
+    completes and the census counts.
 
     The prefix is the parent of parent_forms' passes followed by y, and
     c is the field norm of the last amplitude, x (the module docstring
@@ -349,40 +348,43 @@ def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
     return qs % p, us % p, vs % p, tuple(lengths), tuple(tests), fixed
 
 
-def classify_last(p: int, n: int, forms: tuple, x: tuple) -> tuple:
-    """(kind, sum_sq, mask) of the state finish_forms' prefix followed by x.
-
-    O(n): each qubit's squared length and last-column dependence test is
-    read from its affine form.  sum_sq is the total of the n squared
-    lengths mod p, the numerator of the purity.  Bit j of mask is set
-    when qubit j factors out.
-    """
-    qs, us, vs, lengths, tests, mask = forms
-    x0, x1 = x
-    for bit, c0, c1, k0, k1 in tests:
-        if not ((c0 * x0 - c1 * x1 - k0) % p or (c1 * x0 + c0 * x1 - k1) % p):
-            mask |= bit
-    sum_sq = (qs + us * x0 + vs * x1) % p
-    if mask == (1 << n) - 1:
-        kind = EntanglementClass.UNENTANGLED
-    elif sum_sq or any((q + u * x0 + v * x1) % p for q, u, v in lengths):
-        kind = EntanglementClass.PARTIAL
-    else:
-        kind = EntanglementClass.MAXIMAL
-    return kind, sum_sq, mask
+def classify_completions(p: int, n: int, forms: tuple, completions) -> list:
+    """[(kind, sum_sq, mask)] of finish_forms' prefix followed by each x
+    of completions, in order.  O(n) per state, read off the affine forms:
+    sum_sq is the total of the n squared lengths mod p, the purity's
+    numerator, and bit j of mask is set when qubit j factors out."""
+    qs, us, vs, lengths, tests, fixed = forms
+    full = (1 << n) - 1
+    unentangled, partial, maximal = _KINDS
+    classified = []
+    for x0, x1 in completions:
+        mask = fixed
+        for bit, c0, c1, k0, k1 in tests:
+            if not ((c0 * x0 - c1 * x1 - k0) % p or (c1 * x0 + c0 * x1 - k1) % p):
+                mask |= bit
+        sum_sq = (qs + us * x0 + vs * x1) % p
+        kind = unentangled if mask == full else partial
+        if not sum_sq and kind is partial:
+            for q, u, v in lengths:
+                if (q + u * x0 + v * x1) % p:
+                    break
+            else:
+                kind = maximal
+        classified.append((kind, sum_sq, mask))
+    return classified
 
 
 def classify_raw(p: int, n: int, amps: tuple) -> tuple:
     """(kind, sum_sq, mask) for a unit-norm amplitude tuple.
 
     parent_forms and finish_forms of the first 2**n - 1 amplitudes,
-    completed by classify_last with the last one.  The mask does not
-    depend on the norm, so any nonzero vector may be passed.
+    completed by classify_completions with the last one.  The mask does
+    not depend on the norm, so any nonzero vector may be passed.
     """
     x0, x1 = amps[-1]
     passes = parent_forms(p, n, amps[:-2])
     forms = finish_forms(p, n, passes, amps[-2], (x0 * x0 + x1 * x1) % p)
-    return classify_last(p, n, forms, amps[-1])
+    return classify_completions(p, n, forms, amps[-1:])[0]
 
 
 # -- public operations on StateVector ----------------------------------------
@@ -427,7 +429,7 @@ def purity(psi: StateVector) -> PurityValue:
     divide the qubit count."""
     exps = pauli_expectations(psi)
     p = psi.field.p
-    sum_sq = sum(v * v for v in exps.flat()) % p
+    sum_sq = sum(v * v for triple in exps.grid for v in triple) % p
     return PurityValue(sum_sq=sum_sq, n=psi.n, reduced=reduced_purity(p, psi.n, sum_sq))
 
 
@@ -696,22 +698,20 @@ def iter_classified_prefixes(
     amplitudes, of the irreducible states, in lexicographic order:
     children holds (y, completions, forms) per prefix parent + (y,), the
     last amplitudes that make it irreducible and its finish_forms, which
-    classify_last completes per state.  A parent's passes are built
-    once, its children's forms in one list.  The budget is checked on
-    the call and charged p**(2(D-1)), as for every stream."""
+    classify_completions completes over the circle.  A parent's passes
+    are built once, its children's forms in one list.  The budget is
+    checked on the call and charged p**(2(D-1)), as for every stream."""
     p = prime.p
     d = 1 << n
     check_budget(p, p ** (2 * (d - 1)), budget, irreducible_count(p, d))
-
-    def groups():
-        for parent, children in walk_prefixes(p, d, 1, canonical_segments(p, d)):
-            passes = parent_forms(p, n, parent)
-            yield parent, [
-                (y, completions, finish_forms(p, n, passes, y, c))
-                for (y,), c, completions in children
-            ]
-
-    return groups()
+    return (
+        (parent, [
+            (y, completions, finish_forms(p, n, passes, y, c))
+            for (y,), c, completions in children
+        ])
+        for parent, children in walk_prefixes(p, d, 1, canonical_segments(p, d))
+        for passes in [parent_forms(p, n, parent)]  # once per parent
+    )
 
 
 def iter_classified(
@@ -719,16 +719,14 @@ def iter_classified(
 ):
     """(amps, kind, sum_sq, reduced, mask) for every irreducible state, in
     lexicographic amplitude order: iter_classified_prefixes, completed
-    state by state.  The budget is checked on the call."""
+    one circle at a time.  The budget is checked on the call."""
     p = prime.p
-    groups = iter_classified_prefixes(prime, n, budget)
     reduced = [reduced_purity(p, n, s) for s in range(p)]
-
-    def rows():
-        for parent, children in groups:
-            for y, completions, forms in children:
-                for x in completions:
-                    kind, sum_sq, mask = classify_last(p, n, forms, x)
-                    yield parent + (y, x), kind, sum_sq, reduced[sum_sq], mask
-
-    return rows()
+    return (
+        (parent + (y, x), kind, sum_sq, reduced[sum_sq], mask)
+        for parent, children in iter_classified_prefixes(prime, n, budget)
+        for y, completions, forms in children
+        for x, (kind, sum_sq, mask) in zip(
+            completions, classify_completions(p, n, forms, completions)
+        )
+    )

@@ -470,6 +470,20 @@ def test_streams_refuse_when_created(f7):
         assert exc.value.budget == 10
 
 
+def test_norm_streams_refuse_dimensions_below_two(f3):
+    # a prefix needs a last amplitude and one before it: d = 0 and d = 1
+    # raise a DqcError naming the dimension on the call, before the budget
+    # check, which budget=1 would fail
+    for d in (0, 1):
+        for canonical_only in (False, True):
+            for stream in (census.iter_norm_prefixes, iter_norm_class):
+                for budget in (1, census.DEFAULT_BUDGET):
+                    with pytest.raises(DqcError) as exc:
+                        stream(f3, d, 1, budget, canonical_only)
+                    assert not isinstance(exc.value, BudgetExceeded)
+                    assert str(exc.value) == f"dimension must be >= 2, got {d}"
+
+
 def test_prefix_blocks_partition():
     for total in (1, 5, 81, 100, 6561):
         for workers in (1, 2, 3, 7, 16):
