@@ -29,11 +29,12 @@ States themselves are walked by fiber completion: fix the first D-1
 amplitudes (a "prefix"), compute the residual norm the last amplitude
 must carry, and append each member of that norm fiber.  One walker,
 walk_prefixes, serves every state stream and the entanglement census.
-It takes the states to walk as segments, walked one after another, each
-in lexicographic order: the (re, im) pairs each head position may hold
-and the last position's completions by norm, from enum_tables, built
-once per p, or sized where they are only counted.  A full walk is one
-segment of free choices: every vector once, from p**(2(D-1)) prefixes.
+It walks one segment of states in lexicographic order: the (re, im)
+pairs each head position may hold and the last position's completions
+by norm, from enum_tables, built once per p, or sized where they are
+only counted.  A walk of several segments takes them one after
+another.  A full walk is one segment of free choices: every vector
+once, from p**(2(D-1)) prefixes.
 
 The budget limits prefixes.  check_budget is the one budget decision:
 a walk is charged its prefixes, and never less than the p**2 entries
@@ -59,12 +60,13 @@ one in p + 1.
 The walk yields prefixes in groups that share a parent, their first D-2
 amplitudes, so that a consumer can do the parent's work once (census
 forms, row text), and the row streams keep the groups; walk_prefixes'
-start and stop count parents, not prefixes.  Parallelism is the census tally's alone:
-it splits its walk's parents into contiguous blocks, one pool per
-tally (one block and no pool on one worker), and block results merge by
-addition, so counts are identical for any split.  Every parent of the
-census's walk has the same number of children, so blocks of equal
-parent count carry about equal work.
+start and stop count a segment's parents, not prefixes.  Parallelism is
+the census tally's alone: it splits each segment's parents into
+contiguous blocks, none crossing a segment, with one pool per tally (on
+one worker, no pool and one inline block per segment), and block
+results merge by addition, so counts are identical for any split.
+Every parent of a census segment has the same number of children, so
+blocks of equal parent count carry about equal work.
 """
 
 from __future__ import annotations
@@ -73,8 +75,7 @@ import gc
 import os
 import random
 from functools import lru_cache
-from itertools import islice, product
-from math import prod
+from itertools import chain, islice, product
 
 from .basefield import ComplexifiablePrime, validate_prime
 from .complexfield import cdot, cinv, cmul, conj, fnorm, frobenius
@@ -142,7 +143,7 @@ def maxent_irreducible_count(p: int, n: int) -> int:
     return p ** (n + 1) * (p - 1) * (p + 1) ** (n - 1)
 
 
-def maxent_to_unentangled_ratio(p: int, n: int) -> Fraction:
+def maxent_to_unentangled_ratio(p: int, n: int):
     """Exact ratio p * ((p+1)/(p-1))**(n-1) of the two closed forms, at
     n == 2 only: no Maximal state has n == 1, and from n == 3 on there
     is no Maximal closed form (at p=3 n=3 the census ratio is
@@ -372,15 +373,20 @@ def count_irreducible(prime: ComplexifiablePrime, n: int) -> int:
 def check_budget(p: int, prefixes: int, budget: int, closed_form: int | None = None):
     """Raise BudgetExceeded (carrying closed_form) when a walk's charge
     exceeds the budget: its prefixes, and never less than the p**2
-    entries of enum_tables, read or not."""
+    entries of enum_tables, read or not.
+
+    The floor also bounds the O(p) work no prefix count shows, such as
+    fiber_minima, which every census reads, and verify's O(D p) norm
+    histograms: a 1-qubit census walks one prefix, so at p = 2**61 - 1
+    only the floor keeps verify from a loop over 2**60 squares."""
     charge = max(prefixes, p * p)
     if charge > budget:
         raise BudgetExceeded(charge, budget, closed_form)
 
 
 def canonical_segments(p: int, d: int) -> list:
-    """The canonical walk of dimension d as walk_prefixes' segments, for
-    k = d - 1 down to 0 (module docstring); at k = d - 1, the zero
+    """The canonical walk of dimension d >= 2 as walk_prefixes' segments,
+    for k = d - 1 down to 0 (module docstring); at k = d - 1, the zero
     prefix, the last entry holds each norm's fiber minimum alone."""
     elements, fibers, leads = enum_tables(p)
     zero = ((0, 0),)
@@ -395,54 +401,40 @@ def walk_prefixes(
     p: int,
     d: int,
     target: int,
-    segments: list,
+    segment: list,
     start: int = 0,
     stop: int | None = None,
 ):
-    """Yield (parent, children) for parents start..stop-1 of a walk of
-    dimension d.
+    """Yield (parent, children) for parents start..stop-1 of one segment
+    of a walk of dimension d >= 2.
 
     A segment is a list of d entries: d - 1 sorted lists of (re, im)
     pairs, the choices of amplitudes 0..d-2, and last the completions of
     amplitude d - 1 by norm, completions[c] the sorted choices of norm c
-    (the fibers when it is free; sized where only counted).  Its
-    states are those of norm target whose amplitude i is one of choices
-    i, and the walk is its segments' states, in order.  A prefix is a
-    state's first d - 1 amplitudes, its parent the first d - 2; each
-    segment's parents come in lexicographic order, and start/stop count
-    parents over all segments.  children holds one (tail, c,
-    completions[c]) per choice of amplitude d - 2, in order: tail is
-    that amplitude as a 1-tuple (empty at d = 1, whose one prefix is
-    empty) and c the norm the last amplitude must carry to bring the
-    total to target.  Children depend only on the parent's norm, so a
-    segment's parents share one children tuple per norm, built when
-    first needed.
+    (the fibers when it is free; sized where only counted).  Its states
+    are those of norm target whose amplitude i is one of choices i.  A
+    prefix is a state's first d - 1 amplitudes, its parent the first
+    d - 2; parents come in lexicographic order, and start and stop count
+    them.  children holds one (y, c, completions[c]) per choice y of
+    amplitude d - 2, in order, c the norm the last amplitude must carry
+    to bring the total to target.  Children depend only on the parent's
+    norm, so parents share one children tuple per norm, built when first
+    needed.
     """
     target %= p
-    if stop is None:
-        stop = p ** (2 * (d - 1))  # no walk has more parents
-    for segment in segments:
-        if stop <= 0:
-            return
-        heads, completions = segment[:-2], segment[-1]
-        size = prod(map(len, heads))
-        if start < size:
-            tails = [((), 0)]  # d = 1: one empty prefix
-            if d > 1:
-                tails = [((y,), y[0] * y[0] + y[1] * y[1]) for y in segment[-2]]
-            by_norm = [None] * p
-            for parent in islice(product(*heads), start, stop):
-                # the norm left for the last two amplitudes
-                r = (target - sum([a * a + b * b for a, b in parent])) % p
-                if by_norm[r] is None:
-                    kids = []
-                    for tail, t in tails:
-                        c = (r - t) % p
-                        kids.append((tail, c, completions[c]))
-                    by_norm[r] = tuple(kids)
-                yield parent, by_norm[r]
-        start = max(start - size, 0)
-        stop -= size
+    completions = segment[-1]
+    tails = [(y, y[0] * y[0] + y[1] * y[1]) for y in segment[-2]]
+    by_norm = [None] * p
+    for parent in islice(product(*segment[:-2]), start, stop):
+        # the norm left for the last two amplitudes
+        r = (target - sum([a * a + b * b for a, b in parent])) % p
+        if by_norm[r] is None:
+            kids = []
+            for y, t in tails:
+                c = (r - t) % p
+                kids.append((y, c, completions[c]))
+            by_norm[r] = tuple(kids)
+        yield parent, by_norm[r]
 
 
 def iter_norm_prefixes(
@@ -453,10 +445,11 @@ def iter_norm_prefixes(
     canonical_only: bool = False,
 ):
     """(parent, children) per parent of the vectors of the given norm,
-    d >= 2, in lexicographic order: children holds (y, completions) per
-    prefix parent + (y,), whose vectors are parent + (y, x), x in
-    completions.  canonical_only keeps phase-class minima (for nonzero
-    target norms).  The budget is checked on the call, before any yield."""
+    d >= 2, in lexicographic order: children holds walk_prefixes'
+    (y, c, completions) per prefix parent + (y,), whose vectors are
+    parent + (y, x), x in completions, the walked elements of norm c.
+    canonical_only keeps phase-class minima (for nonzero target norms).
+    The budget is checked on the call, before any yield."""
     if d < 2:
         raise DqcError(f"dimension must be >= 2, got {d}")
     p = prime.p
@@ -468,9 +461,8 @@ def iter_norm_prefixes(
     elements, fibers, _ = enum_tables(p)
     full = [[elements] * (d - 1) + [fibers]]
     segments = canonical_segments(p, d) if canonical_only else full
-    return (
-        (parent, [(y, completions) for (y,), _, completions in children])
-        for parent, children in walk_prefixes(p, d, target, segments)
+    return chain.from_iterable(
+        walk_prefixes(p, d, target, segment) for segment in segments
     )
 
 
@@ -489,7 +481,7 @@ def iter_norm_class(
         for parent, children in iter_norm_prefixes(
             prime, d, target, budget, canonical_only
         )
-        for y, completions in children
+        for y, _, completions in children
         for last in completions
     )
 

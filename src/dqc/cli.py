@@ -185,15 +185,17 @@ ROW_CACHE_ENTRIES = 512
 def _state_lines(layout: tuple, p: int, lead: list, groups, tail):
     """One text block per prefix, at most p + 1 rows (a parent may hold
     a whole cell), for enumerate and classify: groups yields (parent,
-    children), children (y, completions, forms) per prefix parent + (y,).
+    children), children (y, key, completions) per prefix parent + (y,),
+    key the norm c of census.iter_norm_prefixes or the forms of
+    entangle.iter_classified_prefixes.
 
     The row of state parent + (y, x) is a head, the lead fields and the
     amplitudes ('a+bi;' each, the parent's joined once), and a suffix,
-    x's text and its end, from tail(completions, forms), which gives a
-    prefix's row ends in order.  Suffix lists depend on that key alone,
-    which repeats across prefixes, so they are cached for the
-    ROW_CACHE_ENTRIES keys used last and share equal strings.  The cache
-    belongs to this cell: another cell has another lead and tail.
+    x's text and its end, from tail(completions, key), which gives a
+    prefix's row ends in order.  Suffix lists depend on (completions,
+    key) alone, which repeats across prefixes, so they are cached for
+    the ROW_CACHE_ENTRIES keys used last and share equal strings.  The
+    cache belongs to this cell: another cell has another lead and tail.
     """
     render, seps, _, between = layout
     amp_text = {(a, b): format_amp((a, b)) + ";" for a in range(p) for b in range(p)}
@@ -204,16 +206,16 @@ def _state_lines(layout: tuple, p: int, lead: list, groups, tail):
     shared = {}  # each distinct suffix string, held once for every list
 
     @lru_cache(maxsize=ROW_CACHE_ENTRIES)
-    def suffixes(completions, forms):
-        ends = tail(completions, forms)
+    def suffixes(completions, key):
+        ends = tail(completions, key)
         built = map(str.__add__, map(x_text.__getitem__, completions), ends)
         return [shared.setdefault(text, text) for text in built]
 
     for parent, children in groups:
         text = lead_text + "".join(map(amp_text.__getitem__, parent))
-        for y, completions, forms in children:
+        for y, key, completions in children:
             head = text + amp_text[y]
-            yield head + (between + head).join(suffixes(completions, forms))
+            yield head + (between + head).join(suffixes(completions, key))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -223,11 +225,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     canonical = args.norm_class == "irreducible"
 
     def lines(prime, n):
-        groups = (  # the writer's (y, completions, forms), with no forms
-            (parent, [(y, completions, None) for y, completions in children])
-            for parent, children in census.iter_norm_prefixes(
-                prime, 1 << n, target, budget=args.budget, canonical_only=canonical
-            )
+        groups = census.iter_norm_prefixes(
+            prime, 1 << n, target, budget=args.budget, canonical_only=canonical
         )
         return _state_lines(
             layout, prime.p, [prime.p, n, args.norm_class], groups,

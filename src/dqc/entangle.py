@@ -169,16 +169,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from functools import lru_cache
 from math import prod
 
 from .basefield import ComplexifiablePrime
 from .census import (
     DEFAULT_BUDGET,
-    canonical_segments,
     check_budget,
     enum_tables,
     fiber_minima,
     irreducible_count,
+    iter_norm_prefixes,
     prefix_blocks,
     run_blocks,
     usable_cpus,
@@ -571,6 +572,7 @@ def census_prefixes(p: int, n: int) -> int:
     return 2 * p ** (n - 1 + 2 * free) + (p - 1) * p ** (n - 1 + 2 * free - extra)
 
 
+@lru_cache(maxsize=None)
 def census_segments(p: int, n: int) -> list:
     """The census's walk as (segment, held, scale) triples, one
     walk_prefixes segment each, split by the top qubit's first pair
@@ -579,7 +581,9 @@ def census_segments(p: int, n: int) -> list:
     norms, then the zero pair.  A prefix of the segment stands for
     scale * (p + 1)**k unit states, k its nonzero amplitudes at the
     positions in held, which are 0 or a fiber minimum.  Below n = 3 no
-    position is free, so no p**2 table is read."""
+    position is free, so no p**2 table is read.  Built once per (p, n),
+    since census_tally and each of its blocks read it; callers must not
+    change it."""
     minima = fiber_minima(p)
     zero = ((0, 0),)
     generic_scale = p * (p - 1) * (p + 1)
@@ -609,42 +613,41 @@ def census_segments(p: int, n: int) -> list:
 
 
 def _tally_block(args) -> list:
-    """Count the weighted states of one block of the census's parents.
+    """Count the weighted states of one block of the census's parents,
+    args (p, n, index, start, stop): parents start..stop-1 of segment
+    index of census_segments(p, n).
 
     Returns [maximal, unentangled, purities[0], ..., purities[p - 1]],
     purities[s] the states of sum_sq s.  A prefix whose sum_sq is
     qs + us x0 + vs x1 with w = c (us**2 + vs**2) != 0 is kept under the
     key (qs, w) while the block walks; at its end each key puts
     1 + chi(w - (s - qs)**2) completions at every sum_sq s.  A prefix
-    counts its segment's weight, scale * (p + 1)**k (census_segments);
-    start and stop count parents over all segments, as in walk_prefixes.
+    counts its segment's weight, scale * (p + 1)**k (census_segments).
     """
-    p, n, start, stop = args
+    p, n, index, start, stop = args
     d = 1 << n
+    segment, held, scale = census_segments(p, n)[index]
     points = _line_points(p)
     maximal = unentangled = 0
     purities = [0] * p
     lines: dict = {}
-    for segment, held, scale in census_segments(p, n):
-        held_heads = [i for i in held if i < d - 2]
-        tail_held = d - 2 in held
-        weights = [scale * (p + 1) ** k for k in range(len(held) + 1)]
-        for parent, children in walk_prefixes(p, d, 1, [segment], start, stop):
-            passes = parent_forms(p, n, parent)
-            k = sum(parent[i] != (0, 0) for i in held_heads)
-            for (y,), c, completions in children:
-                qs, us, vs, lengths, tests, fixed = finish_forms(p, n, passes, y, c)
-                weight = weights[k + (tail_held and y != (0, 0))]
-                size = len(completions)
-                w = c * (us * us + vs * vs) % p
-                if w:
-                    lines[qs, w] = lines.get((qs, w), 0) + weight
-                else:
-                    purities[qs] += weight * size
-                maximal += weight * _count_maximal(p, c, size, lengths, points)
-                unentangled += weight * _count_unentangled(p, n, c, size, tests, fixed)
-        size = prod(map(len, segment[:-2]))
-        start, stop = max(start - size, 0), stop - size
+    held_heads = [i for i in held if i < d - 2]
+    tail_held = d - 2 in held
+    weights = [scale * (p + 1) ** k for k in range(len(held) + 1)]
+    for parent, children in walk_prefixes(p, d, 1, segment, start, stop):
+        passes = parent_forms(p, n, parent)
+        k = sum(parent[i] != (0, 0) for i in held_heads)
+        for y, c, completions in children:
+            qs, us, vs, lengths, tests, fixed = finish_forms(p, n, passes, y, c)
+            weight = weights[k + (tail_held and y != (0, 0))]
+            size = len(completions)
+            w = c * (us * us + vs * vs) % p
+            if w:
+                lines[qs, w] = lines.get((qs, w), 0) + weight
+            else:
+                purities[qs] += weight * size
+            maximal += weight * _count_maximal(p, c, size, lengths, points)
+            unentangled += weight * _count_unentangled(p, n, c, size, tests, fixed)
     for (qs, w), k in lines.items():
         for s in range(p):
             purities[s] += k * points[(w - (s - qs) ** 2) % p]
@@ -659,8 +662,11 @@ def census_tally(
 ) -> CensusTally:
     """Classify every irreducible n-qubit state by weighted block enumeration.
 
-    The blocks' lists add column by column, so the tally is independent
-    of the thread count and block layout; a walk of fewer than
+    Each segment of census_segments is sized here and split into blocks
+    of its parents, so no block crosses a segment and one worker runs
+    one block per segment.  The blocks' lists add column by column, so
+    the tally is independent of the thread count and block layout; a
+    walk of fewer than
     POOL_MIN_PREFIXES prefixes starts no pool, a larger one no more
     workers than usable CPUs.  Every column sum is p + 1 times a count
     of irreducible states; a remainder raises DqcError.  Partial and
@@ -670,9 +676,11 @@ def census_tally(
     prefixes = census_prefixes(p, n)
     check_budget(p, prefixes, budget, irreducible_count(p, 1 << n))
     workers = 1 if prefixes < POOL_MIN_PREFIXES else min(threads, usable_cpus())
-    parents = sum(prod(map(len, s[:-2])) for s, _, _ in census_segments(p, n))
-    blocks = prefix_blocks(parents, workers)
-    args = [(p, n, start, stop) for start, stop in blocks]
+    args = [
+        (p, n, index, start, stop)
+        for index, (segment, _, _) in enumerate(census_segments(p, n))
+        for start, stop in prefix_blocks(prod(map(len, segment[:-2])), workers)
+    ]
     totals = [sum(column) for column in zip(*run_blocks(_tally_block, args, workers))]
     if any(total % (p + 1) for total in totals):
         raise DqcError(f"weighted counts {totals} not divisible by p+1={p + 1}")
@@ -694,22 +702,21 @@ def census_tally(
 def iter_classified_prefixes(
     prime: ComplexifiablePrime, n: int, budget: int = DEFAULT_BUDGET
 ):
-    """(parent, children) per parent, a state's first 2**n - 2
-    amplitudes, of the irreducible states, in lexicographic order:
-    children holds (y, completions, forms) per prefix parent + (y,), the
-    last amplitudes that make it irreducible and its finish_forms, which
-    classify_completions completes over the circle.  A parent's passes
+    """The canonical unit-norm iter_norm_prefixes of n qubits, each
+    child's norm c replaced by its prefix's finish_forms, which
+    classify_completions completes over the circle: children holds
+    (y, forms, completions) per prefix parent + (y,).  A parent's passes
     are built once, its children's forms in one list.  The budget is
     checked on the call and charged p**(2(D-1)), as for every stream."""
     p = prime.p
-    d = 1 << n
-    check_budget(p, p ** (2 * (d - 1)), budget, irreducible_count(p, d))
     return (
         (parent, [
-            (y, completions, finish_forms(p, n, passes, y, c))
-            for (y,), c, completions in children
+            (y, finish_forms(p, n, passes, y, c), completions)
+            for y, c, completions in children
         ])
-        for parent, children in walk_prefixes(p, d, 1, canonical_segments(p, d))
+        for parent, children in iter_norm_prefixes(
+            prime, 1 << n, 1, budget, canonical_only=True
+        )
         for passes in [parent_forms(p, n, parent)]  # once per parent
     )
 
@@ -725,7 +732,7 @@ def iter_classified(
     return (
         (parent + (y, x), kind, sum_sq, reduced[sum_sq], mask)
         for parent, children in iter_classified_prefixes(prime, n, budget)
-        for y, completions, forms in children
+        for y, forms, completions in children
         for x, (kind, sum_sq, mask) in zip(
             completions, classify_completions(p, n, forms, completions)
         )

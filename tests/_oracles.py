@@ -238,7 +238,8 @@ def canonical_tally(p, n):
     purities maps each sum_sq that some state has to its number of
     states, read off every completion of the prefix's sum_sq form
     (qs, us, vs) rather than from the census's count of line points."""
-    from dqc.census import canonical_segments, walk_prefixes
+    from dqc.basefield import validate_prime
+    from dqc.census import iter_norm_prefixes
     from dqc.entangle import (
         _count_maximal,
         _count_unentangled,
@@ -251,9 +252,10 @@ def canonical_tally(p, n):
     points = _line_points(p)
     maximal = unentangled = 0
     sums = Counter()
-    for parent, children in walk_prefixes(p, d, 1, canonical_segments(p, d)):
+    walk = iter_norm_prefixes(validate_prime(p), d, 1, canonical_only=True)
+    for parent, children in walk:
         passes = parent_forms(p, n, parent)
-        for (y,), c, completions in children:
+        for y, c, completions in children:
             qs, us, vs, lengths, tests, fixed = finish_forms(p, n, passes, y, c)
             size = len(completions)
             sums[qs, us, vs, completions] += 1

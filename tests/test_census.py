@@ -314,24 +314,26 @@ def test_canonical_walk_matches_literal_filter():
     # oracle filters all p**(2(d-1)) of them
     for p, d_max in ((3, 5), (7, 4), (11, 3)):
         fibers = {c: tuple(brute_fiber(p, c)) for c in range(p)}
-        for d in range(1, d_max + 1):
+        for d in range(2, d_max + 1):
             want = []
             for digits in canonical_prefix_digits(p, d):
                 head = tuple(divmod(e, p) for e in digits)
                 c = (1 - sum(cnorm(p, x) for x in head)) % p
                 # the zero prefix keeps only the leading fiber minimum
                 want.append((head, c, fibers[c] if any(digits) else fibers[c][:1]))
-            groups = list(
-                census.walk_prefixes(p, d, 1, census.canonical_segments(p, d))
-            )
+            groups = [
+                group
+                for segment in census.canonical_segments(p, d)
+                for group in census.walk_prefixes(p, d, 1, segment)
+            ]
             walked = [
-                (parent + tail, c, completions)
+                (parent + (y,), c, completions)
                 for parent, children in groups
-                for tail, c, completions in children
+                for y, c, completions in children
             ]
             assert walked == want
             # each group is one parent, the first d - 2 amplitudes
-            assert all(len(parent) == max(d - 2, 0) for parent, _ in groups)
+            assert all(len(parent) == d - 2 for parent, _ in groups)
 
 
 def traced_peak(fn):
@@ -356,7 +358,8 @@ def test_one_qubit_walks_stay_quadratic():
     ):
         walked, peak = traced_peak(lambda: sum(
             len(children)
-            for _, children in census.walk_prefixes(p, 2, 1, segments)
+            for segment in segments
+            for _, children in census.walk_prefixes(p, 2, 1, segment)
         ))
         assert walked == prefixes
         assert peak < 20_000_000
@@ -458,16 +461,43 @@ def test_census_is_charged_the_prefixes_it_walks(f3, f7):
 
 
 def test_streams_refuse_when_created(f7):
-    # the budget is checked on the call, before any next()
-    for make in (
-        lambda: iter_norm_class(f7, 4, 1, budget=10),
-        lambda: iter_irreducible(f7, 2, budget=10),
-        lambda: iter_classified(f7, 2, budget=10),
+    # the budget is checked on the call, before any next(), by the one
+    # check of iter_norm_prefixes, which carries the stream's closed form
+    irreducible = irreducible_count(7, 4)
+    for make, closed_form in (
+        (lambda: iter_norm_class(f7, 4, 1, budget=10), unit_norm_count(7, 4)),
+        (lambda: census.iter_norm_prefixes(f7, 4, 1, 10, canonical_only=True),
+         irreducible),
+        (lambda: iter_irreducible(f7, 2, budget=10), irreducible),
+        (lambda: entangle.iter_classified_prefixes(f7, 2, budget=10), irreducible),
+        (lambda: iter_classified(f7, 2, budget=10), irreducible),
     ):
         with pytest.raises(BudgetExceeded) as exc:
             make()
         assert exc.value.required == 7**6
         assert exc.value.budget == 10
+        assert exc.value.closed_form == closed_form
+
+
+def test_budget_floor_refuses_a_census_at_a_huge_prime(monkeypatch):
+    # a 1-qubit census walks one prefix, so only the charge's p**2 floor
+    # refuses it at p = 2**61 - 1 (a 2-qubit one walks p**2 + p), before
+    # fiber_minima's loop over the squares or verify's O(D p) norm
+    # histograms could run; they raise here, so losing the floor fails
+    # the test instead of hanging it
+    def unreachable(*args):
+        raise AssertionError("a census at p = 2**61 - 1 got past its budget")
+
+    monkeypatch.setattr(entangle, "fiber_minima", unreachable)
+    monkeypatch.setattr(census, "norm_histograms", unreachable)
+    prime = validate_prime(2**61 - 1)
+    for n, charge in ((1, prime.p**2), (2, prime.p**2 + prime.p)):
+        rep = verify(prime, n)
+        assert rep.enumerated == {}
+        assert rep.notes[0] == (
+            f"enumeration skipped: {charge} prefixes exceed budget "
+            f"{census.DEFAULT_BUDGET}"
+        )
 
 
 def test_norm_streams_refuse_dimensions_below_two(f3):

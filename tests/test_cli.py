@@ -396,7 +396,7 @@ def test_classify_csv_rows_match_the_stream(tmp_path, capsys, monkeypatch):
                     states = sum(
                         len(completions)
                         for _, children in islice(groups, limit)
-                        for _, completions, _ in children
+                        for _, _, completions in children
                     )
                 rows += classify_rows([(p, n)], states)
             assert any(row[5] == "NA" for row in rows) == (cells == [(3, 3)])
@@ -625,7 +625,7 @@ def test_rows_are_written_as_they_are_drawn(monkeypatch):
                     assert out.getvalue().endswith(end % shown[-1]), len(shown)
                 shown.extend(
                     ";".join(map(format_amp, parent + (y, x)))
-                    for y, completions in children
+                    for y, _, completions in children
                     for x in completions
                 )
                 yield parent, children

@@ -24,10 +24,9 @@ from dqc import (
 )
 import dqc.entangle as entangle
 from dqc.census import (
-    canonical_segments,
     enum_tables,
     iter_irreducible,
-    prefix_blocks,
+    iter_norm_prefixes,
     sample_unit_amps,
     walk_prefixes,
 )
@@ -195,9 +194,9 @@ def test_classify_completions_agrees_with_independent_paths(f3, f7):
         (f3, 1, 1), (f3, 2, 1), (f7, 1, 1), (f7, 2, 1), (f3, 3, 0.025)
     ):
         p, d = fld.p, 1 << n
-        for parent, children in walk_prefixes(p, d, 1, canonical_segments(p, d)):
+        for parent, children in iter_norm_prefixes(fld, d, 1, canonical_only=True):
             passes = None
-            for (y,), c, completions in children:
+            for y, c, completions in children:
                 if share < 1 and rng.random() >= share:
                     continue
                 if passes is None:
@@ -298,10 +297,10 @@ def test_census_walk_is_the_held_slice(f3, f7):
         walked = []
         for segment, _, _ in segments:
             states = []
-            for parent, children in walk_prefixes(p, d, 1, [segment]):
-                for tail, c, completions in children:
+            for parent, children in walk_prefixes(p, d, 1, segment):
+                for y, c, completions in children:
                     assert len(completions) == len(fibers[c])
-                    states += [parent + tail + (x,) for x in fibers[c]]
+                    states += [parent + (y, x) for x in fibers[c]]
             walked.append(states)
         assert walked == gauged_slices(p, n)
         units = brute_vectors(p, d, norm=1)
@@ -388,9 +387,8 @@ def test_u2_orbits_on_pairs_at_p3():
     assert {apply_pair(p, g, *isotropic[0]) for g in group} == set(isotropic)
 
 
-def test_census_blocks_cover_weighted_slice(monkeypatch, f3, f7):
-    # concatenated, census_tally's blocks walk every parent of the
-    # weighted slices once, in order, for any thread count
+def census_blocks(monkeypatch, prime, n, threads):
+    """The (p, n, index, start, stop) args of census_tally's blocks."""
     calls = []
 
     def capture(worker, args_list, threads):
@@ -398,17 +396,31 @@ def test_census_blocks_cover_weighted_slice(monkeypatch, f3, f7):
         return [[0] * (args[0] + 2) for args in args_list]
 
     monkeypatch.setattr(entangle, "run_blocks", capture)
+    census_tally(prime, n, threads=threads)
+    return calls.pop()
+
+
+def test_census_blocks_cover_weighted_slice(monkeypatch, f3, f7):
+    # concatenated, census_tally's blocks walk every parent of the
+    # weighted slices once, in order, for any thread count, and each
+    # block stays in one segment; one worker runs one block per segment
     for fld, n in ((f3, 2), (f7, 2), (f3, 3)):
         segments = [segment for segment, _, _ in census_segments(fld.p, n)]
-        whole = list(walk_prefixes(fld.p, 1 << n, 1, segments))
+        whole = [
+            prefix
+            for segment in segments
+            for prefix in walk_prefixes(fld.p, 1 << n, 1, segment)
+        ]
         for threads in range(1, 6):
-            census_tally(fld, n, threads=threads)
+            blocks = census_blocks(monkeypatch, fld, n, threads)
             walked = [
                 prefix
-                for p, m, start, stop in calls.pop()
-                for prefix in walk_prefixes(p, 1 << m, 1, segments, start, stop)
+                for p, m, index, start, stop in blocks
+                for prefix in walk_prefixes(p, 1 << m, 1, segments[index], start, stop)
             ]
             assert walked == whole
+            if threads == 1:
+                assert [index for _, _, index, _, _ in blocks] == [0, 1, 2]
 
 
 def test_isotropic_gram_determinant_is_entangled(f3):
@@ -747,12 +759,13 @@ def test_circle_counters_match_brute_force_at_every_norm():
     assert cases > 5000
 
 
-def test_counted_blocks_match_per_state_on_p3_n3_slice(f3):
-    # block by block over the census's weighted p=3 n=3 slices, 1,944
-    # parents in three segments (the generic pairs, the isotropic pair,
-    # the zero pair) whose bounds the blocks cross: held zeros leave
-    # qubits with no pivot or with tests that do not involve x, and n = 3
-    # gives three length lines, parallel and crossing.  The oracle
+def test_counted_blocks_match_per_state_on_p3_n3_slice(f3, monkeypatch):
+    # block by block, as census_tally splits them for two workers, over
+    # the census's weighted p=3 n=3 slices, 1,944 parents in three
+    # segments (the generic pairs, the isotropic pair, the zero pair):
+    # held zeros leave qubits with no pivot or with tests that do not
+    # involve x, and n = 3 gives three length lines, parallel and
+    # crossing.  The oracle
     # completes each prefix's forms state by state, as iter_classified
     # does, and weights each state by slice_weight; on a seeded 2.5% of
     # the prefixes the states are also checked against the Pauli
@@ -765,11 +778,15 @@ def test_counted_blocks_match_per_state_on_p3_n3_slice(f3):
     sampled = 0
     fibers = enum_tables(3)[1]
     segments = [segment for segment, _, _ in census_segments(3, 3)]
-    for start, stop in prefix_blocks(1944, 2):
+    monkeypatch.setattr(entangle, "usable_cpus", lambda: 2)
+    blocks = census_blocks(monkeypatch, f3, 3, threads=2)
+    assert len(blocks) == 24
+    for block in blocks:
+        _, _, index, start, stop = block
         want = Counter()
-        for parent, children in walk_prefixes(3, 8, 1, segments, start, stop):
+        for parent, children in walk_prefixes(3, 8, 1, segments[index], start, stop):
             passes = parent_forms(3, 3, parent)
-            for (y,), c, completions in children:
+            for y, c, completions in children:
                 assert len(completions) == len(fibers[c])
                 completions = fibers[c]
                 forms = finish_forms(3, 3, passes, y, c)
@@ -790,7 +807,7 @@ def test_counted_blocks_match_per_state_on_p3_n3_slice(f3):
                 assert sum_sq == 0
             if kind is EntanglementClass.UNENTANGLED:
                 assert sum_sq == 3 % 3
-        assert _tally_block((3, 3, start, stop)) == [
+        assert _tally_block(block) == [
             kinds[EntanglementClass.MAXIMAL],
             kinds[EntanglementClass.UNENTANGLED],
             *(purities[s] for s in range(3)),
