@@ -123,13 +123,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _per_cell(args: argparse.Namespace, fn) -> list:
-    """[(p, n, fn(prime, n))] for every cell, in order.  Streams are
-    created here, so every budget is checked before any row is written."""
-    cells = []
-    for p in args.primes:
-        prime = validate_prime(p)
-        cells.extend((p, n, fn(prime, n)) for n in args.n_values)
-    return cells
+    """[fn(prime, n)] for every cell, in order.  Streams are created
+    here, so every budget is checked before any row is written."""
+    return [
+        fn(prime, n)
+        for prime in map(validate_prime, args.primes)
+        for n in args.n_values
+    ]
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
@@ -149,7 +149,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
             *(f"{log10_decimal(c):.3f}" for c in counts),
         ])
 
-    _write_rows(args, header, [line for _, _, line in _per_cell(args, row)])
+    _write_rows(args, header, _per_cell(args, row))
     return 0
 
 
@@ -175,9 +175,9 @@ def cmd_bloch(args: argparse.Namespace) -> int:
 # Keys one cell's row cache holds; the key used least recently is
 # dropped when it is full, so its memory is bounded whatever the size of
 # the walk.  A key takes about 0.7 KB at n = 2.  The p=7 n=2 walk misses
-# once per distinct key, 1,231 times over its 14,707 prefixes, and p=11
-# n=2 misses 31,092 times (7,391 keys, 147,631 prefixes).  The n = 3
-# working set does not fit: p=3 n=3 misses 971,042 times (28,547 keys,
+# once per distinct key, 1,225 times over its 14,707 prefixes, and p=11
+# n=2 misses 31,086 times (7,381 keys, 147,631 prefixes).  The n = 3
+# working set does not fit: p=3 n=3 misses 971,038 times (28,543 keys,
 # 1,195,743 prefixes).
 ROW_CACHE_ENTRIES = 512
 
@@ -233,9 +233,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             lambda completions, _: repeat(layout[2]),  # the amplitudes end a row
         )
 
-    _write_rows(args, header, chain.from_iterable(
-        cell for _, _, cell in _per_cell(args, lines)
-    ))
+    _write_rows(args, header, chain.from_iterable(_per_cell(args, lines)))
     return 0
 
 
@@ -264,9 +262,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 ),
             )
 
-        _write_rows(args, header, chain.from_iterable(
-            cell for _, _, cell in _per_cell(args, lines)
-        ))
+        _write_rows(args, header, chain.from_iterable(_per_cell(args, lines)))
         return 0
 
     # summary only; the row dump is opt-in via --out
@@ -276,17 +272,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
             prime, n, budget=args.budget, threads=args.threads
         ),
     )
-    for p, n, tally in tallies:
+    for tally in tallies:
+        cell = f"p={tally.p} n={tally.n}"
         parts = ", ".join(
             f"{k}: {v}" for k, v in sorted(tally.class_counts.items())
         )
-        print(f"p={p} n={n} irreducible={tally.irreducible_total} {{{parts}}}")
-        print(
-            f"p={p} n={n} purity-1-without-factorization: "
-            f"{tally.purity_one_not_product}"
-        )
+        print(f"{cell} irreducible={tally.irreducible_total} {{{parts}}}")
+        print(f"{cell} purity-1-without-factorization: {tally.purity_one_not_product}")
         hist = ", ".join(f"{s}: {k}" for s, k in sorted(tally.purity_hist.items()))
-        print(f"p={p} n={n} purity-histogram: {{{hist}}}")
+        print(f"{cell} purity-histogram: {{{hist}}}")
     return 0
 
 

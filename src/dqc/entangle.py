@@ -65,7 +65,8 @@ the squared length is Q + U x0 + V x1 mod p, with
 The dependence test of the head columns runs once per prefix.  If they
 hold a pivot (c_k, e_k) and pass, the last column passes exactly when
 c_k x == a e_k, again affine in x; if none is nonzero the last column
-is the pivot or zero and the qubit factors out whatever x is.
+is the pivot or zero, and the test 0 x == 0 passes whatever x is.  So
+each qubit has at most one test, none once a head column fails.
 These forms are built once per prefix, and classify_completions
 completes them over the prefix's circle in O(n) per state.
 
@@ -95,9 +96,8 @@ t == 0 (-1 is a non-residue mod p).  So one rule counts every prefix
                  and on every other line (parallel lines meet only when
                  equal);
     Unentangled  the common point x = k / (c0 + i c1) of the tests, when
-                 every qubit is fixed or tested, N(k) = c N(c0 + i c1)
-                 and the tests agree (all completions when no test
-                 involves x);
+                 every qubit has one, N(k) = c N(c0 + i c1) and the
+                 tests agree (all completions when no test involves x);
     sum_sq       qs + us x0 + vs x1: all completions at qs when
                  w = c (us**2 + vs**2) is 0, else the key (qs, w) of a
                  histogram of lines, expanded when the block's walk ends.
@@ -243,12 +243,13 @@ def parent_forms(p: int, n: int, parent: tuple) -> tuple:
     each pass only at its end: as the b-entry of the final head pair
     (2**n - 2 - m, 2**n - 2) for a qubit of bit m > 1, and as the a-entry
     of the last column for m == 1.  Returns, per qubit j, (na, nb, re,
-    im, pivot, dependent, g, a): the sums over the head pairs before
-    that, the first nonzero column (c0, c1, e0, e1) or None, and whether
-    the later columns passed against it.  For m > 1, g is the a-entry of
-    the final head pair and a = (a0, a1, N(a)) that of the last column,
-    both counted in na; for m == 1 both are None.  finish_forms
-    completes the passes for one amplitude 2**n - 2.
+    im, pivot, g, a): the sums over the head pairs before that, and the
+    pivot, which is None while no column is nonzero, the first nonzero
+    column (c0, c1, e0, e1) while every later one depends on it, and
+    False once one does not.  For m > 1, g is the a-entry of the final
+    head pair and a = (a0, a1, N(a)) that of the last column, both
+    counted in na; for m == 1 both are None.  finish_forms completes
+    the passes for one amplitude 2**n - 2.
     """
     d = 1 << n
     passes = []
@@ -256,8 +257,9 @@ def parent_forms(p: int, n: int, parent: tuple) -> tuple:
         m = 1 << (n - 1 - j)
         last = d - 1 - m
         na = nb = re = im = 0
+        # None: no nonzero column yet; a column: the later ones depend on
+        # it so far; False: one does not
         pivot = None
-        dependent = True
         for i in range(last if m == 1 else last - 1):
             if i & m:
                 continue
@@ -270,19 +272,19 @@ def parent_forms(p: int, n: int, parent: tuple) -> tuple:
             if pivot is None:
                 if a0 or a1 or b0 or b1:
                     pivot = (a0, a1, b0, b1)
-            elif dependent:
+            elif pivot:
                 c0, c1, e0, e1 = pivot
                 if (c0 * b0 - c1 * b1 - a0 * e0 + a1 * e1) % p or (
                     c0 * b1 + c1 * b0 - a0 * e1 - a1 * e0
                 ) % p:
-                    dependent = False
+                    pivot = False
         g = a = None
         if m > 1:
             g = parent[last - 1]
             a0, a1 = parent[last]
             a = a0, a1, a0 * a0 + a1 * a1
             na += g[0] * g[0] + g[1] * g[1] + a[2]
-        passes.append((na, nb, re, im, pivot, dependent, g, a))
+        passes.append((na, nb, re, im, pivot, g, a))
     return tuple(passes)
 
 
@@ -293,21 +295,22 @@ def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
     The prefix is the parent of parent_forms' passes followed by y, and
     c is the field norm of the last amplitude, x (the module docstring
     derives the forms).  O(n): each pass takes y into its last head pair
-    or last column.  Returns (qs, us, vs, lengths, tests, fixed), which
+    or last column.  Returns (qs, us, vs, lengths, tests), which
     hashes, so that a writer can cache the prefix's rows under it:
     lengths holds each qubit's squared length as (q, u, v), read as
-    q + u x0 + v x1 mod p, and (qs, us, vs) their sums; tests holds
-    (bit, c0, c1, k0, k1) for a qubit that factors out exactly when
-    (c0 + i c1) x == k0 + i k1; fixed has the bits of the qubits that
-    factor out whatever x is.
+    q + u x0 + v x1 mod p, and (qs, us, vs) their sums; tests holds at
+    most one (bit, c0, c1, k0, k1) per qubit: the qubit factors out
+    exactly when (c0 + i c1) x == k0 + i k1.  A qubit with no nonzero
+    head column gets (bit, 0, 0, 0, 0), which every x passes, and one
+    whose head columns are independent gets none.
     """
     y0, y1 = y
     ny = y0 * y0 + y1 * y1
     lengths = []
     tests = []
-    fixed = qs = us = vs = 0
+    qs = us = vs = 0
     bit = 1
-    for na, nb, re, im, pivot, dependent, g, a in passes:
+    for na, nb, re, im, pivot, g, a in passes:
         if g is None:
             a0, a1 = y
             nl = ny
@@ -320,12 +323,12 @@ def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
             if pivot is None:
                 if g0 or g1 or y0 or y1:
                     pivot = (g0, g1, y0, y1)
-            elif dependent:
+            elif pivot:
                 c0, c1, e0, e1 = pivot
                 if (c0 * y0 - c1 * y1 - g0 * e0 + g1 * e1) % p or (
                     c0 * y1 + c1 * y0 - g0 * e1 - g1 * e0
                 ) % p:
-                    dependent = False
+                    pivot = False
             a0, a1, nl = a
         # |h + conj(a) x|**2 = N(h) + N(a) c + 2 Re(conj(h a) x)
         q = (1 - 4 * (na * (nb + c) - re * re - im * im - nl * c)) % p
@@ -335,31 +338,29 @@ def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
         qs += q
         us += u
         vs += v
-        if dependent:
-            if pivot is None:
-                # the last column is the first nonzero one, if any, and
-                # is tested against nothing
-                fixed |= bit
-            else:
-                c0, c1, e0, e1 = pivot
-                tests.append(
-                    (bit, c0, c1, (a0 * e0 - a1 * e1) % p, (a0 * e1 + a1 * e0) % p)
-                )
+        if pivot is None:
+            # the last column is the first nonzero one, if any: 0 x == 0
+            tests.append((bit, 0, 0, 0, 0))
+        elif pivot:
+            c0, c1, e0, e1 = pivot
+            tests.append(
+                (bit, c0, c1, (a0 * e0 - a1 * e1) % p, (a0 * e1 + a1 * e0) % p)
+            )
         bit <<= 1
-    return qs % p, us % p, vs % p, tuple(lengths), tuple(tests), fixed
+    return qs % p, us % p, vs % p, tuple(lengths), tuple(tests)
 
 
 def classify_completions(p: int, n: int, forms: tuple, completions) -> list:
     """[(kind, sum_sq, mask)] of finish_forms' prefix followed by each x
     of completions, in order.  O(n) per state, read off the affine forms:
     sum_sq is the total of the n squared lengths mod p, the purity's
-    numerator, and bit j of mask is set when qubit j factors out."""
-    qs, us, vs, lengths, tests, fixed = forms
+    numerator, and bit j of mask is set when qubit j's test passes."""
+    qs, us, vs, lengths, tests = forms
     full = (1 << n) - 1
     unentangled, partial, maximal = _KINDS
     classified = []
     for x0, x1 in completions:
-        mask = fixed
+        mask = 0
         for bit, c0, c1, k0, k1 in tests:
             if not ((c0 * x0 - c1 * x1 - k0) % p or (c1 * x0 + c0 * x1 - k1) % p):
                 mask |= bit
@@ -529,14 +530,12 @@ def _count_maximal(p: int, c: int, size: int, lengths: list, points: list) -> in
     return points[(c * (u1 * u1 + v1 * v1) - q1 * q1) % p]
 
 
-def _count_unentangled(
-    p: int, n: int, c: int, size: int, tests: list, fixed: int
-) -> int:
+def _count_unentangled(p: int, n: int, c: int, size: int, tests: list) -> int:
     """Completions x, size of them on N(x) = c, at which every qubit
-    factors out: test (bit, c0, c1, k0, k1) asks (c0 + i c1) x == k0 + i k1."""
-    for bit, *_ in tests:
-        fixed |= bit
-    if fixed != (1 << n) - 1:
+    factors out: tests holds at most one (bit, c0, c1, k0, k1) per qubit,
+    which asks (c0 + i c1) x == k0 + i k1, so a qubit without one never
+    factors out."""
+    if len(tests) < n:
         return 0
     lead = None
     for test in tests:
@@ -587,7 +586,7 @@ def census_segments(p: int, n: int) -> list:
     minima = fiber_minima(p)
     zero = ((0, 0),)
     generic_scale = p * (p - 1) * (p + 1)
-    circles = [range(1)] + [range(p + 1 if n > 1 else 0)] * (p - 1)
+    circles = [range(1)] + [range(p + 1)] * (p - 1)
     if n == 1:
         # the last position is x_{D/2}, at 0: the one state (gamma_1, 0)
         return [([minima[1:2], circles], set(), generic_scale)]
@@ -638,7 +637,7 @@ def _tally_block(args) -> list:
         passes = parent_forms(p, n, parent)
         k = sum(parent[i] != (0, 0) for i in held_heads)
         for y, c, completions in children:
-            qs, us, vs, lengths, tests, fixed = finish_forms(p, n, passes, y, c)
+            qs, us, vs, lengths, tests = finish_forms(p, n, passes, y, c)
             weight = weights[k + (tail_held and y != (0, 0))]
             size = len(completions)
             w = c * (us * us + vs * vs) % p
@@ -647,7 +646,7 @@ def _tally_block(args) -> list:
             else:
                 purities[qs] += weight * size
             maximal += weight * _count_maximal(p, c, size, lengths, points)
-            unentangled += weight * _count_unentangled(p, n, c, size, tests, fixed)
+            unentangled += weight * _count_unentangled(p, n, c, size, tests)
     for (qs, w), k in lines.items():
         for s in range(p):
             purities[s] += k * points[(w - (s - qs) ** 2) % p]

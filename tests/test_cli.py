@@ -500,8 +500,8 @@ def test_state_rows_match_the_stdlib_oracle(capsys, monkeypatch):
 
 
 def test_a_full_row_cache_changes_no_byte(capsys, monkeypatch):
-    # the p=7 n=2 walk has 1,231 distinct row keys and the p=3 n=3 walk
-    # 28,547; a cache of one entry drops its key at nearly every prefix.
+    # the p=7 n=2 walk has 1,225 distinct row keys and the p=3 n=3 walk
+    # 28,543; a cache of one entry drops its key at nearly every prefix.
     # p=3 n=3 runs over its first 2,224 parents, 20,001 prefixes
     argvs = [
         ("classify", "--p", "7", "--n", "2", "--out", "-"),
@@ -538,19 +538,22 @@ def row_caches(monkeypatch, per_block):
 
 
 def test_row_cache_misses_once_per_key_at_p7_n2(monkeypatch):
-    # the p=7 n=2 walk has 1,231 distinct row keys in 14,707 prefixes;
-    # the cache keeps the keys used last, so none is built twice
+    # the p=7 n=2 walk has 1,225 distinct row keys in 14,707 prefixes;
+    # the cache keeps the keys used last, so none is built twice.  A
+    # qubit with no nonzero head column has the test (bit, 0, 0, 0, 0),
+    # so a prefix with such a qubit shares its key with one whose test
+    # for that qubit is all zeros
     infos = []
     row_caches(monkeypatch, lambda suffixes: infos.append(suffixes.cache_info()))
     assert main(["classify", "--p", "7", "--n", "2", "--out", os.devnull]) == 0
     assert len(infos) == 14707
-    assert infos[-1].misses == 1231
+    assert infos[-1].misses == 1225
     assert infos[-1].currsize == cli.ROW_CACHE_ENTRIES
 
 
 def test_row_cache_stays_bounded(monkeypatch):
     # `dqc classify --p 7 --n 3 --out` on its first 4,084 parents, whose
-    # 200,025 prefixes hold 28,602 distinct row keys: the cache never
+    # 200,025 prefixes hold 28,594 distinct row keys: the cache never
     # holds more than its cap.  Over the first 2 * 10**4 prefixes, under
     # tracemalloc, the capped writer peaks at about 0.9 MB and an
     # uncapped one at about 3.8 MB.

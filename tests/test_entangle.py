@@ -700,17 +700,17 @@ def seeded_lengths(p, point, rng):
 
 
 def seeded_tests(p, n, point, rng):
-    """Dependence tests (bit, c0, c1, k0, k1) and fixed bits for n qubits:
-    each qubit is fixed, untested or tested, with a test that point
-    passes, a random one, or one with c == 0."""
+    """Dependence tests (bit, c0, c1, k0, k1), at most one per qubit, for
+    n qubits: each qubit is untested, or has the test (bit, 0, 0, 0, 0)
+    that finish_forms gives a qubit with no nonzero head column, a test
+    that point passes, a random one, or one with c == 0."""
     tests = []
-    fixed = 0
     for j in range(n):
         shape = rng.randrange(8)
         if shape == 0:
             continue
         if shape == 1:
-            fixed |= 1 << j
+            tests.append((1 << j, 0, 0, 0, 0))
             continue
         c0, c1 = rng.randrange(p), rng.randrange(p)
         if shape == 2:
@@ -721,7 +721,7 @@ def seeded_tests(p, n, point, rng):
             k0 = (c0 * point[0] - c1 * point[1]) % p
             k1 = (c1 * point[0] + c0 * point[1]) % p
         tests.append((1 << j, c0, c1, k0, k1))
-    return tests, fixed
+    return tests
 
 
 def test_circle_counters_match_brute_force_at_every_norm():
@@ -743,8 +743,8 @@ def test_circle_counters_match_brute_force_at_every_norm():
                 )
                 assert _count_maximal(p, c, len(circle), lengths, points) == want
                 n = rng.randrange(1, 4)
-                tests, fixed = seeded_tests(p, n, point, rng)
-                covered = fixed | sum(t[0] for t in tests) == (1 << n) - 1
+                tests = seeded_tests(p, n, point, rng)
+                covered = len(tests) == n
                 want = covered * sum(
                     all(
                         (c0 * x0 - c1 * x1 - k0) % p == 0
@@ -753,7 +753,7 @@ def test_circle_counters_match_brute_force_at_every_norm():
                     )
                     for x0, x1 in circle
                 )
-                got = _count_unentangled(p, n, c, len(circle), tests, fixed)
+                got = _count_unentangled(p, n, c, len(circle), tests)
                 assert got == want
                 cases += 1
     assert cases > 5000
