@@ -62,7 +62,7 @@ amplitudes, so that a consumer can do the parent's work once (census
 forms, row text), and the row streams keep the groups; walk_prefixes'
 start and stop count a segment's parents, not prefixes.  Parallelism is
 the census tally's alone: it splits each segment's parents into
-contiguous blocks, none crossing a segment, with one pool per tally (on
+contiguous blocks that carry the segment, with one pool per tally (on
 one worker, no pool and one inline block per segment), and block
 results merge by addition, so counts are identical for any split.
 Every parent of a census segment has the same number of children, so
@@ -276,11 +276,10 @@ def fiber_minima(p: int) -> tuple:
 def enum_tables(p: int):
     """The elements of F_p**2 as (re, im) pairs, built once per p.
 
-    Returns (elements, fibers, leads): elements holds all p**2 pairs in
-    lexicographic order, fibers[c] the sorted tuple of those of norm c,
-    and leads the sorted fiber minima of the nonzero norms.  The cyclic
-    garbage collector is paused while they are built: the p**2 new
-    tuples would set off collections that find nothing to free.
+    Returns (elements, fibers): elements holds all p**2 pairs in
+    lexicographic order and fibers[c] the sorted tuple of those of norm
+    c.  The cyclic garbage collector is paused while they are built: the
+    p**2 new tuples would set off collections that find nothing to free.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -292,7 +291,7 @@ def enum_tables(p: int):
     finally:
         if collecting:
             gc.enable()
-    return elements, tuple(map(tuple, fibers)), tuple(sorted(fiber_minima(p)[1:]))
+    return elements, tuple(map(tuple, fibers))
 
 
 def prefix_blocks(total: int, workers: int) -> list:
@@ -388,8 +387,9 @@ def canonical_segments(p: int, d: int) -> list:
     """The canonical walk of dimension d >= 2 as walk_prefixes' segments,
     for k = d - 1 down to 0 (module docstring); at k = d - 1, the zero
     prefix, the last entry holds each norm's fiber minimum alone."""
-    elements, fibers, leads = enum_tables(p)
+    elements, fibers = enum_tables(p)
     zero = ((0, 0),)
+    leads = tuple(sorted(fiber_minima(p)[1:]))
     minima = [()] + [(m,) for m in fiber_minima(p)[1:]]
     return [[zero] * (d - 1) + [minima]] + [
         [zero] * k + [leads] + [elements] * (d - 2 - k) + [fibers]
@@ -399,27 +399,25 @@ def canonical_segments(p: int, d: int) -> list:
 
 def walk_prefixes(
     p: int,
-    d: int,
     target: int,
     segment: list,
     start: int = 0,
     stop: int | None = None,
 ):
-    """Yield (parent, children) for parents start..stop-1 of one segment
-    of a walk of dimension d >= 2.
+    """Yield (parent, children) for parents start..stop-1 of one segment.
 
-    A segment is a list of d entries: d - 1 sorted lists of (re, im)
-    pairs, the choices of amplitudes 0..d-2, and last the completions of
-    amplitude d - 1 by norm, completions[c] the sorted choices of norm c
-    (the fibers when it is free; sized where only counted).  Its states
-    are those of norm target whose amplitude i is one of choices i.  A
-    prefix is a state's first d - 1 amplitudes, its parent the first
-    d - 2; parents come in lexicographic order, and start and stop count
-    them.  children holds one (y, c, completions[c]) per choice y of
-    amplitude d - 2, in order, c the norm the last amplitude must carry
-    to bring the total to target.  Children depend only on the parent's
-    norm, so parents share one children tuple per norm, built when first
-    needed.
+    A segment of dimension d >= 2 is a list of d entries: d - 1 sorted
+    lists of (re, im) pairs, the choices of amplitudes 0..d-2, and last
+    the completions of amplitude d - 1 by norm, completions[c] the sorted
+    choices of norm c (the fibers when it is free; sized where only
+    counted).  Its states are those of norm target whose amplitude i is
+    one of choices i.  A prefix is a state's first d - 1 amplitudes, its
+    parent the first d - 2; parents come in lexicographic order, and
+    start and stop count them.  children holds one (y, c, completions[c])
+    per choice y of amplitude d - 2, in order, c the norm the last
+    amplitude must carry to bring the total to target.  Children depend
+    only on the parent's norm, so parents share one children tuple per
+    norm, built when first needed.
     """
     target %= p
     completions = segment[-1]
@@ -458,11 +456,11 @@ def iter_norm_prefixes(
     if canonical_only and target:
         expected //= p + 1
     check_budget(p, p ** (2 * (d - 1)), budget, expected)
-    elements, fibers, _ = enum_tables(p)
+    elements, fibers = enum_tables(p)
     full = [[elements] * (d - 1) + [fibers]]
     segments = canonical_segments(p, d) if canonical_only else full
     return chain.from_iterable(
-        walk_prefixes(p, d, target, segment) for segment in segments
+        walk_prefixes(p, target, segment) for segment in segments
     )
 
 

@@ -51,12 +51,16 @@ def mask_bits(mask: int, n: int) -> str:
 
 @contextmanager
 def _sink(out: str):
-    """out opened for writing, or stdout for '-'."""
+    """out opened for writing, or stdout for '-'; DqcError if it cannot be."""
     if out == "-":
         yield sys.stdout
-    else:
-        with open(out, "w", encoding="utf-8", buffering=1 << 16) as sink:
-            yield sink
+        return
+    try:
+        sink = open(out, "w", encoding="utf-8", buffering=1 << 16)
+    except OSError as exc:
+        raise DqcError(f"cannot write {out}: {exc.strerror}") from exc
+    with sink:
+        yield sink
 
 
 def _layout(fmt: str, header: list) -> tuple:

@@ -169,7 +169,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from functools import lru_cache
 from math import prod
 
 from .basefield import ComplexifiablePrime
@@ -571,7 +570,6 @@ def census_prefixes(p: int, n: int) -> int:
     return 2 * p ** (n - 1 + 2 * free) + (p - 1) * p ** (n - 1 + 2 * free - extra)
 
 
-@lru_cache(maxsize=None)
 def census_segments(p: int, n: int) -> list:
     """The census's walk as (segment, held, scale) triples, one
     walk_prefixes segment each, split by the top qubit's first pair
@@ -580,9 +578,8 @@ def census_segments(p: int, n: int) -> list:
     norms, then the zero pair.  A prefix of the segment stands for
     scale * (p + 1)**k unit states, k its nonzero amplitudes at the
     positions in held, which are 0 or a fiber minimum.  Below n = 3 no
-    position is free, so no p**2 table is read.  Built once per (p, n),
-    since census_tally and each of its blocks read it; callers must not
-    change it."""
+    position is free, so no p**2 table is read.  census_tally builds it
+    once per tally and sends each triple to its blocks."""
     minima = fiber_minima(p)
     zero = ((0, 0),)
     generic_scale = p * (p - 1) * (p + 1)
@@ -613,8 +610,9 @@ def census_segments(p: int, n: int) -> list:
 
 def _tally_block(args) -> list:
     """Count the weighted states of one block of the census's parents,
-    args (p, n, index, start, stop): parents start..stop-1 of segment
-    index of census_segments(p, n).
+    args (p, n, (segment, held, scale), start, stop): parents
+    start..stop-1 of one census_segments(p, n) triple, which the block
+    carries.
 
     Returns [maximal, unentangled, purities[0], ..., purities[p - 1]],
     purities[s] the states of sum_sq s.  A prefix whose sum_sq is
@@ -623,9 +621,8 @@ def _tally_block(args) -> list:
     1 + chi(w - (s - qs)**2) completions at every sum_sq s.  A prefix
     counts its segment's weight, scale * (p + 1)**k (census_segments).
     """
-    p, n, index, start, stop = args
+    p, n, (segment, held, scale), start, stop = args
     d = 1 << n
-    segment, held, scale = census_segments(p, n)[index]
     points = _line_points(p)
     maximal = unentangled = 0
     purities = [0] * p
@@ -633,7 +630,7 @@ def _tally_block(args) -> list:
     held_heads = [i for i in held if i < d - 2]
     tail_held = d - 2 in held
     weights = [scale * (p + 1) ** k for k in range(len(held) + 1)]
-    for parent, children in walk_prefixes(p, d, 1, segment, start, stop):
+    for parent, children in walk_prefixes(p, 1, segment, start, stop):
         passes = parent_forms(p, n, parent)
         k = sum(parent[i] != (0, 0) for i in held_heads)
         for y, c, completions in children:
@@ -665,20 +662,20 @@ def census_tally(
     of its parents, so no block crosses a segment and one worker runs
     one block per segment.  The blocks' lists add column by column, so
     the tally is independent of the thread count and block layout; a
-    walk of fewer than
-    POOL_MIN_PREFIXES prefixes starts no pool, a larger one no more
-    workers than usable CPUs.  Every column sum is p + 1 times a count
-    of irreducible states; a remainder raises DqcError.  Partial and
-    purity-one non-products follow by subtraction (module docstring).
+    walk of fewer than POOL_MIN_PREFIXES prefixes starts no pool, a
+    larger one no more workers than usable CPUs.  Every column sum is
+    p + 1 times a count of irreducible states; a remainder raises
+    DqcError.  Partial and purity-one non-products follow by subtraction
+    (module docstring).
     """
     p = prime.p
     prefixes = census_prefixes(p, n)
     check_budget(p, prefixes, budget, irreducible_count(p, 1 << n))
     workers = 1 if prefixes < POOL_MIN_PREFIXES else min(threads, usable_cpus())
     args = [
-        (p, n, index, start, stop)
-        for index, (segment, _, _) in enumerate(census_segments(p, n))
-        for start, stop in prefix_blocks(prod(map(len, segment[:-2])), workers)
+        (p, n, walk, start, stop)
+        for walk in census_segments(p, n)
+        for start, stop in prefix_blocks(prod(map(len, walk[0][:-2])), workers)
     ]
     totals = [sum(column) for column in zip(*run_blocks(_tally_block, args, workers))]
     if any(total % (p + 1) for total in totals):

@@ -199,17 +199,16 @@ def test_norm_histograms_match_the_literal_convolution():
 def test_fiber_sizes_and_minima_against_the_tables():
     # the fact counting rests on: the fiber of norm 0 is {0} and every
     # other has p + 1 elements; fiber_minima, built from square roots, is
-    # each fiber's first element, and leads the sorted nonzero ones.
-    # Built unmemoized, so the session's table cache keeps no large p
+    # each fiber's first element.  Built unmemoized, so the session's
+    # table cache keeps no large p
     primes = [p for p in range(3, 200, 4) if is_prime(p)]
     assert len(primes) == 24
     for p in primes:
-        elements, fibers, leads = census.enum_tables.__wrapped__(p)
+        _, fibers = census.enum_tables.__wrapped__(p)
         assert [len(f) for f in fibers] == [1] + [p + 1] * (p - 1)
         assert fibers[0] == ((0, 0),)
         minima = census.fiber_minima(p)
         assert minima == tuple(f[0] for f in fibers)
-        assert leads == tuple(sorted(minima[1:]))
 
 
 def test_counters_match_closed_forms_on_grid():
@@ -324,7 +323,7 @@ def test_canonical_walk_matches_literal_filter():
             groups = [
                 group
                 for segment in census.canonical_segments(p, d)
-                for group in census.walk_prefixes(p, d, 1, segment)
+                for group in census.walk_prefixes(p, 1, segment)
             ]
             walked = [
                 (parent + (y,), c, completions)
@@ -351,7 +350,7 @@ def test_one_qubit_walks_stay_quadratic():
     # the children of every parent norm (p**3 entries, about 125 MB at
     # p = 101); the canonical one needs none of them, the full one one
     p = 101
-    elements, fibers, _ = census.enum_tables(p)
+    elements, fibers = census.enum_tables(p)
     for segments, prefixes in (
         (census.canonical_segments(p, 2), p),
         ([[elements, fibers]], p * p),
@@ -359,7 +358,7 @@ def test_one_qubit_walks_stay_quadratic():
         walked, peak = traced_peak(lambda: sum(
             len(children)
             for segment in segments
-            for _, children in census.walk_prefixes(p, 2, 1, segment)
+            for _, children in census.walk_prefixes(p, 1, segment)
         ))
         assert walked == prefixes
         assert peak < 20_000_000

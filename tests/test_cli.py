@@ -764,3 +764,26 @@ def test_verify_out_file(tmp_path, capsys):
     doc = json.loads(target.read_text())
     assert doc["verified"] is True
     assert doc["enumerated"]["maxent_irreducible"] == "216"
+
+
+def test_unopenable_out_exits_1_without_traceback(tmp_path, capsys):
+    # every subcommand opens --out in one place, which turns the OSError
+    # into one line on stderr and exit 1, with nothing on stdout
+    commands = (
+        ["verify", "--p", "3", "--n", "1"],
+        ["tables", "--p", "3", "--n", "1"],
+        ["bloch", "--p", "3"],
+        ["enumerate", "--p", "3", "--n", "1"],
+        ["classify", "--p", "3", "--n", "1"],
+    )
+    targets = (
+        (tmp_path / "missing" / "x", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+    )
+    for argv in commands:
+        for target, reason in targets:
+            code, out, err = run(capsys, *argv, "--out", str(target))
+            assert code == 1
+            assert out == ""
+            assert err == f"error: cannot write {target}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []

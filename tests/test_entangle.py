@@ -1,4 +1,5 @@
 import itertools
+import multiprocessing
 import random
 import time
 from collections import Counter
@@ -22,6 +23,7 @@ from dqc import (
     separable_qubits,
     validate_prime,
 )
+import dqc.census as census
 import dqc.entangle as entangle
 from dqc.census import (
     enum_tables,
@@ -297,7 +299,7 @@ def test_census_walk_is_the_held_slice(f3, f7):
         walked = []
         for segment, _, _ in segments:
             states = []
-            for parent, children in walk_prefixes(p, d, 1, segment):
+            for parent, children in walk_prefixes(p, 1, segment):
                 for y, c, completions in children:
                     assert len(completions) == len(fibers[c])
                     states += [parent + (y, x) for x in fibers[c]]
@@ -388,7 +390,7 @@ def test_u2_orbits_on_pairs_at_p3():
 
 
 def census_blocks(monkeypatch, prime, n, threads):
-    """The (p, n, index, start, stop) args of census_tally's blocks."""
+    """The (p, n, walk, start, stop) args of census_tally's blocks."""
     calls = []
 
     def capture(worker, args_list, threads):
@@ -405,22 +407,23 @@ def test_census_blocks_cover_weighted_slice(monkeypatch, f3, f7):
     # weighted slices once, in order, for any thread count, and each
     # block stays in one segment; one worker runs one block per segment
     for fld, n in ((f3, 2), (f7, 2), (f3, 3)):
-        segments = [segment for segment, _, _ in census_segments(fld.p, n)]
+        walks = census_segments(fld.p, n)
         whole = [
             prefix
-            for segment in segments
-            for prefix in walk_prefixes(fld.p, 1 << n, 1, segment)
+            for segment, _, _ in walks
+            for prefix in walk_prefixes(fld.p, 1, segment)
         ]
         for threads in range(1, 6):
             blocks = census_blocks(monkeypatch, fld, n, threads)
+            assert all((p, m) == (fld.p, n) for p, m, _, _, _ in blocks)
             walked = [
                 prefix
-                for p, m, index, start, stop in blocks
-                for prefix in walk_prefixes(p, 1 << m, 1, segments[index], start, stop)
+                for _, _, (segment, _, _), start, stop in blocks
+                for prefix in walk_prefixes(fld.p, 1, segment, start, stop)
             ]
             assert walked == whole
             if threads == 1:
-                assert [index for _, _, index, _, _ in blocks] == [0, 1, 2]
+                assert [walk for _, _, walk, _, _ in blocks] == walks
 
 
 def test_isotropic_gram_determinant_is_entangled(f3):
@@ -619,6 +622,25 @@ def test_census_tally_thread_invariant(f3):
         assert census_tally(f3, 2, threads=threads) == one
 
 
+def test_census_is_the_same_under_every_start_method(f3, monkeypatch):
+    # spawn (the default on macOS) and forkserver (on Linux from Python
+    # 3.14) start workers that inherit no module state from the parent,
+    # so each block must carry all that it reads.  17,496 prefixes at
+    # p=3 n=3 start a pool of two workers
+    one = census_tally(f3, 3, threads=1)
+    monkeypatch.setattr(entangle, "usable_cpus", lambda: 2)
+    for method in ("spawn", "forkserver"):
+        starts = []
+
+        def pool(processes, method=method):
+            starts.append(processes)
+            return multiprocessing.get_context(method).Pool(processes)
+
+        monkeypatch.setattr(census, "Pool", pool)
+        assert census_tally(f3, 3, threads=2) == one
+        assert starts == [2]
+
+
 def test_census_tally_matches_canonical_oracle(f3, f7, f11):
     # the weighted walk against the canonical one, which counts one
     # state per phase class with no weights, in every class and bin
@@ -777,14 +799,13 @@ def test_counted_blocks_match_per_state_on_p3_n3_slice(f3, monkeypatch):
     rng = random.Random(17)
     sampled = 0
     fibers = enum_tables(3)[1]
-    segments = [segment for segment, _, _ in census_segments(3, 3)]
     monkeypatch.setattr(entangle, "usable_cpus", lambda: 2)
     blocks = census_blocks(monkeypatch, f3, 3, threads=2)
     assert len(blocks) == 24
     for block in blocks:
-        _, _, index, start, stop = block
+        _, _, (segment, _, _), start, stop = block
         want = Counter()
-        for parent, children in walk_prefixes(3, 8, 1, segments[index], start, stop):
+        for parent, children in walk_prefixes(3, 1, segment, start, stop):
             passes = parent_forms(3, 3, parent)
             for y, c, completions in children:
                 assert len(completions) == len(fibers[c])
