@@ -162,14 +162,16 @@ def zero_norm_by_recurrence(prime: ComplexifiablePrime, d_max: int) -> list:
     every vector of nonzero norm -c is fixed by the p + 1 completions
     of fiber(c), giving
 
-        zeta(d+1) = zeta(d) + (p + 1) * (p**(2d) - zeta(d)).
+        zeta(d+1) = zeta(d) + (p + 1) * (p**(2d) - zeta(d)),
 
-    verify compares the terms with the closed form zero_norm_count.
+    with p**(2d) kept as a running power.  verify compares the terms
+    with the closed form.
     """
     p = prime.p
-    out = [1]  # dimension 1: only the zero vector
-    for d in range(1, d_max):
-        out.append(out[-1] + (p + 1) * (p ** (2 * d) - out[-1]))
+    out, power = [1], p * p  # dimension 1: only the zero vector
+    for _ in range(1, d_max):
+        out.append(out[-1] + (p + 1) * (power - out[-1]))
+        power *= p * p
     return out[:d_max]
 
 
@@ -359,12 +361,11 @@ def count_irreducible(prime: ComplexifiablePrime, n: int) -> int:
     """Count canonical unit-norm states by the fiber-min filter.
 
     A canonical state is k leading zeros, the fiber minimum of some
-    nonzero norm t, then a tail of norm 1 - t; the tail is any vector of
-    dimension D - 1 - k, for k = 0..D-1.
+    nonzero norm t, then a tail of norm 1 - t, any norm but 1; the tail
+    is any vector of dimension D - 1 - k, for k = 0..D-1.
     """
-    p = prime.p
-    tails = norm_histograms(p, (1 << n) - 1)
-    return sum(tail[(1 - t) % p] for tail in tails for t in range(1, p))
+    tails = norm_histograms(prime.p, (1 << n) - 1)
+    return sum(sum(tail) - tail[1] for tail in tails)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -511,59 +512,64 @@ def full_scan_norm_counts(prime: ComplexifiablePrime, d: int) -> dict:
 # -- sampled invariant checks -------------------------------------------------
 
 def sample_unit_amps(prime: ComplexifiablePrime, d: int, rng: random.Random) -> tuple:
-    """One unit-norm amplitude tuple, uniform over the unit sphere, in
-    O(d) draws.
+    """One unit-norm amplitude tuple, uniform on the unit sphere, in O(d) steps.
 
-    The first d - 1 amplitudes are uniform and leave the last one the
-    norm c.  For c != 0 it is r z, for z != 0 drawn until t = c / N(z)
-    is a square and r its smaller root (prime.sqrt): each point x of the
-    circle N(x) = c comes from the (p - 1) / 2 values z = x / s with
-    1 <= s <= (p - 1) / 2, so the p + 1 points are equally likely.  The
-    circle N(x) = 0 is the one point 0, so that completion is kept with
-    probability 1 / (p + 1) and the whole draw is repeated otherwise.
-    Each element of F_p[i] is one draw, divmod(randrange(p**2), p).
+    The first d - 1 amplitudes are uniform, k = max(1, 64 // bits(p**2))
+    of them the base-p**2 digits of one randrange(p**(2k)), and leave
+    the last one the norm c.  For c != 0 it is (s / N(z)) z, z from one
+    randrange(1, p**2) until c N(z) has a smaller root s (prime.sqrt):
+    z = x / r gives x when c / r is that root and -x otherwise, so each
+    point x of the circle N(x) = c comes from (p - 1) / 2 values of z.
+    The circle N(x) = 0 is the one point 0, so that completion is kept
+    with probability 1 / (p + 1) and the whole draw is repeated otherwise.
     """
     p = prime.p
     pp = p * p
+    per = max(1, 64 // pp.bit_length())
     while True:
-        head = tuple(divmod(rng.randrange(pp), p) for _ in range(d - 1))
-        c = (1 - sum(fnorm(p, x) for x in head)) % p
-        if not c:
+        head, c = [], 1
+        for left in range(d - 1, 0, -per):
+            r = rng.randrange(pp ** min(per, left))
+            for _ in range(min(per, left)):
+                r, x = divmod(r, pp)
+                a, b = divmod(x, p)
+                c -= a * a + b * b
+                head.append((a, b))
+        if not c % p:
             if not rng.randrange(p + 1):
-                return head + ((0, 0),)
+                return (*head, (0, 0))
             continue
         while True:
-            z = divmod(rng.randrange(pp), p)
-            if z != (0, 0):
-                roots = prime.sqrt(c * pow(fnorm(p, z), p - 2, p))
-                if roots:
-                    return head + ((roots[0] * z[0] % p, roots[0] * z[1] % p),)
+            z = divmod(rng.randrange(1, pp), p)
+            roots = prime.sqrt(c * fnorm(p, z))
+            if roots:
+                s = roots[0] * pow(fnorm(p, z), p - 2, p) % p
+                return (*head, (s * z[0] % p, s * z[1] % p))
 
 
 def random_phase(prime: ComplexifiablePrime, rng: random.Random):
-    """A random norm-1 scalar: z / conj(z) for random z != 0."""
+    """A random norm-1 scalar z / conj(z), from one draw of z != 0."""
     p = prime.p
-    while True:
-        z = divmod(rng.randrange(p * p), p)
-        if z != (0, 0):
-            return cmul(p, z, cinv(p, conj(p, z)))
+    z = divmod(rng.randrange(1, p * p), p)
+    return cmul(p, z, cinv(p, conj(p, z)))
 
 
 def spot_invariants(prime: ComplexifiablePrime, d: int, seed: int) -> bool:
     """Randomized sanity checks that need no enumeration budget.
 
-    Verifies on 32 sampled states/elements: conjugation agrees with the
+    Verifies in 32 rounds of an x, y pair, a phase and two unit samples,
+    calling each function it checks: conjugation agrees with the
     Frobenius power, field-norm multiplicativity, phase invariance of
     the vector norm, and conjugate symmetry of cdot, the Hermitian
-    product of StateVector.hdot.  O(d) draws per sample, so cheap even
+    product of StateVector.hdot.  O(d) steps per round, so cheap even
     at the largest supported p.
     """
     p = prime.p
     pp = p * p
     rng = random.Random(seed)
     for _ in range(32):
-        x = divmod(rng.randrange(pp), p)
-        y = divmod(rng.randrange(pp), p)
+        x, y = divmod(rng.randrange(pp * pp), pp)
+        x, y = divmod(x, p), divmod(y, p)
         if conj(p, x) != frobenius(p, x):
             return False
         if fnorm(p, cmul(p, x, y)) != fnorm(p, x) * fnorm(p, y) % p:
@@ -612,10 +618,12 @@ def verify(
     p = prime.p
     d = 1 << n
     rep = closed_form_counts(prime, d)
-    rep.checks["zero_norm_recurrence"] = (
-        [zero_norm_count(p, k) for k in range(1, d + 1)],
-        zero_norm_by_recurrence(prime, d),
-    )
+    # zero_norm_count(p, k) = p**(2k-1) +- (p-1) p**(k-1), + for even k
+    closed, low, high = [], p - 1, p
+    for k in range(1, d + 1):
+        closed.append(high - low if k % 2 else high + low)
+        low, high = low * p, high * p * p
+    rep.checks["zero_norm_recurrence"] = closed, zero_norm_by_recurrence(prime, d)
     rep.checks["spot_invariants"] = True, spot_invariants(prime, d, seed)
 
     try:

@@ -105,22 +105,22 @@ def _write_rows(args: argparse.Namespace, header: list, lines) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Write every cell's report, a failing one with verified false, and
-    exit 1 if any failed."""
+    exit 1 if any failed.  Every prime is validated and --out opened
+    before the first cell is verified."""
+    cells = _per_cell(args, lambda prime, n: (prime, n))
     reports, failed = [], False
-    for p in args.primes:
-        prime = validate_prime(p)
-        for n in args.n_values:
+    with _sink(args.out) as sink:
+        for prime, n in cells:
             try:
                 rep = census.verify(
                     prime, n, budget=args.budget, threads=args.threads, seed=args.seed
                 )
             except VerificationFailed as exc:
                 rep, failed = exc.report, True
-                print(f"verification failed: p={p} n={n}: {exc}", file=sys.stderr)
+                print(f"verification failed: p={prime.p} n={n}: {exc}", file=sys.stderr)
             for note in rep.notes:
-                print(f"note: p={p} n={n}: {note}", file=sys.stderr)
+                print(f"note: p={prime.p} n={n}: {note}", file=sys.stderr)
             reports.append(rep.to_json_dict())
-    with _sink(args.out) as sink:
         json.dump(reports[0] if len(reports) == 1 else reports, sink, indent=2)
         sink.write("\n")
     return 1 if failed else 0

@@ -53,11 +53,13 @@ def fnorm(p: int, x: GFc) -> int:
 
 
 def cdot(p: int, xs, ys) -> GFc:
-    """Hermitian product sum(conj(x) * y) of two amplitude sequences."""
-    acc = ZERO
-    for x, y in zip(xs, ys):
-        acc = cadd(p, acc, cmul(p, conj(p, x), y))
-    return acc
+    """Hermitian product sum(conj(x) * y) of two amplitude sequences, its
+    parts summed as integers and reduced once."""
+    re = im = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        re += a * c + b * d
+        im += a * d - b * c
+    return (re % p, im % p)
 
 
 def cinv(p: int, x: GFc) -> GFc:

@@ -145,6 +145,15 @@ def test_zero_norm_recurrence_long_run(f3, f7):
         assert seq[-1] == zero_norm_count(fld.p, 64)
 
 
+def test_verify_zero_norm_closed_forms_match_the_single_term_form():
+    # verify builds its closed-form list from running powers; at n = 6,
+    # D = 64, every term must equal zero_norm_count's own
+    for p in (3, 7, 11, 19):
+        expected, found = verify(validate_prime(p), 6).checks["zero_norm_recurrence"]
+        assert expected == [zero_norm_count(p, k) for k in range(1, 65)]
+        assert found == expected
+
+
 def test_verify_records_the_zero_norm_recurrence(f3, monkeypatch):
     # verify compares every term of the recurrence with the closed form,
     # as one check of the report
@@ -649,6 +658,14 @@ def test_verify_budget_skip_keeps_closed_forms(f19):
     }
 
 
+class CountingRandom(random.Random):
+    calls = 0
+
+    def randrange(self, *args):
+        self.calls += 1
+        return super().randrange(*args)
+
+
 def test_sample_unit_amps_is_uniform_in_few_draws(f3):
     # seeded: at p=3 d=2 each of the 24 unit states is drawn about equally
     # often (chi-square with 23 degrees of freedom below its 0.999
@@ -659,13 +676,6 @@ def test_sample_unit_amps_is_uniform_in_few_draws(f3):
     assert sorted(draws) == brute_vectors(3, 2, norm=1)
     assert sum((k - 500) ** 2 / 500 for k in draws.values()) < 49.7
 
-    class CountingRandom(random.Random):
-        calls = 0
-
-        def randrange(self, *args):
-            self.calls += 1
-            return super().randrange(*args)
-
     big = validate_prime(10007)
     rng = CountingRandom(31)
     for d in (1, 2, 4, 8):
@@ -675,6 +685,25 @@ def test_sample_unit_amps_is_uniform_in_few_draws(f3):
             assert len(amps) == d
             assert sum(a * a + b * b for a, b in amps) % 10007 == 1
         assert rng.calls < 100 * (d + 8)
+
+
+def test_sample_unit_amps_draws_several_amplitudes_at_once(f3):
+    # one draw is decoded into several amplitudes: at p=3 d=3 both head
+    # amplitudes come from one randrange, and each of the 252 unit
+    # vectors is still drawn about equally often (chi-square with 251
+    # degrees of freedom below its 0.999 quantile, about 326)
+    rng = random.Random(41)
+    draws = Counter(sample_unit_amps(f3, 3, rng) for _ in range(252 * 200))
+    assert sorted(draws) == brute_vectors(3, 3, norm=1)
+    assert sum((k - 200) ** 2 / 200 for k in draws.values()) < 326
+    # and a long head takes far fewer draws than amplitudes
+    d, samples = 4096, 20
+    rng = CountingRandom(43)
+    for _ in range(samples):
+        amps = sample_unit_amps(f3, d, rng)
+        assert len(amps) == d
+        assert sum(a * a + b * b for a, b in amps) % 3 == 1
+    assert rng.calls < samples * d / 8
 
 
 def test_verify_seed_changes_samples_not_outcome(f7):

@@ -766,6 +766,35 @@ def test_verify_out_file(tmp_path, capsys):
     assert doc["enumerated"]["maxent_irreducible"] == "216"
 
 
+def test_verify_checks_primes_and_out_before_the_first_cell(
+    tmp_path, capsys, monkeypatch
+):
+    # an unopenable --out, or a bad modulus anywhere in the list, fails
+    # before any cell is verified, and a bad modulus writes no file
+    calls = []
+    verify = census.verify
+    monkeypatch.setattr(
+        census, "verify", lambda *a, **k: calls.append(a) or verify(*a, **k)
+    )
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "verify", "--p", "3", "--n", "1", "--out", str(target))
+    assert (code, out, calls) == (1, "", [])
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    target = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "verify", "--p-list", "3,5", "--n", "1", "--out", str(target)
+    )
+    assert (code, out, calls) == (2, "", [])
+    assert "usage error" in err
+    assert not target.exists()
+    # and a good run still verifies every cell once
+    code, _, _ = run(
+        capsys, "verify", "--p-list", "3,7", "--n", "1", "--out", str(target)
+    )
+    assert code == 0 and len(calls) == 2
+    assert [doc["p"] for doc in json.loads(target.read_text())] == [3, 7]
+
+
 def test_unopenable_out_exits_1_without_traceback(tmp_path, capsys):
     # every subcommand opens --out in one place, which turns the OSError
     # into one line on stderr and exit 1, with nothing on stdout
