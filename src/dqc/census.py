@@ -17,11 +17,11 @@ omega / (p + 1) irreducible states.  All of this is big-int exact.
 Counting
 --------
 The zero-norm, unit-norm and irreducible counts depend only on how
-many elements each norm fiber holds, so they are read from norm
-histograms: the D-fold cyclic convolution of the fiber sizes
-[1, p+1, ..., p+1], in O(D * p) steps with no table.  They take no
-budget.  The naive full scan, which walks every vector, is the
-independent oracle for the histograms.
+many elements each norm fiber holds, so they are read from norm_counts:
+the D-fold cyclic convolution of the fiber sizes [1, p+1, ..., p+1],
+whose nonzero bins stay equal, so two numbers per dimension carry it,
+in O(D) steps with no table.  They take no budget.  The naive full
+scan, which walks every vector, is the independent oracle for them.
 
 Enumeration
 -----------
@@ -74,6 +74,7 @@ from __future__ import annotations
 import gc
 import os
 import random
+from collections import deque
 from functools import lru_cache
 from itertools import chain, islice, product
 
@@ -156,23 +157,9 @@ def maxent_to_unentangled_ratio(p: int, n: int):
 
 
 def zero_norm_by_recurrence(prime: ComplexifiablePrime, d_max: int) -> list:
-    """Zero-norm counts for d = 1..d_max via the completion recurrence.
-
-    Extending a zero-norm vector keeps norm 0 one way (append 0), and
-    every vector of nonzero norm -c is fixed by the p + 1 completions
-    of fiber(c), giving
-
-        zeta(d+1) = zeta(d) + (p + 1) * (p**(2d) - zeta(d)),
-
-    with p**(2d) kept as a running power.  verify compares the terms
-    with the closed form.
-    """
-    p = prime.p
-    out, power = [1], p * p  # dimension 1: only the zero vector
-    for _ in range(1, d_max):
-        out.append(out[-1] + (p + 1) * (power - out[-1]))
-        power *= p * p
-    return out[:d_max]
+    """Zero-norm counts for d = 1..d_max, the zero column of norm_counts:
+    zeta(d+1) = (p + 1) * p**(2d) - p * zeta(d)."""
+    return [zero for zero, _ in islice(norm_counts(prime.p, d_max), 1, None)]
 
 
 # -- count report -----------------------------------------------------------
@@ -338,34 +325,39 @@ def run_blocks(worker, args_list: list, threads: int) -> list:
 
 # -- counting by convolution ----------------------------------------------------
 
-def norm_histograms(p: int, d: int) -> list:
-    """hists[m][c] is the number of m-vectors of norm c, for m = 0..d.
+def norm_counts(p: int, d: int):
+    """Yield (zero, other) for m = 0..d: how many m-vectors have norm 0
+    and how many have each nonzero norm.
 
-    A vector's norm is the sum of its amplitudes' norms, so the cyclic
-    convolution of a histogram h with the fiber sizes [1, p+1, ..., p+1]
-    gives the next, h[c] + (p + 1) (sum(h) - h[c]), in O(p).
+    Norms add, and the fiber of norm 0 has 1 element and every other
+    p + 1, so the histogram h of the p**(2m) m-vectors by norm steps to
+    h'[c] = (p + 1) p**(2m) - p h[c], each bin from itself and the total
+    alone: the nonzero bins, equal at m = 0, stay equal, and two numbers
+    and a running power carry it, O(d) in all.
     """
-    hists = [[1] + [0] * (p - 1)]
+    zero, other, power = 1, 0, 1
+    yield zero, other
     for _ in range(d):
-        total = (p + 1) * sum(hists[-1])
-        hists.append([total - p * h for h in hists[-1]])
-    return hists
+        spread = (p + 1) * power
+        zero, other, power = spread - p * zero, spread - p * other, power * p * p
+        yield zero, other
 
 
 def count_norm_class(prime: ComplexifiablePrime, d: int, target: int) -> int:
-    """Count vectors of the given norm from the norm histogram."""
-    return norm_histograms(prime.p, d)[d][target % prime.p]
+    """Count vectors of the given norm from norm_counts' last pair."""
+    zero, other = deque(norm_counts(prime.p, d), maxlen=1).pop()
+    return other if target % prime.p else zero
 
 
 def count_irreducible(prime: ComplexifiablePrime, n: int) -> int:
     """Count canonical unit-norm states by the fiber-min filter.
 
     A canonical state is k leading zeros, the fiber minimum of some
-    nonzero norm t, then a tail of norm 1 - t, any norm but 1; the tail
-    is any vector of dimension D - 1 - k, for k = 0..D-1.
+    nonzero norm t, then a tail of norm 1 - t, any norm but 1 (0 or p - 2
+    nonzero norms), of dimension D - 1 - k, for k = 0..D-1.
     """
-    tails = norm_histograms(prime.p, (1 << n) - 1)
-    return sum(sum(tail) - tail[1] for tail in tails)
+    tails = norm_counts(prime.p, (1 << n) - 1)
+    return sum(zero + (prime.p - 2) * other for zero, other in tails)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -376,9 +368,9 @@ def check_budget(p: int, prefixes: int, budget: int, closed_form: int | None = N
     entries of enum_tables, read or not.
 
     The floor also bounds the O(p) work no prefix count shows, such as
-    fiber_minima, which every census reads, and verify's O(D p) norm
-    histograms: a 1-qubit census walks one prefix, so at p = 2**61 - 1
-    only the floor keeps verify from a loop over 2**60 squares."""
+    fiber_minima, which every census reads: a 1-qubit census walks one
+    prefix, so at p = 2**61 - 1 only the floor keeps verify from a loop
+    over 2**60 squares."""
     charge = max(prefixes, p * p)
     if charge > budget:
         raise BudgetExceeded(charge, budget, closed_form)
@@ -609,21 +601,26 @@ def verify(
     refuses before it walks.  The Maximal count has a closed form only
     for n <= 2; for n >= 3 it is reported in enumerated alone.  Below the
     scan limit the naive full scan's norm histogram is checked too.  The
-    first check whose two values differ raises VerificationFailed
-    carrying both and the finished report; a budget skip is recorded as
-    a note instead.
+    zero-norm check records (k, closed form), (k, recurrence) at the
+    first dimension k where they differ, else k = D.  The first check
+    whose two values differ raises VerificationFailed carrying both and
+    the finished report; a budget skip is recorded as a note instead.
     """
     from .entangle import census_tally  # deferred: entangle imports this module
 
+    if n < 1:
+        raise DqcError(f"qubit count must be >= 1, got {n}")
     p = prime.p
     d = 1 << n
     rep = closed_form_counts(prime, d)
     # zero_norm_count(p, k) = p**(2k-1) +- (p-1) p**(k-1), + for even k
-    closed, low, high = [], p - 1, p
-    for k in range(1, d + 1):
-        closed.append(high - low if k % 2 else high + low)
+    low, high = p - 1, p
+    for k, (zero, _) in enumerate(islice(norm_counts(p, d), 1, None), 1):
+        closed = high - low if k % 2 else high + low
+        if closed != zero:
+            break
         low, high = low * p, high * p * p
-    rep.checks["zero_norm_recurrence"] = closed, zero_norm_by_recurrence(prime, d)
+    rep.checks["zero_norm_recurrence"] = (k, closed), (k, zero)
     rep.checks["spot_invariants"] = True, spot_invariants(prime, d, seed)
 
     try:

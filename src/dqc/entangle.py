@@ -665,9 +665,11 @@ def census_tally(
     walk of fewer than POOL_MIN_PREFIXES prefixes starts no pool, a
     larger one no more workers than usable CPUs.  Every column sum is
     p + 1 times a count of irreducible states; a remainder raises
-    DqcError.  Partial and purity-one non-products follow by subtraction
-    (module docstring).
+    DqcError, as does n < 1.  Partial and purity-one non-products follow
+    by subtraction (module docstring).
     """
+    if n < 1:
+        raise DqcError(f"qubit count must be >= 1, got {n}")
     p = prime.p
     prefixes = census_prefixes(p, n)
     check_budget(p, prefixes, budget, irreducible_count(p, 1 << n))

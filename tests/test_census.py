@@ -145,31 +145,39 @@ def test_zero_norm_recurrence_long_run(f3, f7):
         assert seq[-1] == zero_norm_count(fld.p, 64)
 
 
-def test_verify_zero_norm_closed_forms_match_the_single_term_form():
-    # verify builds its closed-form list from running powers; at n = 6,
-    # D = 64, every term must equal zero_norm_count's own
+def test_verify_zero_norm_closed_forms_match_the_single_term_form(monkeypatch):
+    # verify makes its closed forms from running powers; with the
+    # recurrence's zero column replaced by zero_norm_count's own terms,
+    # the check must still agree up to k = D = 64, so every running-power
+    # term equals the single-term form
+    def single_term_counts(p, d):
+        return ((zero_norm_count(p, m), None) for m in range(d + 1))
+
+    monkeypatch.setattr(census, "norm_counts", single_term_counts)
     for p in (3, 7, 11, 19):
-        expected, found = verify(validate_prime(p), 6).checks["zero_norm_recurrence"]
-        assert expected == [zero_norm_count(p, k) for k in range(1, 65)]
-        assert found == expected
+        record = verify(validate_prime(p), 6).checks["zero_norm_recurrence"]
+        assert record == ((64, zero_norm_count(p, 64)),) * 2
 
 
 def test_verify_records_the_zero_norm_recurrence(f3, monkeypatch):
     # verify compares every term of the recurrence with the closed form,
-    # as one check of the report
-    assert verify(f3, 2).checks["zero_norm_recurrence"] == ([1, 33, 225, 2241],) * 2
-    # a wrong term fails the cell with both lists and the finished report
+    # as one check of the report that holds the last term compared
+    assert verify(f3, 2).checks["zero_norm_recurrence"] == ((4, 2241), (4, 2241))
+    # a wrong term, one zero-norm 3-vector too many, fails the cell at its
+    # dimension, with the finished report
+    counts = census.norm_counts
     monkeypatch.setattr(
-        census, "zero_norm_by_recurrence", lambda prime, d: [1, 33, 226, 2241]
+        census,
+        "norm_counts",
+        lambda p, d: ((z + (m == 3), o) for m, (z, o) in enumerate(counts(p, d))),
     )
     with pytest.raises(VerificationFailed) as exc:
         verify(f3, 2)
     assert exc.value.field_name == "zero_norm_recurrence"
-    assert (exc.value.expected, exc.value.found) == (
-        [1, 33, 225, 2241], [1, 33, 226, 2241]
-    )
+    assert (exc.value.expected, exc.value.found) == ((3, 225), (3, 226))
     assert exc.value.report.verified is False
-    assert exc.value.report.enumerated["irreducible"] == 540
+    # whose irreducible count reads the same recurrence, tails of m = 3
+    assert exc.value.report.enumerated["irreducible"] == 541
 
 
 def test_count_norm_class_matches_closed_forms(f3, f7):
@@ -193,16 +201,20 @@ def test_norm_histogram_matches_full_scan():
         d = 1
         while total_count(p, d) <= census.DEFAULT_SCAN_LIMIT:
             scan = full_scan_norm_counts(validate_prime(p), d)
-            assert census.norm_histograms(p, d)[d] == [scan[c] for c in range(p)]
+            zero, other = list(census.norm_counts(p, d))[d]
+            assert [zero] + [other] * (p - 1) == [scan[c] for c in range(p)]
             d += 1
 
 
 def test_norm_histograms_match_the_literal_convolution():
-    # the O(p) step h'[c] = h[c] + (p + 1)(S - h[c]) against the O(p**2)
-    # convolution over the sizes of enum_tables' fibers
+    # the two-number step h' = (p + 1) p**(2m) - p h against the O(p**2)
+    # convolution over the sizes of enum_tables' fibers, whose nonzero
+    # bins must all equal the one nonzero count
     for p in (3, 7, 11, 19):
         sizes = [len(f) for f in census.enum_tables(p)[1]]
-        assert census.norm_histograms(p, 8) == convolved_histograms(sizes, 8)
+        assert [
+            [zero] + [other] * (p - 1) for zero, other in census.norm_counts(p, 8)
+        ] == convolved_histograms(sizes, 8)
 
 
 def test_fiber_sizes_and_minima_against_the_tables():
@@ -490,14 +502,15 @@ def test_streams_refuse_when_created(f7):
 def test_budget_floor_refuses_a_census_at_a_huge_prime(monkeypatch):
     # a 1-qubit census walks one prefix, so only the charge's p**2 floor
     # refuses it at p = 2**61 - 1 (a 2-qubit one walks p**2 + p), before
-    # fiber_minima's loop over the squares or verify's O(D p) norm
-    # histograms could run; they raise here, so losing the floor fails
-    # the test instead of hanging it
+    # fiber_minima's loop over the squares or verify's counts by norms
+    # could run; they raise here, so losing the floor fails the test
+    # instead of hanging it
     def unreachable(*args):
         raise AssertionError("a census at p = 2**61 - 1 got past its budget")
 
     monkeypatch.setattr(entangle, "fiber_minima", unreachable)
-    monkeypatch.setattr(census, "norm_histograms", unreachable)
+    monkeypatch.setattr(census, "count_norm_class", unreachable)
+    monkeypatch.setattr(census, "count_irreducible", unreachable)
     prime = validate_prime(2**61 - 1)
     for n, charge in ((1, prime.p**2), (2, prime.p**2 + prime.p)):
         rep = verify(prime, n)
@@ -506,6 +519,24 @@ def test_budget_floor_refuses_a_census_at_a_huge_prime(monkeypatch):
             f"enumeration skipped: {charge} prefixes exceed budget "
             f"{census.DEFAULT_BUDGET}"
         )
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_verify_and_census_refuse_fewer_than_one_qubit(f3, n):
+    # refused by name before 1 << n or the census's prefix count is made
+    for call in (verify, entangle.census_tally):
+        with pytest.raises(DqcError) as exc:
+            call(f3, n)
+        assert str(exc.value) == f"qubit count must be >= 1, got {n}"
+
+
+def test_verify_fixed_checks_hold_o_of_d_bits(f3):
+    # at n = 12 the census is over budget, so the fixed checks are all
+    # verify runs: two D-long lists of zero-norm counts, O(D**2) bits,
+    # would peak near 8 MB; the streamed check stays under 1 MB
+    rep, peak = traced_peak(lambda: verify(f3, 12))
+    assert rep.verified and rep.notes[0].startswith("enumeration skipped")
+    assert peak < 2 * 2**20
 
 
 def test_norm_streams_refuse_dimensions_below_two(f3):

@@ -111,16 +111,21 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
 
 
 def test_verify_writes_a_failed_zero_norm_recurrence(capsys, monkeypatch):
+    # one more zero-norm 3-vector than there are: 226 for 225
+    counts = census.norm_counts
     monkeypatch.setattr(
-        census, "zero_norm_by_recurrence", lambda prime, d: [1, 33, 226, 2241]
+        census,
+        "norm_counts",
+        lambda p, d: ((z + (m == 3), o) for m, (z, o) in enumerate(counts(p, d))),
     )
     code, out, err = run(capsys, "verify", "--p", "3", "--n", "2")
     assert code == 1
     assert "verification failed: p=3 n=2:" in err
-    assert "'zero_norm_recurrence'" in err
+    assert "'zero_norm_recurrence': expected (3, 225), found (3, 226)" in err
     doc = json.loads(out)
     assert doc["verified"] is False
-    assert doc["enumerated"]["irreducible"] == "540"
+    # the irreducible count reads the same recurrence
+    assert doc["enumerated"]["irreducible"] == "541"
 
 
 def test_counts_beyond_the_int_text_limit(capsys):
