@@ -80,7 +80,7 @@ from itertools import chain, islice, product
 
 from .basefield import ComplexifiablePrime, validate_prime
 from .complexfield import cdot, cinv, cmul, conj, fnorm, frobenius
-from .errors import BudgetExceeded, DqcError, VerificationFailed
+from .errors import BudgetExceeded, DqcError, VerificationFailed, exact_str
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_SCAN_LIMIT = 10**6
@@ -193,7 +193,7 @@ class CountReport:
 
     def to_json_dict(self) -> dict:
         def s(v):
-            return None if v is None else str(v)
+            return None if v is None else exact_str(v)
 
         return {
             "p": self.p,
@@ -207,7 +207,9 @@ class CountReport:
             "maxent_irreducible": s(self.maxent_irreducible),
             "unentangled_unit": s(self.unentangled_unit),
             "maxent_unit": s(self.maxent_unit),
-            "enumerated": {k: str(v) for k, v in sorted(self.enumerated.items())},
+            "enumerated": {
+                k: exact_str(v) for k, v in sorted(self.enumerated.items())
+            },
             "verified": self.verified,
         }
 
@@ -549,16 +551,23 @@ def random_phase(prime: ComplexifiablePrime, rng: random.Random):
 def spot_invariants(prime: ComplexifiablePrime, d: int, seed: int) -> bool:
     """Randomized sanity checks that need no enumeration budget.
 
-    Verifies in 32 rounds of an x, y pair, a phase and two unit samples,
-    calling each function it checks: conjugation agrees with the
+    Verifies in 32 rounds of an x, y pair, a phase and one new unit
+    sample, calling each function it checks: conjugation agrees with the
     Frobenius power, field-norm multiplicativity, phase invariance of
     the vector norm, and conjugate symmetry of cdot, the Hermitian
-    product of StateVector.hdot.  O(d) steps per round, so cheap even
-    at the largest supported p.
+    product of StateVector.hdot.  The unit samples form a chain: one is
+    drawn before the rounds, and each round pairs its new sample with
+    the previous one for cdot, so the two of every pair are independent
+    and uniform, and all 33 samples are norm-checked, the first alone
+    and every other one scaled by its round's phase.  O(d) steps per
+    round, so cheap even at the largest supported p.
     """
     p = prime.p
     pp = p * p
     rng = random.Random(seed)
+    b = sample_unit_amps(prime, d, rng)
+    if sum(fnorm(p, x) for x in b) % p != 1:
+        return False
     for _ in range(32):
         x, y = divmod(rng.randrange(pp * pp), pp)
         x, y = divmod(x, p), divmod(y, p)
@@ -570,12 +579,12 @@ def spot_invariants(prime: ComplexifiablePrime, d: int, seed: int) -> bool:
         if fnorm(p, u) != 1:
             return False
         a = sample_unit_amps(prime, d, rng)
-        b = sample_unit_amps(prime, d, rng)
         if cdot(p, a, b) != conj(p, cdot(p, b, a)):
             return False
         scaled_norm = sum(fnorm(p, cmul(p, x, u)) for x in a) % p
         if scaled_norm != 1:
             return False
+        b = a
     return True
 
 
@@ -627,7 +636,8 @@ def verify(
         counts = census_tally(prime, n, budget=budget, threads=threads).class_counts
     except BudgetExceeded as exc:
         rep.notes.append(
-            f"enumeration skipped: {exc.required} prefixes exceed budget {budget}"
+            f"enumeration skipped: {exact_str(exc.required)} prefixes "
+            f"exceed budget {exact_str(budget)}"
         )
     else:
         rep.enumerated["unit_norm"] = count_norm_class(prime, d, 1)
@@ -653,7 +663,7 @@ def verify(
             [scan[c] for c in range(p)],
         )
     else:
-        rep.notes.append(f"full scan skipped: {total_count(p, d)} vectors")
+        rep.notes.append(f"full scan skipped: {exact_str(total_count(p, d))} vectors")
 
     for name, (expected, found) in rep.checks.items():
         if expected != found:

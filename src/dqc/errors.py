@@ -1,4 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text of the
+counts they carry."""
+
+
+def exact_str(x) -> str:
+    """str(x), with the same digits when x is an int, or a tuple of two
+    or more ints such as a check's (k, count) pair, longer than Python's
+    int-to-str limit (4,300 digits by default, reached by counts such as
+    3**16384), which stays as set."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if isinstance(x, int):
+        import decimal  # only past the limit, so import dqc stays lean
+
+        return str(decimal.Decimal(x))
+    return f"({', '.join(map(exact_str, x))})"
 
 
 class DqcError(Exception):
@@ -50,9 +67,12 @@ class BudgetExceeded(DqcError):
         self.required = required
         self.budget = budget
         self.closed_form = closed_form
-        msg = f"enumeration needs {required} prefixes, budget is {budget}"
+        msg = (
+            f"enumeration needs {exact_str(required)} prefixes, "
+            f"budget is {exact_str(budget)}"
+        )
         if closed_form is not None:
-            msg += f" (closed form gives {closed_form})"
+            msg += f" (closed form gives {exact_str(closed_form)})"
         super().__init__(msg)
 
 
@@ -73,5 +93,5 @@ class VerificationFailed(DqcError):
         self.report = report
         super().__init__(
             f"verification mismatch in field {field_name!r}: "
-            f"expected {expected}, found {found}"
+            f"expected {exact_str(expected)}, found {exact_str(found)}"
         )

@@ -1,6 +1,9 @@
 import gc
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +16,9 @@ import pytest
 import dqc.census as census
 import dqc.entangle as entangle
 from dqc.census import prefix_blocks, sample_unit_amps
+from dqc.complexfield import cdot, conj
 from dqc.entangle import iter_classified
+from dqc.errors import exact_str
 from dqc.hopf import bloch_export
 from dqc import (
     BudgetExceeded,
@@ -735,6 +740,107 @@ def test_sample_unit_amps_draws_several_amplitudes_at_once(f3):
         assert len(amps) == d
         assert sum(a * a + b * b for a, b in amps) % 3 == 1
     assert rng.calls < samples * d / 8
+
+
+def test_spot_invariants_catches_every_fault_it_checks(f7, monkeypatch):
+    # each fault breaks one function that spot_invariants calls; the
+    # non-unit sample on call 2, the first round's new sample, went
+    # unchecked when every round drew a second sample for cdot alone
+    assert census.spot_invariants(f7, 4, 0)
+    # cdot without its conjugate: a symmetric, not a Hermitian, product
+    bilinear = lambda p, xs, ys: cdot(p, [conj(p, x) for x in xs], ys)
+    faults = [
+        ("cdot", bilinear),
+        ("frobenius", lambda p, x: x),
+        ("random_phase", lambda prime, rng: (2, 0)),
+    ]
+    for k in (1, 2, 33):
+        calls = iter(range(1, 100))
+
+        def non_unit_on_call_k(prime, d, rng, k=k, calls=calls):
+            # twice a unit vector has norm 4 at p=7
+            amps = sample_unit_amps(prime, d, rng)
+            if next(calls) == k:
+                amps = [(2 * a % 7, 2 * b % 7) for a, b in amps]
+            return amps
+
+        faults.append(("sample_unit_amps", non_unit_on_call_k))
+    for name, fault in faults:
+        with monkeypatch.context() as m:
+            m.setattr(census, name, fault)
+            assert not census.spot_invariants(f7, 4, 0), name
+
+
+def test_spot_invariants_draws_33_unit_samples(f7, monkeypatch):
+    # one sample before the 32 rounds and one new sample in each
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sample_unit_amps(*args)
+
+    monkeypatch.setattr(census, "sample_unit_amps", counted)
+    assert census.spot_invariants(f7, 4, 0)
+    assert len(calls) == 33
+
+
+def test_library_verify_past_the_int_to_str_limit():
+    # a fresh interpreter keeps Python's default limit on int-to-str
+    # digits, which the CLI lifts: at p=3 n=13 the skip notes and the
+    # report carry counts of more than 4,300 digits, and the report is
+    # written with the bytes of `dqc verify --p 3 --n 13`
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    script = (
+        "import hashlib, json, sys\n"
+        "from dqc import census, validate_prime\n"
+        "assert sys.get_int_max_str_digits() == 4300\n"
+        "rep = census.verify(validate_prime(3), 13)\n"
+        "assert rep.verified\n"
+        "print(*(note.split()[:2] for note in rep.notes))\n"
+        "text = json.dumps(rep.to_json_dict(), indent=2) + '\\n'\n"
+        "print(hashlib.sha256(text.encode()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(census.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split("\n") == [
+        "['enumeration', 'skipped:'] ['full', 'scan']",
+        "55999388c343b9f471132568b255209cf08f8e1032b4fc7a0ccfb0764ff5aa59",
+        "",
+    ]
+
+
+def test_exact_str_gives_the_digits_of_str_past_the_limit():
+    # and so do the error messages that carry such counts
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    x = 3**16384
+    values = [x, -x, (13, x)]
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError):
+            str(x)
+        with_limit = [exact_str(v) for v in values]
+        messages = [
+            str(BudgetExceeded(x, 10**8, x + 1)),
+            str(VerificationFailed("zero_norm_recurrence", (13, x), (13, -x), None)),
+        ]
+        sys.set_int_max_str_digits(0)
+        assert with_limit == [str(v) for v in values]
+        assert messages == [
+            f"enumeration needs {x} prefixes, budget is {10**8}"
+            f" (closed form gives {x + 1})",
+            f"verification mismatch in field 'zero_norm_recurrence': "
+            f"expected {(13, x)}, found {(13, -x)}",
+        ]
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_verify_seed_changes_samples_not_outcome(f7):

@@ -35,11 +35,12 @@ def run_python(*args):
 
 def test_import_loads_no_unused_stdlib_module():
     # multiprocessing is imported on the first pool start, fractions by
-    # maxent_to_unentangled_ratio, and dataclasses by nothing
+    # maxent_to_unentangled_ratio, decimal by errors.exact_str past the
+    # int-to-str digit limit, and dataclasses by nothing
     proc = run_python(
         "-c",
         "import sys, dqc, dqc.cli\n"
-        "print(sorted({'multiprocessing', 'fractions', 'dataclasses'}"
+        "print(sorted({'multiprocessing', 'fractions', 'dataclasses', 'decimal'}"
         " & set(sys.modules)))",
     )
     assert proc.returncode == 0, proc.stderr
