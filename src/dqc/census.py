@@ -441,15 +441,16 @@ def iter_norm_prefixes(
     d >= 2, in lexicographic order: children holds walk_prefixes'
     (y, c, completions) per prefix parent + (y,), whose vectors are
     parent + (y, x), x in completions, the walked elements of norm c.
-    canonical_only keeps phase-class minima (for nonzero target norms).
-    The budget is checked on the call, before any yield."""
+    canonical_only keeps the phase-class minima of the nonzero vectors.
+    The budget is checked on the call, before any yield; its closed form
+    counts the vectors the walk would yield."""
     if d < 2:
         raise DqcError(f"dimension must be >= 2, got {d}")
     p = prime.p
     target %= p
     expected = zero_norm_count(p, d) if target == 0 else unit_norm_count(p, d)
-    if canonical_only and target:
-        expected //= p + 1
+    if canonical_only:  # p + 1 phases of each vector but zero
+        expected = (expected - (target == 0)) // (p + 1)
     check_budget(p, p ** (2 * (d - 1)), budget, expected)
     elements, fibers = enum_tables(p)
     full = [[elements] * (d - 1) + [fibers]]

@@ -2,9 +2,10 @@
 enumeration and classification.
 
 Exit codes: 0 success, 1 verification mismatch or another package
-error, 2 usage error, 3 budget exceeded.  Big integers are always written as decimal
-strings; log columns are computed from decimal digit counts so no
-value ever passes through a float.
+error, 2 usage error, 3 budget exceeded.  Every count is written as
+decimal text by errors.exact_str, so Python's int-to-str limit stays as
+set; log columns are read from that text, so no count passes through a
+float.
 
 Row outputs stream: enumerate and classify --out write one block of
 rows per prefix, a parent at a time, from a bounded cache (_state_lines)
@@ -33,15 +34,15 @@ from .errors import (
     NotComplexifiable,
     NotPrime,
     VerificationFailed,
+    exact_str,
 )
 from .hopf import bloch_export
 from .states import format_amp
 
-def log10_decimal(x: int) -> float:
-    """Base-10 log of a positive big integer from its decimal digits."""
-    s = str(x)
-    head = s[:15]
-    return math.log10(int(head)) + (len(s) - len(head))
+def log10_decimal(digits: str) -> float:
+    """Base-10 log of a positive integer from its decimal digits."""
+    head = digits[:15]
+    return math.log10(int(head)) + (len(digits) - len(head))
 
 
 def mask_bits(mask: int, n: int) -> str:
@@ -145,12 +146,11 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
     def row(prime, n):
         counts = [
-            count(prime.p, 1 << n) for count in
+            exact_str(count(prime.p, 1 << n)) for count in
             (census.total_count, census.unit_norm_count, census.irreducible_count)
         ]
         return _fields(layout, [
-            prime.p, n, *map(str, counts),
-            *(f"{log10_decimal(c):.3f}" for c in counts),
+            prime.p, n, *counts, *(f"{log10_decimal(c):.3f}" for c in counts),
         ])
 
     _write_rows(args, header, _per_cell(args, row))
@@ -249,7 +249,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         def lines(prime, n):
             p = prime.p
             groups = iter_classified_prefixes(prime, n, budget=args.budget)
-            purity = ["NA" if n % p == 0 else reduced_purity(p, n, s) for s in range(p)]
+            purity = [reduced_purity(p, n, s) for s in range(p)]
+            purity = ["NA" if r is None else r for r in purity]  # p divides n
             # a row's fields after its amplitudes, by its (kind, sum_sq, mask)
             ends = {
                 (kind, s, mask): _fields(
@@ -415,10 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # counts such as 3**16384 have more digits than Python 3.11 converts
-    # to text by default; lifted after parsing, so flag values keep it
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     try:
         return args.run(args)
     except (NotPrime, NotComplexifiable) as exc:

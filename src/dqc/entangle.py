@@ -259,7 +259,9 @@ def parent_forms(p: int, n: int, parent: tuple) -> tuple:
         # None: no nonzero column yet; a column: the later ones depend on
         # it so far; False: one does not
         pivot = None
-        for i in range(last if m == 1 else last - 1):
+        # index last - 1 is left out: g, added below, for m > 1, and odd,
+        # so no a-entry, for m == 1
+        for i in range(last - 1):
             if i & m:
                 continue
             a0, a1 = parent[i]

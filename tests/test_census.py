@@ -504,6 +504,25 @@ def test_streams_refuse_when_created(f7):
         assert exc.value.closed_form == closed_form
 
 
+def test_stream_closed_forms_count_what_the_streams_yield():
+    # a refused stream's closed form is the number of vectors it would
+    # yield; a canonical stream of norm 0 yields the phase-class minima
+    # of the nonzero vectors, so the zero vector is not among them
+    for p, dims in ((3, (2, 3, 4)), (7, (2, 3))):
+        prime = validate_prime(p)
+        for d in dims:
+            for target in (0, 1, 2):
+                for canonical_only in (False, True):
+                    with pytest.raises(BudgetExceeded) as exc:
+                        iter_norm_class(prime, d, target, 1, canonical_only)
+                    stream = iter_norm_class(
+                        prime, d, target, canonical_only=canonical_only
+                    )
+                    assert exc.value.closed_form == sum(1 for _ in stream), (
+                        p, d, target, canonical_only,
+                    )
+
+
 def test_budget_floor_refuses_a_census_at_a_huge_prime(monkeypatch):
     # a 1-qubit census walks one prefix, so only the charge's p**2 floor
     # refuses it at p = 2**61 - 1 (a 2-qubit one walks p**2 + p), before
@@ -785,10 +804,10 @@ def test_spot_invariants_draws_33_unit_samples(f7, monkeypatch):
 
 
 def test_library_verify_past_the_int_to_str_limit():
-    # a fresh interpreter keeps Python's default limit on int-to-str
-    # digits, which the CLI lifts: at p=3 n=13 the skip notes and the
-    # report carry counts of more than 4,300 digits, and the report is
-    # written with the bytes of `dqc verify --p 3 --n 13`
+    # a fresh interpreter has Python's default limit on int-to-str
+    # digits, whatever this one's is set to: at p=3 n=13 the skip notes
+    # and the report carry counts of more than 4,300 digits, and the
+    # report is written with the bytes of `dqc verify --p 3 --n 13`
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this Python has no int-to-str digit limit")
     script = (

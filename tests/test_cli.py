@@ -17,6 +17,7 @@ import dqc.cli as cli
 from dqc.basefield import validate_prime
 from dqc.cli import log10_decimal, main, mask_bits
 from dqc.entangle import iter_classified_prefixes
+from dqc.errors import exact_str
 from dqc.hopf import bloch_export
 from dqc.states import format_amp
 
@@ -43,9 +44,10 @@ def test_log10_decimal_matches_math_log10():
     import math
 
     for x in (1, 5, 81, 6561, 10**20, 3**200, 19**128):
-        assert abs(log10_decimal(x) - len(str(x)) + 1) < 1.0
+        digits = str(x)
+        assert abs(log10_decimal(digits) - len(digits) + 1) < 1.0
         if x < 10**15:
-            assert abs(log10_decimal(x) - math.log10(x)) < 1e-9
+            assert abs(log10_decimal(digits) - math.log10(x)) < 1e-9
 
 
 def test_mask_bits_orders_qubit_zero_first():
@@ -134,11 +136,40 @@ def test_counts_beyond_the_int_text_limit(capsys):
     # budget message of an enumeration that large prints its prefix count
     code, out, err = run(capsys, "tables", "--p", "3", "--n", "13")
     assert code == 0
-    assert list(csv.reader(out.splitlines()))[1][2] == str(3**16384)
+    assert list(csv.reader(out.splitlines()))[1][2] == exact_str(3**16384)
     code, out, err = run(capsys, "enumerate", "--p", "3", "--n", "13")
     assert code == 3
     assert out == ""
     assert err.startswith("budget exceeded: enumeration needs ")
+
+
+def test_main_leaves_the_int_text_limit_as_it_found_it(tmp_path, capsys):
+    # every count dqc writes goes through exact_str, so no command
+    # changes the interpreter's int-to-str digit limit; under the default
+    # of 4,300 digits, tables and verify still write the p=3 n=13 counts
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    cell = ("--p", "3", "--n", "13")
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        for argv, code, digest in (
+            (("tables", *cell), 0,
+             "702fb3ce4f570e31ce9e856fe1532c006bec03edd9bda25fe752059418a43912"),
+            (("verify", *cell), 0,
+             "55999388c343b9f471132568b255209cf08f8e1032b4fc7a0ccfb0764ff5aa59"),
+            (("enumerate", *cell), 3, sha256("")),
+            (("classify", "--p", "3", "--n", "2"), 0,
+             "27e3644aa4f85a083c2a931797336f306bc9ec23093b8cce868a184ffd5a534a"),
+            (("classify", "--p", "3", "--n", "2", "--out", str(tmp_path / "c.csv")),
+             0, sha256("")),
+        ):
+            got, out, _ = run(capsys, *argv)
+            assert got == code, argv
+            assert sha256(out) == digest, argv
+            assert sys.get_int_max_str_digits() == 4300, argv
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_package_error_exits_1_without_traceback(capsys, monkeypatch):
@@ -411,14 +442,14 @@ def test_classify_csv_rows_match_the_stream(tmp_path, capsys, monkeypatch):
     # the other row outputs, against rows built here from the library
     counted = [
         (p, n, [
-            count(p, 1 << n) for count in
+            str(count(p, 1 << n)) for count in
             (census.total_count, census.unit_norm_count, census.irreducible_count)
         ])
         for p in (3, 7)
         for n in (1, 2)
     ]
     tables = [
-        [p, n, *map(str, counts), *(f"{log10_decimal(c):.3f}" for c in counts)]
+        [p, n, *counts, *(f"{log10_decimal(c):.3f}" for c in counts)]
         for p, n, counts in counted
     ]
     bloch = [
