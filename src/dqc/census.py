@@ -40,9 +40,10 @@ The budget limits prefixes.  check_budget is the one budget decision:
 a walk is charged its prefixes, and never less than the p**2 entries
 of enum_tables, read or not.  Each stream calls it when it is
 created, before the caller has consumed or written anything, and is
-charged p**(2(D-1)), whatever it filters.  The census is charged the
-prefixes of its weighted walk (see entangle), and verify reads its
-skip note from the census's refusal.
+charged the prefixes of its walk: p**(2(D-1)), or the canonical walk's
+count below.  The census is charged the prefixes of its weighted walk
+(see entangle), and verify reads its skip note from the census's
+refusal.
 
 Canonical filtering uses a fact about the phase action: the orbit of a
 nonzero amplitude under the norm-1 group is the entire norm fiber it
@@ -442,16 +443,21 @@ def iter_norm_prefixes(
     (y, c, completions) per prefix parent + (y,), whose vectors are
     parent + (y, x), x in completions, the walked elements of norm c.
     canonical_only keeps the phase-class minima of the nonzero vectors.
-    The budget is checked on the call, before any yield; its closed form
-    counts the vectors the walk would yield."""
+    The budget is checked on the call, before any yield, and charged the
+    prefixes of the walk; its closed form counts the vectors the walk
+    would yield."""
     if d < 2:
         raise DqcError(f"dimension must be >= 2, got {d}")
     p = prime.p
     target %= p
     expected = zero_norm_count(p, d) if target == 0 else unit_norm_count(p, d)
+    prefixes = p ** (2 * (d - 1))
     if canonical_only:  # p + 1 phases of each vector but zero
         expected = (expected - (target == 0)) // (p + 1)
-    check_budget(p, p ** (2 * (d - 1)), budget, expected)
+        # canonical_segments' 1 + (p-1) sum_{t<d-1} p**(2t) prefixes,
+        # the sum being (p**(2(d-1)) - 1) / (p**2 - 1)
+        prefixes = 1 + (prefixes - 1) // (p + 1)
+    check_budget(p, prefixes, budget, expected)
     elements, fibers = enum_tables(p)
     full = [[elements] * (d - 1) + [fibers]]
     segments = canonical_segments(p, d) if canonical_only else full

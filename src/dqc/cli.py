@@ -10,6 +10,10 @@ float.
 Row outputs stream: enumerate and classify --out write one block of
 rows per prefix, a parent at a time, from a bounded cache (_state_lines)
 whose misses build the rows of a prefix's whole circle at once.
+
+A module only some subcommands use is imported where it is used:
+entangle in cmd_classify, hopf in cmd_bloch and states in _state_lines.
+So `dqc tables` loads none of the three, and `dqc verify` no hopf.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from itertools import chain, repeat
 
 from . import census
 from .basefield import validate_prime
-from .entangle import EntanglementClass, census_tally, classify_completions
-from .entangle import iter_classified_prefixes, reduced_purity
 from .errors import (
     BudgetExceeded,
     DqcError,
@@ -36,8 +38,7 @@ from .errors import (
     VerificationFailed,
     exact_str,
 )
-from .hopf import bloch_export
-from .states import format_amp
+
 
 def log10_decimal(digits: str) -> float:
     """Base-10 log of a positive integer from its decimal digits."""
@@ -158,6 +159,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_bloch(args: argparse.Namespace) -> int:
+    from .hopf import bloch_export
+
     header = ["p", "X", "Y", "Z", "ex", "ey", "ez", "degenerate_flag"]
     layout = _layout(args.format, header)
     exports = [
@@ -201,6 +204,8 @@ def _state_lines(layout: tuple, p: int, lead: list, groups, tail):
     the ROW_CACHE_ENTRIES keys used last and share equal strings.  The
     cache belongs to this cell: another cell has another lead and tail.
     """
+    from .states import format_amp
+
     render, seps, _, between = layout
     amp_text = {(a, b): format_amp((a, b)) + ";" for a in range(p) for b in range(p)}
     # render only wraps amplitude text: none of it is quoted or escaped
@@ -242,28 +247,31 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from . import entangle
+
     header = ["p", "n", "state", "class", "sum_sq", "reduced_purity", "separable_mask"]
     if args.out is not None:
         layout = _layout(args.format, header)
 
         def lines(prime, n):
             p = prime.p
-            groups = iter_classified_prefixes(prime, n, budget=args.budget)
-            purity = [reduced_purity(p, n, s) for s in range(p)]
+            groups = entangle.iter_classified_prefixes(prime, n, budget=args.budget)
+            purity = [entangle.reduced_purity(p, n, s) for s in range(p)]
             purity = ["NA" if r is None else r for r in purity]  # p divides n
             # a row's fields after its amplitudes, by its (kind, sum_sq, mask)
             ends = {
                 (kind, s, mask): _fields(
                     layout, [kind.value, s, purity[s], mask_bits(mask, n)], 3
                 )
-                for kind in EntanglementClass
+                for kind in entangle.EntanglementClass
                 for s in range(p)
                 for mask in range(1 << n)
             }
             return _state_lines(
                 layout, p, [p, n], groups,
                 lambda completions, forms: map(
-                    ends.__getitem__, classify_completions(p, n, forms, completions)
+                    ends.__getitem__,
+                    entangle.classify_completions(p, n, forms, completions)
                 ),
             )
 
@@ -273,7 +281,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     # summary only; the row dump is opt-in via --out
     tallies = _per_cell(
         args,
-        lambda prime, n: census_tally(
+        lambda prime, n: entangle.census_tally(
             prime, n, budget=args.budget, threads=args.threads
         ),
     )

@@ -707,7 +707,7 @@ def iter_classified_prefixes(
     classify_completions completes over the circle: children holds
     (y, forms, completions) per prefix parent + (y,).  A parent's passes
     are built once, its children's forms in one list.  The budget is
-    checked on the call and charged p**(2(D-1)), as for every stream."""
+    checked on the call and charged the canonical walk's prefixes."""
     p = prime.p
     return (
         (parent, [

@@ -359,6 +359,10 @@ def test_canonical_walk_matches_literal_filter():
             assert walked == want
             # each group is one parent, the first d - 2 amplitudes
             assert all(len(parent) == d - 2 for parent, _ in groups)
+            # a canonical stream is charged these prefixes, or the floor
+            with pytest.raises(BudgetExceeded) as exc:
+                census.iter_norm_prefixes(validate_prime(p), d, 1, 1, True)
+            assert exc.value.required == max(len(walked), p * p)
 
 
 def traced_peak(fn):
@@ -488,18 +492,21 @@ def test_census_is_charged_the_prefixes_it_walks(f3, f7):
 def test_streams_refuse_when_created(f7):
     # the budget is checked on the call, before any next(), by the one
     # check of iter_norm_prefixes, which carries the stream's closed form
+    # and charges the prefixes of its walk: all 7**6, or the 14,707 of
+    # the canonical walk
     irreducible = irreducible_count(7, 4)
-    for make, closed_form in (
-        (lambda: iter_norm_class(f7, 4, 1, budget=10), unit_norm_count(7, 4)),
+    for make, closed_form, prefixes in (
+        (lambda: iter_norm_class(f7, 4, 1, budget=10), unit_norm_count(7, 4), 7**6),
         (lambda: census.iter_norm_prefixes(f7, 4, 1, 10, canonical_only=True),
-         irreducible),
-        (lambda: iter_irreducible(f7, 2, budget=10), irreducible),
-        (lambda: entangle.iter_classified_prefixes(f7, 2, budget=10), irreducible),
-        (lambda: iter_classified(f7, 2, budget=10), irreducible),
+         irreducible, 14707),
+        (lambda: iter_irreducible(f7, 2, budget=10), irreducible, 14707),
+        (lambda: entangle.iter_classified_prefixes(f7, 2, budget=10),
+         irreducible, 14707),
+        (lambda: iter_classified(f7, 2, budget=10), irreducible, 14707),
     ):
         with pytest.raises(BudgetExceeded) as exc:
             make()
-        assert exc.value.required == 7**6
+        assert exc.value.required == prefixes
         assert exc.value.budget == 10
         assert exc.value.closed_form == closed_form
 

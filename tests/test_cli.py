@@ -14,6 +14,7 @@ import pytest
 import dqc
 import dqc.census as census
 import dqc.cli as cli
+import dqc.entangle as entangle
 from dqc.basefield import validate_prime
 from dqc.cli import log10_decimal, main, mask_bits
 from dqc.entangle import iter_classified_prefixes
@@ -223,6 +224,23 @@ def test_classify_budget_failure_writes_nothing(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_canonical_streams_are_charged_the_prefixes_they_walk(capsys):
+    # the p=7 n=2 canonical walk visits 1 + 6 (1 + 49 + 2401) = 14,707
+    # prefixes; the unit stream walks all 7**6 = 117,649
+    for argv in (
+        ("classify", "--p", "7", "--n", "2", "--out", os.devnull),
+        ("enumerate", "--p", "7", "--n", "2", "--class", "irreducible"),
+    ):
+        code, _, err = run(capsys, *argv, "--budget", "14706")
+        assert code == 3
+        assert err.startswith("budget exceeded: enumeration needs 14707 prefixes")
+        code, _, _ = run(capsys, *argv, "--budget", "14707")
+        assert code == 0
+    code, _, err = run(capsys, "enumerate", "--p", "7", "--n", "2", "--budget", "117648")
+    assert code == 3
+    assert err.startswith("budget exceeded: enumeration needs 117649 prefixes")
+
+
 def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("DQC_BUDGET", "100")
     code, _, err = run(capsys, "enumerate", "--p", "19", "--n", "3")
@@ -414,7 +432,7 @@ def test_classify_csv_rows_match_the_stream(tmp_path, capsys, monkeypatch):
         ):
             # limit counts parents; the rows are their prefixes' states
             monkeypatch.setattr(
-                cli, "iter_classified_prefixes",
+                entangle, "iter_classified_prefixes",
                 lambda prime, n, budget: islice(
                     iter_classified_prefixes(prime, n, budget), limit
                 ),
@@ -523,7 +541,7 @@ def test_state_rows_match_the_stdlib_oracle(capsys, monkeypatch):
             assert code == 0
             assert out == stdlib_written(fmt, header, rows), (fmt, argv)
     # no rows at all: the header alone, or []
-    monkeypatch.setattr(cli, "iter_classified_prefixes", lambda *a, **k: iter(()))
+    monkeypatch.setattr(entangle, "iter_classified_prefixes", lambda *a, **k: iter(()))
     monkeypatch.setattr(census, "iter_norm_prefixes", lambda *a, **k: iter(()))
     for fmt in ("csv", "json"):
         for argv, header in (
@@ -546,7 +564,7 @@ def test_a_full_row_cache_changes_no_byte(capsys, monkeypatch):
     ]
     whole = [run(capsys, *argv) for argv in argvs]
     monkeypatch.setattr(
-        cli, "iter_classified_prefixes",
+        entangle, "iter_classified_prefixes",
         lambda prime, n, budget: islice(
             iter_classified_prefixes(prime, n, budget), 2224
         ),
@@ -595,7 +613,7 @@ def test_row_cache_stays_bounded(monkeypatch):
     # uncapped one at about 3.8 MB.
     limit, prefixes, traced = 4084, 200_025, 20_000
     monkeypatch.setattr(
-        cli, "iter_classified_prefixes",
+        entangle, "iter_classified_prefixes",
         lambda prime, n, budget: islice(
             iter_classified_prefixes(prime, n, budget), limit
         ),

@@ -47,6 +47,86 @@ def test_import_loads_no_unused_stdlib_module():
     assert proc.stdout == b"[]\n"
 
 
+# what the package exported when it imported every module eagerly, by home
+EXPORTS = {
+    "basefield": {"ComplexifiablePrime", "is_prime", "validate_prime"},
+    "census": {
+        "CountReport", "closed_form_counts", "count_irreducible",
+        "count_norm_class", "full_scan_norm_counts", "irreducible_count",
+        "irreducible_product_form", "iter_irreducible", "iter_norm_class",
+        "maxent_irreducible_count", "maxent_to_unentangled_ratio",
+        "total_count", "unentangled_irreducible_count", "unit_norm_count",
+        "verify", "zero_norm_by_recurrence", "zero_norm_count",
+    },
+    "complexfield": {
+        "cadd", "cinv", "cmul", "cneg", "conj", "cpow", "fnorm", "frobenius",
+        "norm_fiber", "phase_group",
+    },
+    "entangle": {
+        "CensusTally", "Classification", "EntanglementClass",
+        "PauliExpectations", "PurityValue", "census_tally", "classify",
+        "pauli_expectations", "purity", "separable_qubits",
+    },
+    "errors": {
+        "BudgetExceeded", "DimensionMismatch", "DivisionByZero", "DqcError",
+        "NonRealExpectation", "NotComplexifiable", "NotPrime", "NotUnitNorm",
+        "VerificationFailed", "ZeroVector",
+    },
+    "hopf": {
+        "BlochPoint", "bloch_export", "canonical_rep", "fingerprint",
+        "hopf_map_1q", "is_canonical", "phase_class",
+    },
+    "states": {"StateVector", "format_amp", "parse_amp"},
+}
+
+
+def dqc_modules_after(code):
+    """The dqc submodules a fresh interpreter holds after running code."""
+    proc = run_python(
+        "-c",
+        f"import sys\n{code}\n"
+        "print(*(m[4:] for m in sys.modules if m.startswith('dqc.')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.decode().splitlines()[-1].split())
+
+
+def test_each_run_loads_only_the_modules_it_uses():
+    assert dqc_modules_after("import dqc") == set()
+    assert dqc_modules_after(
+        "import dqc\ndqc.census.enum_tables(dqc.validate_prime(7).p)"
+    ) == {"basefield", "errors", "census", "complexfield"}
+    tables = dqc_modules_after(
+        "from dqc.cli import main\nmain(['tables', '--p', '7', '--n', '2'])"
+    )
+    assert "cli" in tables
+    assert not tables & {"entangle", "states", "hopf"}
+    verify = dqc_modules_after(
+        "from dqc.cli import main\nmain(['verify', '--p', '7', '--n', '2'])"
+    )
+    assert "entangle" in verify
+    assert "hopf" not in verify
+
+
+def test_exports_resolve_through_their_modules(monkeypatch):
+    names = set().union(*EXPORTS.values())
+    assert set(dqc.__all__) == names
+    assert len(dqc.__all__) == len(names)
+    assert set(dir(dqc)) == names
+    for home, exported in EXPORTS.items():
+        module = importlib.import_module(f"dqc.{home}")
+        assert getattr(dqc, home) is module
+        for name in exported:
+            assert getattr(dqc, name) is getattr(module, name), name
+    # nothing is copied into the package: a rebound attribute shows at once
+    monkeypatch.setattr(dqc.census, "verify", len)
+    assert dqc.verify is len
+    with pytest.raises(AttributeError):
+        dqc.no_such_name
+    with pytest.raises(ImportError):
+        exec("from dqc import no_such_name", {})
+
+
 def test_every_annotation_resolves():
     # typing.get_type_hints evaluates each annotation in its module, so
     # a name the module imports only lazily (fractions) must not appear
