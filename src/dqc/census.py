@@ -68,6 +68,13 @@ one worker, no pool and one inline block per segment), and block
 results merge by addition, so counts are identical for any split.
 Every parent of a census segment has the same number of children, so
 blocks of equal parent count carry about equal work.
+
+Loading
+-------
+Loading this module loads basefield and errors alone: the counts and
+enum_tables need nothing more.  complexfield is loaded by
+spot_invariants, verify's sampled checks, on its first call, and
+entangle by verify, since entangle imports this module.
 """
 
 from __future__ import annotations
@@ -80,7 +87,6 @@ from functools import lru_cache
 from itertools import chain, islice, product
 
 from .basefield import ComplexifiablePrime, validate_prime
-from .complexfield import cdot, cinv, cmul, conj, fnorm, frobenius
 from .errors import BudgetExceeded, DqcError, VerificationFailed, exact_str
 
 DEFAULT_BUDGET = 10**8
@@ -541,18 +547,25 @@ def sample_unit_amps(prime: ComplexifiablePrime, d: int, rng: random.Random) -> 
                 return (*head, (0, 0))
             continue
         while True:
-            z = divmod(rng.randrange(1, pp), p)
-            roots = prime.sqrt(c * fnorm(p, z))
+            a, b = divmod(rng.randrange(1, pp), p)
+            norm = (a * a + b * b) % p
+            roots = prime.sqrt(c * norm)
             if roots:
-                s = roots[0] * pow(fnorm(p, z), p - 2, p) % p
-                return (*head, (s * z[0] % p, s * z[1] % p))
+                s = roots[0] * pow(norm, p - 2, p) % p
+                return (*head, (s * a % p, s * b % p))
 
 
 def random_phase(prime: ComplexifiablePrime, rng: random.Random):
-    """A random norm-1 scalar z / conj(z), from one draw of z != 0."""
+    """A random norm-1 scalar z / conj(z), from one draw of z = a + bi != 0.
+
+    Built inline as z**2 / N(z) = (a**2 - b**2 + 2abi) N(z)**(p-2), not
+    through complexfield, whose cmul, conj and fnorm spot_invariants
+    checks against it.
+    """
     p = prime.p
-    z = divmod(rng.randrange(1, p * p), p)
-    return cmul(p, z, cinv(p, conj(p, z)))
+    a, b = divmod(rng.randrange(1, p * p), p)
+    inv = pow(a * a + b * b, p - 2, p)
+    return ((a * a - b * b) * inv % p, 2 * a * b * inv % p)
 
 
 def spot_invariants(prime: ComplexifiablePrime, d: int, seed: int) -> bool:
@@ -568,7 +581,13 @@ def spot_invariants(prime: ComplexifiablePrime, d: int, seed: int) -> bool:
     and uniform, and all 33 samples are norm-checked, the first alone
     and every other one scaled by its round's phase.  O(d) steps per
     round, so cheap even at the largest supported p.
+
+    complexfield is imported here, once per call, not with this module:
+    the set-up every run pays never uses it, and the samplers compute
+    their norms and phases inline so as to import nothing per draw.
     """
+    from .complexfield import cdot, cmul, conj, fnorm, frobenius
+
     p = prime.p
     pp = p * p
     rng = random.Random(seed)

@@ -13,7 +13,8 @@ whose misses build the rows of a prefix's whole circle at once.
 
 A module only some subcommands use is imported where it is used:
 entangle in cmd_classify, hopf in cmd_bloch and states in _state_lines.
-So `dqc tables` loads none of the three, and `dqc verify` no hopf.
+So `dqc tables` loads none of the three, nor complexfield, and
+`dqc verify` no hopf.
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ from types import SimpleNamespace
 import pytest
 
 import dqc.census as census
+import dqc.complexfield as complexfield
 import dqc.entangle as entangle
 from dqc.census import prefix_blocks, sample_unit_amps
-from dqc.complexfield import cdot, conj
+from dqc.complexfield import cdot, cinv, cmul, conj, fnorm
 from dqc.entangle import iter_classified
 from dqc.errors import exact_str
 from dqc.hopf import bloch_export
@@ -770,15 +771,25 @@ def test_sample_unit_amps_draws_several_amplitudes_at_once(f3):
 
 def test_spot_invariants_catches_every_fault_it_checks(f7, monkeypatch):
     # each fault breaks one function that spot_invariants calls; the
-    # non-unit sample on call 2, the first round's new sample, went
-    # unchecked when every round drew a second sample for cdot alone
+    # complexfield ones are patched on their module, from which
+    # spot_invariants imports them on each call; the non-unit sample on
+    # call 2, the first round's new sample, went unchecked when every
+    # round drew a second sample for cdot alone
     assert census.spot_invariants(f7, 4, 0)
     # cdot without its conjugate: a symmetric, not a Hermitian, product
     bilinear = lambda p, xs, ys: cdot(p, [conj(p, x) for x in xs], ys)
+    # cmul and fnorm as if i**2 == +1, the split algebra F_p x F_p
+    split_mul = lambda p, x, y: (
+        (x[0] * y[0] + x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p
+    )
+    split_norm = lambda p, x: (x[0] * x[0] - x[1] * x[1]) % p
     faults = [
-        ("cdot", bilinear),
-        ("frobenius", lambda p, x: x),
-        ("random_phase", lambda prime, rng: (2, 0)),
+        (complexfield, "cdot", bilinear),
+        (complexfield, "frobenius", lambda p, x: x),
+        (complexfield, "conj", lambda p, x: x),
+        (complexfield, "cmul", split_mul),
+        (complexfield, "fnorm", split_norm),
+        (census, "random_phase", lambda prime, rng: (2, 0)),
     ]
     for k in (1, 2, 33):
         calls = iter(range(1, 100))
@@ -790,11 +801,57 @@ def test_spot_invariants_catches_every_fault_it_checks(f7, monkeypatch):
                 amps = [(2 * a % 7, 2 * b % 7) for a, b in amps]
             return amps
 
-        faults.append(("sample_unit_amps", non_unit_on_call_k))
-    for name, fault in faults:
+        faults.append((census, "sample_unit_amps", non_unit_on_call_k))
+    for module, name, fault in faults:
         with monkeypatch.context() as m:
-            m.setattr(census, name, fault)
+            m.setattr(module, name, fault)
             assert not census.spot_invariants(f7, 4, 0), name
+
+
+def test_random_phase_is_z_over_its_conjugate():
+    # the inline z**2 / N(z) against complexfield's z * (1 / conj(z)),
+    # each from its own generator on the same seed, so the same draws
+    for p in (3, 7, 11):
+        prime = validate_prime(p)
+        rng, ref = random.Random(p), random.Random(p)
+        for _ in range(200):
+            z = divmod(ref.randrange(1, p * p), p)
+            u = census.random_phase(prime, rng)
+            assert u == cmul(p, z, cinv(p, conj(p, z)))
+            assert fnorm(p, u) == 1
+
+
+# sample_unit_amps(prime, d, random.Random(seed)) for seeds 0-9, drawn
+# while the sampler took its norms from complexfield.fnorm: its inline
+# norms must give the same draws, and so the same verify reports
+UNIT_SAMPLES = {
+    (7, 4): [
+        ((5, 3), (0, 4), (6, 4), (4, 3)), ((2, 6), (2, 2), (1, 0), (5, 2)),
+        ((5, 2), (0, 5), (6, 5), (5, 6)), ((3, 5), (6, 6), (1, 5), (3, 0)),
+        ((2, 6), (6, 1), (1, 5), (6, 4)), ((1, 3), (0, 0), (4, 6), (6, 6)),
+        ((3, 0), (3, 2), (3, 5), (0, 1)), ((0, 6), (3, 6), (3, 0), (4, 0)),
+        ((2, 6), (2, 4), (1, 5), (2, 4)), ((3, 4), (1, 6), (3, 4), (1, 2)),
+    ],
+    (3, 8): [
+        ((0, 1), (2, 0), (2, 1), (2, 0), (2, 0), (1, 2), (0, 0), (2, 1)),
+        ((1, 1), (0, 1), (0, 1), (2, 1), (0, 0), (0, 1), (0, 2), (2, 1)),
+        ((2, 0), (1, 2), (2, 0), (0, 2), (0, 0), (2, 2), (0, 0), (0, 0)),
+        ((0, 1), (2, 0), (0, 0), (0, 0), (1, 2), (2, 1), (1, 2), (1, 1)),
+        ((0, 0), (0, 1), (1, 1), (0, 2), (0, 0), (1, 2), (2, 1), (1, 2)),
+        ((2, 2), (1, 1), (0, 1), (2, 0), (0, 2), (1, 0), (2, 2), (0, 0)),
+        ((0, 2), (0, 0), (0, 1), (0, 0), (1, 1), (0, 2), (0, 1), (0, 1)),
+        ((0, 0), (0, 1), (1, 0), (0, 0), (0, 0), (0, 1), (1, 2), (1, 2)),
+        ((0, 1), (1, 0), (2, 0), (2, 1), (0, 1), (1, 2), (1, 0), (2, 0)),
+        ((0, 1), (1, 1), (2, 1), (2, 2), (2, 0), (0, 2), (2, 1), (2, 1)),
+    ],
+}
+
+
+def test_sample_unit_amps_draws_the_pinned_samples():
+    for (p, d), pinned in UNIT_SAMPLES.items():
+        prime = validate_prime(p)
+        drawn = [sample_unit_amps(prime, d, random.Random(s)) for s in range(10)]
+        assert drawn == pinned, (p, d)
 
 
 def test_spot_invariants_draws_33_unit_samples(f7, monkeypatch):
