@@ -40,11 +40,11 @@ the qubit's squared length is
 which is 1 - 4 det G_j on a unit state.  Qubit j factors out exactly
 when a and b are linearly dependent over F_p[i].  The kernel tests
 this against a pivot, the first nonzero column (a_k, b_k): every later
-column must give a_k b_i - a_i b_k == 0.  Testing det G_j == 0 instead
-would be wrong.  det G_j is the sum of the field norms of all 2x2
-minors (Lagrange identity), and over F_p a sum of nonzero norms can
-vanish.  At n = 2 there is one minor and the tests agree; from n = 3
-on they part, and the tests pin an entangled state with det G_j == 0.
+column must give a_k b_i - a_i b_k == 0, which _dependent alone tests.
+Testing det G_j == 0 would be wrong: det G_j is the sum of the field
+norms of all 2x2 minors (Lagrange identity), and over F_p a sum of
+nonzero norms can vanish.  The two agree at n = 2, with one minor, and
+part from n = 3 on; the tests pin an entangled state with det G_j == 0.
 pauli_expectations is the independent path the kernel is checked
 against.
 
@@ -235,6 +235,17 @@ class Classification(namedtuple("Classification", "kind n separable_mask")):
 
 # -- census kernel over amplitude tuples --------------------------------------
 
+def _dependent(p: int, pivot: tuple, a0: int, a1: int, b0: int, b1: int) -> bool:
+    """Whether the column (a, b) is an F_p[i] multiple of the nonzero column
+    pivot = (c0, c1, e0, e1): whether the minor c b - a e vanishes.  The
+    kernel's one separability test (the module docstring derives it)."""
+    c0, c1, e0, e1 = pivot
+    return not (
+        (c0 * b0 - c1 * b1 - a0 * e0 + a1 * e1) % p
+        or (c0 * b1 + c1 * b0 - a0 * e1 - a1 * e0) % p
+    )
+
+
 def parent_forms(p: int, n: int, parent: tuple) -> tuple:
     """The part of every qubit's pass that the first 2**n - 2 amplitudes fix.
 
@@ -244,8 +255,8 @@ def parent_forms(p: int, n: int, parent: tuple) -> tuple:
     of the last column for m == 1.  Returns, per qubit j, (na, nb, re,
     im, pivot, g, a): the sums over the head pairs before that, and the
     pivot, which is None while no column is nonzero, the first nonzero
-    column (c0, c1, e0, e1) while every later one depends on it, and
-    False once one does not.  For m > 1, g is the a-entry of the final
+    column (c0, c1, e0, e1) while _dependent passes every later one, and
+    False once it fails one.  For m > 1, g is the a-entry of the final
     head pair and a = (a0, a1, N(a)) that of the last column, both
     counted in na; for m == 1 both are None.  finish_forms completes
     the passes for one amplitude 2**n - 2.
@@ -273,12 +284,8 @@ def parent_forms(p: int, n: int, parent: tuple) -> tuple:
             if pivot is None:
                 if a0 or a1 or b0 or b1:
                     pivot = (a0, a1, b0, b1)
-            elif pivot:
-                c0, c1, e0, e1 = pivot
-                if (c0 * b0 - c1 * b1 - a0 * e0 + a1 * e1) % p or (
-                    c0 * b1 + c1 * b0 - a0 * e1 - a1 * e0
-                ) % p:
-                    pivot = False
+            elif pivot and not _dependent(p, pivot, a0, a1, b0, b1):
+                pivot = False
         g = a = None
         if m > 1:
             g = parent[last - 1]
@@ -295,15 +302,15 @@ def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
 
     The prefix is the parent of parent_forms' passes followed by y, and
     c is the field norm of the last amplitude, x (the module docstring
-    derives the forms).  O(n): each pass takes y into its last head pair
-    or last column.  Returns (qs, us, vs, lengths, tests), which
-    hashes, so that a writer can cache the prefix's rows under it:
-    lengths holds each qubit's squared length as (q, u, v), read as
-    q + u x0 + v x1 mod p, and (qs, us, vs) their sums; tests holds at
-    most one (bit, c0, c1, k0, k1) per qubit: the qubit factors out
-    exactly when (c0 + i c1) x == k0 + i k1.  A qubit with no nonzero
-    head column gets (bit, 0, 0, 0, 0), which every x passes, and one
-    whose head columns are independent gets none.
+    derives the forms).  O(n): each pass takes y into its last column or
+    last head pair, which _dependent tests.  Returns (qs, us, vs,
+    lengths, tests), which hashes, so that a writer can cache the
+    prefix's rows under it: lengths holds each qubit's squared length as
+    (q, u, v), read as q + u x0 + v x1 mod p, and (qs, us, vs) their
+    sums; tests holds at most one (bit, c0, c1, k0, k1) per qubit: the
+    qubit factors out exactly when (c0 + i c1) x == k0 + i k1.  A qubit
+    with no nonzero head column gets (bit, 0, 0, 0, 0), which every x
+    passes, and one whose head columns are independent gets none.
     """
     y0, y1 = y
     ny = y0 * y0 + y1 * y1
@@ -324,12 +331,8 @@ def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
             if pivot is None:
                 if g0 or g1 or y0 or y1:
                     pivot = (g0, g1, y0, y1)
-            elif pivot:
-                c0, c1, e0, e1 = pivot
-                if (c0 * y0 - c1 * y1 - g0 * e0 + g1 * e1) % p or (
-                    c0 * y1 + c1 * y0 - g0 * e1 - g1 * e0
-                ) % p:
-                    pivot = False
+            elif pivot and not _dependent(p, pivot, g0, g1, y0, y1):
+                pivot = False
             a0, a1, nl = a
         # |h + conj(a) x|**2 = N(h) + N(a) c + 2 Re(conj(h a) x)
         q = (1 - 4 * (na * (nb + c) - re * re - im * im - nl * c)) % p
@@ -535,12 +538,11 @@ def _count_unentangled(p: int, n: int, c: int, size: int, tests: list) -> int:
     """Completions x, size of them on N(x) = c, at which every qubit
     factors out: tests holds at most one (bit, c0, c1, k0, k1) per qubit,
     which asks (c0 + i c1) x == k0 + i k1, so a qubit without one never
-    factors out."""
+    factors out, and those that involve x agree when _dependent says so."""
     if len(tests) < n:
         return 0
     lead = None
-    for test in tests:
-        _, c0, c1, k0, k1 = test
+    for _, c0, c1, k0, k1 in tests:
         if not (c0 or c1):
             if k0 or k1:
                 return 0
@@ -548,14 +550,9 @@ def _count_unentangled(p: int, n: int, c: int, size: int, tests: list) -> int:
             # x = k / (c0 + i c1) lies on the circle when N(k) == c N(c0 + i c1)
             if (k0 * k0 + k1 * k1 - c * (c0 * c0 + c1 * c1)) % p:
                 return 0
-            lead = test
-        else:
-            _, d0, d1, l0, l1 = lead
-            # the same x: (c0 + i c1) l == k (d0 + i d1)
-            if (c0 * l0 - c1 * l1 - k0 * d0 + k1 * d1) % p or (
-                c0 * l1 + c1 * l0 - k0 * d1 - k1 * d0
-            ) % p:
-                return 0
+            lead = c0, c1, k0, k1
+        elif not _dependent(p, lead, c0, c1, k0, k1):
+            return 0  # this test asks for a different x
     return size if lead is None else 1
 
 
@@ -667,11 +664,13 @@ def census_tally(
     walk of fewer than POOL_MIN_PREFIXES prefixes starts no pool, a
     larger one no more workers than usable CPUs.  Every column sum is
     p + 1 times a count of irreducible states; a remainder raises
-    DqcError, as does n < 1.  Partial and purity-one non-products follow
-    by subtraction (module docstring).
+    DqcError, as do n < 1 and threads < 1.  Partial and purity-one
+    non-products follow by subtraction (module docstring).
     """
     if n < 1:
         raise DqcError(f"qubit count must be >= 1, got {n}")
+    if threads < 1:
+        raise DqcError(f"thread count must be >= 1, got {threads}")
     p = prime.p
     prefixes = census_prefixes(p, n)
     check_budget(p, prefixes, budget, irreducible_count(p, 1 << n))

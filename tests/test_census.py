@@ -562,6 +562,16 @@ def test_verify_and_census_refuse_fewer_than_one_qubit(f3, n):
         assert str(exc.value) == f"qubit count must be >= 1, got {n}"
 
 
+@pytest.mark.parametrize("threads", [0, -1, -3])
+def test_verify_and_census_refuse_fewer_than_one_thread(f3, threads):
+    # the CLI reads --threads 0 as the usable CPUs; the library takes
+    # the count as given and refuses one below 1 by name
+    for call in (verify, entangle.census_tally):
+        with pytest.raises(DqcError) as exc:
+            call(f3, 2, threads=threads)
+        assert str(exc.value) == f"thread count must be >= 1, got {threads}"
+
+
 def test_verify_fixed_checks_hold_o_of_d_bits(f3):
     # at n = 12 the census is over budget, so the fixed checks are all
     # verify runs: two D-long lists of zero-norm counts, O(D**2) bits,
@@ -623,6 +633,22 @@ def test_closed_form_counts_flags(f3):
     rep3 = closed_form_counts(f3, 3)
     assert rep3.n is None
     assert rep3.unentangled_irreducible is None
+
+
+def test_closed_form_counts_refuses_dimension_zero(f3):
+    with pytest.raises(DqcError) as exc:
+        closed_form_counts(f3, 0)
+    assert str(exc.value) == "dimension must be >= 1, got 0"
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    # a platform without sched_getaffinity: the CPU count, or 1 when
+    # the OS cannot say
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert census.usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert census.usable_cpus() == 1
 
 
 def test_verify_full_enumeration(f3):

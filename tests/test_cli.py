@@ -761,6 +761,15 @@ def test_usage_errors_exit_2():
         assert exc.value.code == 2
 
 
+def test_empty_prime_list_is_a_usage_error(capsys):
+    # --p-list of separators alone names no modulus
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--p-list", ",", "--n", "1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "dqc verify: error: argument --p-list: invalid prime_list value: ','" in err
+
+
 def test_usage_errors_print_the_subcommand_usage(capsys, monkeypatch):
     for budget_env, argv in (
         (None, ["verify", "--p", "3", "--n", "1", "--threads", "-2"]),

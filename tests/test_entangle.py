@@ -35,6 +35,7 @@ from dqc.census import (
 from dqc.entangle import (
     _count_maximal,
     _count_unentangled,
+    _dependent,
     _line_points,
     _tally_block,
     census_segments,
@@ -54,6 +55,7 @@ from _oracles import (
     brute_vectors,
     canonical_tally,
     celems,
+    cmul,
     cnorm,
     local_gauge,
     matrix_expectation_grid,
@@ -424,6 +426,43 @@ def test_census_blocks_cover_weighted_slice(monkeypatch, f3, f7):
             assert walked == whole
             if threads == 1:
                 assert [walk for _, _, walk, _, _ in blocks] == walks
+
+
+def is_multiple(p, pivot, a, b):
+    """Whether some lam in F_p[i] gives (a, b) = lam (c, e), by a scan."""
+    c, e = pivot[:2], pivot[2:]
+    return any(cmul(p, lam, c) == a and cmul(p, lam, e) == b for lam in celems(p))
+
+
+def test_dependent_is_a_scan_for_the_multiplier():
+    # every nonzero pivot (c, e) with every column (a, b) at p = 3
+    columns = [(a, b) for a in celems(3) for b in celems(3)]
+    pivots = [c + e for c, e in columns if c + e != (0, 0, 0, 0)]
+    assert (len(pivots), len(columns)) == (80, 81)
+    verdicts = Counter()
+    for pivot in pivots:
+        for a, b in columns:
+            found = _dependent(3, pivot, *a, *b)
+            assert found == is_multiple(3, pivot, a, b), (pivot, a, b)
+            verdicts[found] += 1
+    # a column is a multiple of a nonzero pivot for each of the 9 lam
+    assert verdicts[True] == 80 * 9
+    # at p = 7, half the columns are drawn as a multiple of the pivot
+    rng = random.Random(5)
+    elems = celems(7)
+    pivots = [c + e for c in elems for e in elems if c + e != (0, 0, 0, 0)]
+    verdicts.clear()
+    for _ in range(2000):
+        pivot = rng.choice(pivots)
+        if rng.random() < 0.5:
+            lam = rng.choice(elems)
+            a, b = cmul(7, lam, pivot[:2]), cmul(7, lam, pivot[2:])
+        else:
+            a, b = rng.choice(elems), rng.choice(elems)
+        found = _dependent(7, pivot, *a, *b)
+        assert found == is_multiple(7, pivot, a, b), (pivot, a, b)
+        verdicts[found] += 1
+    assert min(verdicts.values()) > 900, verdicts
 
 
 def test_isotropic_gram_determinant_is_entangled(f3):

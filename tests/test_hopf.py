@@ -79,6 +79,11 @@ def test_phase_class_size_and_membership(f7):
     assert all(m.is_unit() for m in members)
 
 
+def test_phase_class_requires_unit_norm(f3):
+    with pytest.raises(NotUnitNorm):
+        phase_class(vec(f3, (1, 1), (1, 0)))  # norm 0
+
+
 def test_canonical_rep_frozen_example(f3):
     # class of 2|0>: scaling by the phase i gives (0,1),(0,0), the lex min
     psi = vec(f3, (2, 0), (0, 0))

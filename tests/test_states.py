@@ -124,6 +124,16 @@ def test_tensor_norm_multiplicative(f7):
     assert a.tensor(b).vnorm() == a.vnorm() * b.vnorm() % 7
 
 
+def test_tensor_refuses_mixed_moduli_and_the_qubit_cap(f3, f7):
+    a = vec(f3, (1, 0), (0, 0))
+    with pytest.raises(DimensionMismatch):
+        a.tensor(vec(f7, (1, 0), (0, 0)))
+    big = StateVector.basis(f3, 9, 0)
+    assert big.tensor(StateVector.basis(f3, 7, 0)).n == 16
+    with pytest.raises(DqcError, match="exceeds the qubit cap"):
+        big.tensor(StateVector.basis(f3, 8, 0))
+
+
 def test_dimension_mismatch(f3, f7):
     a = vec(f3, (1, 0), (0, 0))
     b = vec(f3, (1, 0), (0, 0), (0, 0), (0, 0))
