@@ -272,7 +272,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 layout, p, [p, n], groups,
                 lambda completions, forms: map(
                     ends.__getitem__,
-                    entangle.classify_completions(p, n, forms, completions)
+                    entangle.classify_completions(p, forms, completions)
                 ),
             )
 

@@ -65,9 +65,9 @@ the squared length is Q + U x0 + V x1 mod p, with
 The dependence test of the head columns runs once per prefix.  If they
 hold a pivot (c_k, e_k) and pass, the last column passes exactly when
 c_k x == a e_k, again affine in x; if none is nonzero the last column
-is the pivot or zero, and the test 0 x == 0 passes whatever x is.  So
-each qubit has at most one test, none once a head column fails.
-These forms are built once per prefix, and classify_completions
+is the pivot or zero, and the test 0 x == 0 passes whatever x is; once
+a head column fails, 0 x == 1 passes for none.  So each qubit has one
+test.  These forms are built once per prefix, and classify_completions
 completes them over the prefix's circle in O(n) per state.
 
 The forms are built one level up as well: the prefixes sharing a
@@ -96,8 +96,8 @@ t == 0 (-1 is a non-residue mod p).  So one rule counts every prefix
                  and on every other line (parallel lines meet only when
                  equal);
     Unentangled  the common point x = k / (c0 + i c1) of the tests, when
-                 every qubit has one, N(k) = c N(c0 + i c1) and the
-                 tests agree (all completions when no test involves x);
+                 N(k) = c N(c0 + i c1) and every test agrees (all
+                 completions when each is 0 x == 0, none if one is 0 x == 1);
     sum_sq       qs + us x0 + vs x1: all completions at qs when
                  w = c (us**2 + vs**2) is 0, else the key (qs, w) of a
                  histogram of lines, expanded when the block's walk ends.
@@ -235,6 +235,10 @@ class Classification(namedtuple("Classification", "kind n separable_mask")):
 
 # -- census kernel over amplitude tuples --------------------------------------
 
+_ALWAYS = (0, 0, 0, 0)  # 0 x == 0: the qubit has no nonzero head column
+_NEVER = (0, 0, 1, 0)  # 0 x == 1: its head columns are independent
+
+
 def _dependent(p: int, pivot: tuple, a0: int, a1: int, b0: int, b1: int) -> bool:
     """Whether the column (a, b) is an F_p[i] multiple of the nonzero column
     pivot = (c0, c1, e0, e1): whether the minor c b - a e vanishes.  The
@@ -296,7 +300,7 @@ def parent_forms(p: int, n: int, parent: tuple) -> tuple:
     return tuple(passes)
 
 
-def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
+def finish_forms(p: int, passes: tuple, y: tuple, c: int) -> tuple:
     """Per-prefix forms of the kernel, which classify_completions
     completes and the census counts.
 
@@ -307,17 +311,15 @@ def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
     lengths, tests), which hashes, so that a writer can cache the
     prefix's rows under it: lengths holds each qubit's squared length as
     (q, u, v), read as q + u x0 + v x1 mod p, and (qs, us, vs) their
-    sums; tests holds at most one (bit, c0, c1, k0, k1) per qubit: the
-    qubit factors out exactly when (c0 + i c1) x == k0 + i k1.  A qubit
-    with no nonzero head column gets (bit, 0, 0, 0, 0), which every x
-    passes, and one whose head columns are independent gets none.
+    sums; tests[j] is qubit j's (c0, c1, k0, k1): it factors out exactly
+    when (c0 + i c1) x == k0 + i k1, for every x (_ALWAYS) when no head
+    column is nonzero and for none (_NEVER) when they are independent.
     """
     y0, y1 = y
     ny = y0 * y0 + y1 * y1
     lengths = []
     tests = []
     qs = us = vs = 0
-    bit = 1
     for na, nb, re, im, pivot, g, a in passes:
         if g is None:
             a0, a1 = y
@@ -342,32 +344,31 @@ def finish_forms(p: int, n: int, passes: tuple, y: tuple, c: int) -> tuple:
         qs += q
         us += u
         vs += v
-        if pivot is None:
-            # the last column is the first nonzero one, if any: 0 x == 0
-            tests.append((bit, 0, 0, 0, 0))
-        elif pivot:
+        if pivot:
             c0, c1, e0, e1 = pivot
-            tests.append(
-                (bit, c0, c1, (a0 * e0 - a1 * e1) % p, (a0 * e1 + a1 * e0) % p)
-            )
-        bit <<= 1
+            tests.append((c0, c1, (a0 * e0 - a1 * e1) % p, (a0 * e1 + a1 * e0) % p))
+        else:  # None: no head column is nonzero; False: one is independent
+            tests.append(_ALWAYS if pivot is None else _NEVER)
     return qs % p, us % p, vs % p, tuple(lengths), tuple(tests)
 
 
-def classify_completions(p: int, n: int, forms: tuple, completions) -> list:
+def classify_completions(p: int, forms: tuple, completions) -> list:
     """[(kind, sum_sq, mask)] of finish_forms' prefix followed by each x
     of completions, in order.  O(n) per state, read off the affine forms:
     sum_sq is the total of the n squared lengths mod p, the purity's
-    numerator, and bit j of mask is set when qubit j's test passes."""
+    numerator, and bit j of mask is set when tests[j] passes."""
     qs, us, vs, lengths, tests = forms
-    full = (1 << n) - 1
+    full = (1 << len(lengths)) - 1
     unentangled, partial, maximal = _KINDS
     classified = []
     for x0, x1 in completions:
-        mask = 0
-        for bit, c0, c1, k0, k1 in tests:
-            if not ((c0 * x0 - c1 * x1 - k0) % p or (c1 * x0 + c0 * x1 - k1) % p):
-                mask |= bit
+        mask, bit = 0, 1
+        for test in tests:
+            if test is not _NEVER:  # no x passes it; most qubits' test at n = 3
+                c0, c1, k0, k1 = test
+                if not ((c0 * x0 - c1 * x1 - k0) % p or (c1 * x0 + c0 * x1 - k1) % p):
+                    mask |= bit
+            bit <<= 1
         sum_sq = (qs + us * x0 + vs * x1) % p
         kind = unentangled if mask == full else partial
         if not sum_sq and kind is partial:
@@ -389,8 +390,8 @@ def classify_raw(p: int, n: int, amps: tuple) -> tuple:
     """
     x0, x1 = amps[-1]
     passes = parent_forms(p, n, amps[:-2])
-    forms = finish_forms(p, n, passes, amps[-2], (x0 * x0 + x1 * x1) % p)
-    return classify_completions(p, n, forms, amps[-1:])[0]
+    forms = finish_forms(p, passes, amps[-2], (x0 * x0 + x1 * x1) % p)
+    return classify_completions(p, forms, amps[-1:])[0]
 
 
 # -- public operations on StateVector ----------------------------------------
@@ -534,15 +535,13 @@ def _count_maximal(p: int, c: int, size: int, lengths: list, points: list) -> in
     return points[(c * (u1 * u1 + v1 * v1) - q1 * q1) % p]
 
 
-def _count_unentangled(p: int, n: int, c: int, size: int, tests: list) -> int:
+def _count_unentangled(p: int, c: int, size: int, tests: tuple) -> int:
     """Completions x, size of them on N(x) = c, at which every qubit
-    factors out: tests holds at most one (bit, c0, c1, k0, k1) per qubit,
-    which asks (c0 + i c1) x == k0 + i k1, so a qubit without one never
-    factors out, and those that involve x agree when _dependent says so."""
-    if len(tests) < n:
-        return 0
+    factors out: each (c0, c1, k0, k1) of tests asks (c0 + i c1) x ==
+    k0 + i k1, so one with c == 0 passes for every x or none (_NEVER),
+    and those that involve x agree when _dependent says so."""
     lead = None
-    for _, c0, c1, k0, k1 in tests:
+    for c0, c1, k0, k1 in tests:
         if not (c0 or c1):
             if k0 or k1:
                 return 0
@@ -633,7 +632,7 @@ def _tally_block(args) -> list:
         passes = parent_forms(p, n, parent)
         k = sum(parent[i] != (0, 0) for i in held_heads)
         for y, c, completions in children:
-            qs, us, vs, lengths, tests = finish_forms(p, n, passes, y, c)
+            qs, us, vs, lengths, tests = finish_forms(p, passes, y, c)
             weight = weights[k + (tail_held and y != (0, 0))]
             size = len(completions)
             w = c * (us * us + vs * vs) % p
@@ -642,7 +641,7 @@ def _tally_block(args) -> list:
             else:
                 purities[qs] += weight * size
             maximal += weight * _count_maximal(p, c, size, lengths, points)
-            unentangled += weight * _count_unentangled(p, n, c, size, tests)
+            unentangled += weight * _count_unentangled(p, c, size, tests)
     for (qs, w), k in lines.items():
         for s in range(p):
             purities[s] += k * points[(w - (s - qs) ** 2) % p]
@@ -710,7 +709,7 @@ def iter_classified_prefixes(
     p = prime.p
     return (
         (parent, [
-            (y, finish_forms(p, n, passes, y, c), completions)
+            (y, finish_forms(p, passes, y, c), completions)
             for y, c, completions in children
         ])
         for parent, children in iter_norm_prefixes(
@@ -733,6 +732,6 @@ def iter_classified(
         for parent, children in iter_classified_prefixes(prime, n, budget)
         for y, forms, completions in children
         for x, (kind, sum_sq, mask) in zip(
-            completions, classify_completions(p, n, forms, completions)
+            completions, classify_completions(p, forms, completions)
         )
     )

@@ -256,11 +256,11 @@ def canonical_tally(p, n):
     for parent, children in walk:
         passes = parent_forms(p, n, parent)
         for y, c, completions in children:
-            qs, us, vs, lengths, tests = finish_forms(p, n, passes, y, c)
+            qs, us, vs, lengths, tests = finish_forms(p, passes, y, c)
             size = len(completions)
             sums[qs, us, vs, completions] += 1
             maximal += _count_maximal(p, c, size, lengths, points)
-            unentangled += _count_unentangled(p, n, c, size, tests)
+            unentangled += _count_unentangled(p, c, size, tests)
     purities = Counter()
     for (qs, us, vs, completions), k in sums.items():
         for x0, x1 in completions:

@@ -594,7 +594,7 @@ def row_caches(monkeypatch, per_block):
 def test_row_cache_misses_once_per_key_at_p7_n2(monkeypatch):
     # the p=7 n=2 walk has 1,225 distinct row keys in 14,707 prefixes;
     # the cache keeps the keys used last, so none is built twice.  A
-    # qubit with no nonzero head column has the test (bit, 0, 0, 0, 0),
+    # qubit with no nonzero head column has the test _ALWAYS, (0, 0, 0, 0),
     # so a prefix with such a qubit shares its key with one whose test
     # for that qubit is all zeros
     infos = []

@@ -33,6 +33,8 @@ from dqc.census import (
     walk_prefixes,
 )
 from dqc.entangle import (
+    _ALWAYS,
+    _NEVER,
     _count_maximal,
     _count_unentangled,
     _dependent,
@@ -177,9 +179,9 @@ def test_hoisted_forms_agree_with_independent_paths(f3):
     while checked < 2000:
         head = tuple((rng.randrange(3), rng.randrange(3)) for _ in range(7))
         c = (1 - sum(cnorm(3, x) for x in head)) % 3
-        forms = finish_forms(3, 3, parent_forms(3, 3, head[:-1]), head[-1], c)
+        forms = finish_forms(3, parent_forms(3, 3, head[:-1]), head[-1], c)
         fiber = brute_fiber(3, c)
-        got = classify_completions(3, 3, forms, fiber)
+        got = classify_completions(3, forms, fiber)
         assert len(got) == len(fiber)
         for x, r in zip(fiber, got):
             check_against_independent_paths(f3, 3, head + (x,), *r)
@@ -205,12 +207,12 @@ def test_classify_completions_agrees_with_independent_paths(f3, f7):
                     continue
                 if passes is None:
                     passes = parent_forms(p, n, parent)
-                forms = finish_forms(p, n, passes, y, c)
-                got = classify_completions(p, n, forms, completions)
+                forms = finish_forms(p, passes, y, c)
+                got = classify_completions(p, forms, completions)
                 assert len(got) == len(completions)
                 for x, r in zip(completions, got):
                     check_against_independent_paths(fld, n, parent + (y, x), *r)
-                assert classify_completions(p, n, forms, completions[::-1]) == got[::-1]
+                assert classify_completions(p, forms, completions[::-1]) == got[::-1]
                 states[p, n] += len(got)
     assert states[3, 1] == 6 and states[3, 2] == 540
     assert states[7, 1] == 42 and states[7, 2] == 102900
@@ -463,6 +465,52 @@ def test_dependent_is_a_scan_for_the_multiplier():
         assert found == is_multiple(7, pivot, a, b), (pivot, a, b)
         verdicts[found] += 1
     assert min(verdicts.values()) > 900, verdicts
+
+
+def test_finish_forms_gives_one_test_per_qubit(f3, f7):
+    # tests[j] and lengths[j] are qubit j's, one each: its test is
+    # _ALWAYS exactly when none of its head columns (all but the last,
+    # which holds x) is nonzero, and _NEVER exactly when one is not a
+    # multiple of the first nonzero one, found by a scan for the
+    # multiplier.  On every prefix of the canonical walks at p in {3, 7}
+    # n = 2 and of the p=3 n=3 census's slices
+    walks = [
+        (fld.p, 2, iter_norm_prefixes(fld, 4, 1, canonical_only=True))
+        for fld in (f3, f7)
+    ]
+    walks += [
+        (3, 3, walk_prefixes(3, 1, segment)) for segment, _, _ in census_segments(3, 3)
+    ]
+    prefixes = Counter()
+    verdicts = Counter()
+    for p, n, walk in walks:
+        d = 1 << n
+        for parent, children in walk:
+            passes = parent_forms(p, n, parent)
+            for y, c, _ in children:
+                prefix = parent + (y,)
+                _, _, _, lengths, tests = finish_forms(p, passes, y, c)
+                assert len(tests) == len(lengths) == n
+                for j, test in enumerate(tests):
+                    m = 1 << (n - 1 - j)
+                    columns = [
+                        prefix[i] + prefix[i | m] for i in range(d - 1 - m) if not i & m
+                    ]
+                    columns = [column for column in columns if any(column)]
+                    independent = any(
+                        not is_multiple(p, columns[0], column[:2], column[2:])
+                        for column in columns[1:]
+                    )
+                    assert (test is _ALWAYS) == (not columns), (prefix, j)
+                    assert (test is _NEVER) == independent, (prefix, j)
+                    verdicts[n, test is _ALWAYS, test is _NEVER] += 1
+                prefixes[p, n] += 1
+    assert prefixes == {(3, 2): 183, (7, 2): 14707, (3, 3): 17496}
+    # each kind of test is met at n = 3; at n = 2, with one head column
+    # per qubit, _NEVER is not
+    kinds = ((False, False), (True, False), (False, True))
+    assert all(verdicts[(3, *kind)] for kind in kinds)
+    assert not verdicts[2, False, True]
 
 
 def test_isotropic_gram_determinant_is_entangled(f3):
@@ -761,17 +809,15 @@ def seeded_lengths(p, point, rng):
 
 
 def seeded_tests(p, n, point, rng):
-    """Dependence tests (bit, c0, c1, k0, k1), at most one per qubit, for
-    n qubits: each qubit is untested, or has the test (bit, 0, 0, 0, 0)
-    that finish_forms gives a qubit with no nonzero head column, a test
-    that point passes, a random one, or one with c == 0."""
+    """One dependence test (c0, c1, k0, k1) per qubit, for n qubits:
+    _NEVER or _ALWAYS, which finish_forms gives a qubit whose head
+    columns are independent or all zero, a test that point passes, a
+    random one, or one with c == 0."""
     tests = []
-    for j in range(n):
+    for _ in range(n):
         shape = rng.randrange(8)
-        if shape == 0:
-            continue
-        if shape == 1:
-            tests.append((1 << j, 0, 0, 0, 0))
+        if shape < 2:
+            tests.append((_NEVER, _ALWAYS)[shape])
             continue
         c0, c1 = rng.randrange(p), rng.randrange(p)
         if shape == 2:
@@ -781,8 +827,8 @@ def seeded_tests(p, n, point, rng):
         else:
             k0 = (c0 * point[0] - c1 * point[1]) % p
             k1 = (c1 * point[0] + c0 * point[1]) % p
-        tests.append((1 << j, c0, c1, k0, k1))
-    return tests
+        tests.append((c0, c1, k0, k1))
+    return tuple(tests)
 
 
 def test_circle_counters_match_brute_force_at_every_norm():
@@ -803,18 +849,16 @@ def test_circle_counters_match_brute_force_at_every_norm():
                     for x0, x1 in circle
                 )
                 assert _count_maximal(p, c, len(circle), lengths, points) == want
-                n = rng.randrange(1, 4)
-                tests = seeded_tests(p, n, point, rng)
-                covered = len(tests) == n
-                want = covered * sum(
+                tests = seeded_tests(p, rng.randrange(1, 4), point, rng)
+                want = sum(
                     all(
                         (c0 * x0 - c1 * x1 - k0) % p == 0
                         and (c1 * x0 + c0 * x1 - k1) % p == 0
-                        for _, c0, c1, k0, k1 in tests
+                        for c0, c1, k0, k1 in tests
                     )
                     for x0, x1 in circle
                 )
-                got = _count_unentangled(p, n, c, len(circle), tests)
+                got = _count_unentangled(p, c, len(circle), tests)
                 assert got == want
                 cases += 1
     assert cases > 5000
@@ -849,8 +893,8 @@ def test_counted_blocks_match_per_state_on_p3_n3_slice(f3, monkeypatch):
             for y, c, completions in children:
                 assert len(completions) == len(fibers[c])
                 completions = fibers[c]
-                forms = finish_forms(3, 3, passes, y, c)
-                raw = classify_completions(3, 3, forms, completions)
+                forms = finish_forms(3, passes, y, c)
+                raw = classify_completions(3, forms, completions)
                 weight = slice_weight(3, 3, parent + (y,))
                 for r in raw:
                     want[r[:2]] += weight
