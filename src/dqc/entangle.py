@@ -138,25 +138,28 @@ norm r.
     are nonzero (only 0 has norm 0).  G is the torus: the global phase
     g and diag(1, u_j) on every qubit j, (p+1)**(n+1) elements.
     Amplitude 0 takes the phase g and amplitude 1 << k the phase g u_j,
-    j the qubit that owns bit k, so the phases of these n + 1 held
+    j the qubit that owns bit k, so the phases of these n + 1
     amplitudes range independently, and a nonzero amplitude's orbit is
     its whole fiber.  Holding each at 0 or a fiber minimum puts
     (x_0, x_{D/2}) at some (gamma_r, gamma_{-r}); the slice takes r = 1
-    only, and a slice state weighs (p-1) (p+1)**k, k its nonzero held
-    amplitudes.  The factor p - 1 stands for the other norms r.  U(2)
-    on the top qubit is transitive on the nonzero isotropic pairs v
-    (Witt's theorem again) and maps the unit states A_v whose top pair
-    is v onto A_{gv}, keeping kind, sum_sq and mask, so every A_v has
-    the same tally.  The torus slice of (gamma_r, gamma_{-r}) stands for
-    the (p+1)**2 sets A_v with N(x_0) = r and N(x_{D/2}) = -r, so the
-    p - 1 norms r give equal totals.  The stabilizer of an isotropic
-    pair, of order p, is not used, so no weight depends on the state.
+    only, so a slice state weighs (p-1) (p+1)**(k+2), k its nonzero
+    amplitudes at 1 << j, j < n - 1.  The factor p - 1 stands for the
+    other norms r.  U(2) on the top qubit is transitive on the nonzero
+    isotropic pairs v (Witt's theorem again) and maps the unit states
+    A_v whose top pair is v onto A_{gv}, keeping kind, sum_sq and mask,
+    so every A_v has the same tally.  The torus slice of
+    (gamma_r, gamma_{-r}) stands for the (p+1)**2 sets A_v with
+    N(x_0) = r and N(x_{D/2}) = -r, so the p - 1 norms r give equal
+    totals.  The stabilizer of an isotropic pair, of order p, is not
+    used, so no weight depends on the state.
 
-    Zero pair, x_0 = x_{D/2} = 0: the torus slice and weight again, (p+1)**k.
+    Zero pair, x_0 = x_{D/2} = 0: the torus slice, weighing (p+1)**k.
 
-The last position is never held: its completions are counted on the
-whole circle (at n = 1 it is x_{D/2}, at 0).  census_prefixes counts
-the walk: 56 prefixes at p=7 n=2, 17,496 at p=3 n=3.
+A slice state weighs its set's scale times (p+1)**k, k its nonzero held
+amplitudes; held are the positions that range over 0 and the fiber
+minima, all below D - 2.  The last position, never held, has its
+completions counted on the whole circle (at n = 1 it is x_{D/2}, at 0).
+census_prefixes counts the walk: 56 at p=7 n=2, 17,496 at p=3 n=3.
 
 Purity is the averaged sum of squared expectations sum_sq / n, an
 element of F_p defined whenever p does not divide n.  Product states
@@ -575,9 +578,10 @@ def census_segments(p: int, n: int) -> list:
     pair (gamma_1, gamma_{-1}), which stands for all p - 1 isotropic
     norms, then the zero pair.  A prefix of the segment stands for
     scale * (p + 1)**k unit states, k its nonzero amplitudes at the
-    positions in held, which are 0 or a fiber minimum.  Below n = 3 no
-    position is free, so no p**2 table is read.  census_tally builds it
-    once per tally and sends each triple to its blocks."""
+    positions in held, those below D - 2 that range over 0 and the
+    fiber minima.  Below n = 3 no position is free, so no p**2 table is
+    read.  census_tally builds it once per tally and sends each triple
+    to its blocks."""
     minima = fiber_minima(p)
     zero = ((0, 0),)
     generic_scale = p * (p - 1) * (p + 1)
@@ -598,11 +602,10 @@ def census_segments(p: int, n: int) -> list:
 
     # diag(1, u), the stabilizer of (gamma_r, 0), holds D/2 + 1 as well
     generic = shared | ({half + 1} - {d - 1})
-    torus = shared | {0, half}
     return [
         (segment(leads, zero, generic), generic, generic_scale),
-        (segment(minima[1:2], minima[p - 1:], torus), torus, p - 1),
-        (segment(zero, zero, torus), torus, 1),
+        (segment(minima[1:2], minima[p - 1:], shared), shared, (p - 1) * (p + 1) ** 2),
+        (segment(zero, zero, shared), shared, 1),
     ]
 
 
@@ -616,24 +619,19 @@ def _tally_block(args) -> list:
     purities[s] the states of sum_sq s.  A prefix whose sum_sq is
     qs + us x0 + vs x1 with w = c (us**2 + vs**2) != 0 is kept under the
     key (qs, w) while the block walks; at its end each key puts
-    1 + chi(w - (s - qs)**2) completions at every sum_sq s.  A prefix
-    counts its segment's weight, scale * (p + 1)**k (census_segments).
+    1 + chi(w - (s - qs)**2) completions at every sum_sq s.  A parent's
+    children count its weight, scale * (p + 1)**k (census_segments).
     """
     p, n, (segment, held, scale), start, stop = args
-    d = 1 << n
     points = _line_points(p)
     maximal = unentangled = 0
     purities = [0] * p
     lines: dict = {}
-    held_heads = [i for i in held if i < d - 2]
-    tail_held = d - 2 in held
-    weights = [scale * (p + 1) ** k for k in range(len(held) + 1)]
     for parent, children in walk_prefixes(p, 1, segment, start, stop):
         passes = parent_forms(p, n, parent)
-        k = sum(parent[i] != (0, 0) for i in held_heads)
+        weight = scale * (p + 1) ** sum(parent[i] != (0, 0) for i in held)
         for y, c, completions in children:
             qs, us, vs, lengths, tests = finish_forms(p, passes, y, c)
-            weight = weights[k + (tail_held and y != (0, 0))]
             size = len(completions)
             w = c * (us * us + vs * vs) % p
             if w:

@@ -6,16 +6,52 @@ def exact_str(x) -> str:
     """str(x), with the same digits when x is an int, or a tuple of two
     or more ints such as a check's (k, count) pair, longer than Python's
     int-to-str limit (4,300 digits by default, reached by counts such as
-    3**16384), which stays as set."""
+    3**16384), which stays as set.  Past the limit an int is converted
+    by halves in subquadratic time (_decimal_digits)."""
     try:
         return str(x)
     except ValueError:
         pass
     if isinstance(x, int):
-        import decimal  # only past the limit, so import dqc stays lean
-
-        return str(decimal.Decimal(x))
+        return "-" + _decimal_digits(-x) if x < 0 else _decimal_digits(x)
     return f"({', '.join(map(exact_str, x))})"
+
+
+def _decimal_digits(x: int) -> str:
+    """The digits of x >= 0 by divide and conquer: x of b bits splits at
+    2**w, w = b // 2, into hi and lo, each converted the same way down
+    to 2,048 bits, and lo + hi * 2**w is formed in a decimal context of
+    precision MAX_PREC with Inexact trapped, so every step is exact.
+    Each power 2**w is built once, from two smaller ones.  libmpdec
+    multiplies large operands in subquadratic time, so the conversion
+    is subquadratic too; str(Decimal(x)) alone takes quadratic time."""
+    import decimal  # only past the limit, so import dqc stays lean
+
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
+    )
+    powers: dict = {}
+
+    def power(w):
+        if w not in powers:
+            half = w >> 1
+            powers[w] = (
+                decimal.Decimal(1 << w)
+                if w <= 2048
+                else ctx.multiply(power(half), power(w - half))
+            )
+        return powers[w]
+
+    def convert(v, bits):
+        if bits <= 2048:
+            return decimal.Decimal(v)
+        w = bits >> 1
+        hi = v >> w
+        return ctx.add(
+            ctx.multiply(convert(hi, bits - w), power(w)), convert(v - (hi << w), w)
+        )
+
+    return str(convert(x, x.bit_length()))
 
 
 class DqcError(Exception):

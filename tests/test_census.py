@@ -952,6 +952,24 @@ def test_exact_str_gives_the_digits_of_str_past_the_limit():
         sys.set_int_max_str_digits(old)
 
 
+def test_exact_str_converts_250k_digits_by_halves():
+    # 3**(2**19), 250,149 digits: exact_str splits it down to 2,048-bit
+    # halves and joins them in an exact decimal context, and gives the
+    # digits str gives under a lifted limit (about 1 s in str alone)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    x = 3 ** (1 << 19)
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        digits = exact_str(x)
+        sys.set_int_max_str_digits(0)
+        assert digits == str(x)
+        assert len(digits) == 250_149
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_verify_seed_changes_samples_not_outcome(f7):
     assert verify(f7, 1, seed=0).verified
     assert verify(f7, 1, seed=12345).verified

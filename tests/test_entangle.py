@@ -281,6 +281,17 @@ def slice_weight(p, n, amps):
     return scale * (p + 1) ** sum(amps[i] != (0, 0) for i in torus)
 
 
+def assert_held_positions_vary(p, n, segments):
+    """Every held position of the census's segments lies below D - 2 and
+    offers 0 and the p - 1 fiber minima, found by a scan of each fiber,
+    so a position with one choice is never held."""
+    d = 1 << n
+    minima = sorted([(0, 0)] + [brute_fiber(p, r)[0] for r in range(1, p)])
+    for segment, held, _ in segments:
+        assert all(i < d - 2 for i in held), (p, n, held)
+        assert all(sorted(segment[i]) == minima for i in held), (p, n, held)
+
+
 def test_census_walk_is_the_held_slice(f3, f7):
     # each census segment walks exactly its slice, a literal filter of
     # every unit vector at p=3 n <= 2 and p=7 n=1; the census only counts
@@ -292,13 +303,17 @@ def test_census_walk_is_the_held_slice(f3, f7):
     # (the torus of the other two sets) otherwise, with a phase gate on
     # each other qubit.  The isotropic slice holds one of the p - 1
     # isotropic norms, so its weight is p - 1 times its torus weight
-    # (test_isotropic_pairs_have_equal_tallies)
+    # (test_isotropic_pairs_have_equal_tallies).  Held positions are only
+    # those that vary, here and in the n = 3 segments at p in {3, 7}
+    for p in (3, 7):
+        assert_held_positions_vary(p, 3, census_segments(p, 3))
     unitaries = unitary_group(3)
     diagonal = [g for g in unitaries if g[0][1] == g[1][0] == (0, 0)]
     phases = brute_phases(3)
     for p, n in ((3, 1), (7, 1), (3, 2)):
         d = 1 << n
         segments = census_segments(p, n)
+        assert_held_positions_vary(p, n, segments)
         fibers = enum_tables(p)[1]
         walked = []
         for segment, _, _ in segments:
@@ -337,7 +352,7 @@ def test_census_walk_is_the_held_slice(f3, f7):
 
 
 def test_isotropic_pairs_have_equal_tallies(f3, f7):
-    # the fact the isotropic scale p - 1 rests on: U(2) on the top qubit
+    # the fact the isotropic factor p - 1 rests on: U(2) on the top qubit
     # is transitive on the nonzero isotropic pairs v = (x_0, x_{D/2}) and
     # keeps kind, sum_sq and mask, so the unit states A_v whose top pair is
     # v have one Counter of (kind, sum_sq, mask) for every v.  At p=3 n=2
